@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 import numpy as np
 
 from .corpus import (
@@ -120,8 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _records_slice(corpus: Corpus, limit: int | None):
-    records = corpus.records
-    return records[:limit] if limit else records
+    if limit is not None and limit < 1:
+        raise ValueError(f"--limit must be >= 1, got {limit}")
+    return corpus.records[:limit]
 
 
 def _stopword_set(args) -> frozenset[str]:
@@ -156,11 +158,10 @@ def _write_sidecar(path, selected, results):
 def _build_members(args, store) -> dict:
     members: dict[str, object] = {}
     for path in args.models:
-        member = NeuralReidentifier.from_checkpoint(path, store)
-        name = member.name
+        name = Path(path).stem
         if name in members:
             name = f"{name}:{len(members)}"
-        members[name] = NeuralReidentifier(member.params, store, name=name)
+        members[name] = NeuralReidentifier.from_checkpoint(path, store, name=name)
     if args.bm25:
         members["bm25"] = Bm25Reidentifier(store, k1=args.bm25_k1, b=args.bm25_b)
     if not members:
@@ -191,9 +192,9 @@ def cmd_train(args) -> int:
 
 def cmd_deidentify(args) -> int:
     corpus = load_corpus(args.corpus)
+    selected = _records_slice(corpus, args.limit)
     model = NeuralReidentifier.from_checkpoint(args.model, corpus.store)
     stopwords = _stopword_set(args)
-    selected = _records_slice(corpus, args.limit)
     results = []
     for record in selected:
         true_index = corpus.store.index_of(record.profile_id)

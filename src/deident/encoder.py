@@ -6,11 +6,16 @@ document positions contribute the dedicated mask-symbol row instead of
 their word row, so a fully masked document encodes identically regardless
 of content. Match scores are plain dot products, normalized with a
 numerically stable softmax.
+
+Training encodes many documents or profiles at once through `Bags`, a sparse
+bags-of-rows matrix whose adjoint maps mean gradients back onto embedding rows.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -20,6 +25,7 @@ import numpy as np
 from .corpus import Document, Profile, ProfileStore, Vocabulary, linearize_profile
 
 CHECKPOINT_VERSION = 1
+CHECKPOINT_ARRAYS = ("embeddings", "doc_proj", "profile_proj")
 
 
 class CheckpointError(ValueError):
@@ -32,7 +38,8 @@ class ModelParams:
 
     embeddings has one row per vocabulary row (terms, hash buckets, mask
     symbol, padding); doc_proj and profile_proj map the embedding width to
-    the output width.
+    the output width. A document or profile encodes as the mean of its
+    token rows times its side's projection.
     """
 
     vocab: Vocabulary
@@ -112,6 +119,79 @@ def mean_rows(embeddings: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return weights @ embeddings[unique].astype(np.float64)
 
 
+class _SegmentSum:
+    """out[s] = sum of weight[e] * x[src[e]] over the entries e of segment s, in entry order.
+
+    Entries come grouped by segment, and every segment 0..n-1 has one. With
+    segments ranked longest first, those having a j-th entry are a prefix
+    of the ranking, so the sums run as one add per entry position (layer).
+    Terms are gathered in cache-sized chunks spanning many small layers.
+    """
+
+    CHUNK_FLOATS = 2**17
+
+    def __init__(self, seg: np.ndarray, src: np.ndarray, weight: np.ndarray):
+        counts = np.bincount(seg)
+        self._rank = np.empty_like(counts)
+        self._rank[np.argsort(-counts, kind="stable")] = np.arange(len(counts))
+        position = np.arange(len(seg)) - (np.cumsum(counts) - counts)[seg]
+        order = np.lexsort((self._rank[seg], position))
+        self._src, self._weight = src[order], weight[order, None]
+        self._layer_ends = np.cumsum(np.bincount(position)).tolist()
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(self._rank), x.shape[1]))
+        chunk = max(1, self.CHUNK_FLOATS // x.shape[1])
+        start = lo = hi = 0
+        for end in self._layer_ends:
+            if end > hi:
+                lo, hi = start, min(max(end, start + chunk), len(self._src))
+                terms = x[self._src[lo:hi]] * self._weight[lo:hi]
+            out[: end - start] += terms[start - lo : end - lo]
+            start = end
+        return out[self._rank]
+
+
+class Bags:
+    """Sparse bags-of-rows matrix W with W[b, r] = (count of row r in bag b) / len(bag b).
+
+    Row b of W @ E is the token mean of bag b. `rows` lists the touched
+    embedding rows in ascending order; `forward(x)` is W @ x for x with one
+    row per entry of `rows`, and `adjoint(y)` is W.T @ y, one row per entry
+    of `rows`. Only the unique (bag, row, weight) triples are stored, so,
+    as in `mean_rows`, permuting a bag's positions cannot change a result.
+    They are sorted once by bag and once by row; both products add each
+    bag's (or row's) terms in that order, and no dense matrix is built.
+    """
+
+    def __init__(self, row_arrays: Sequence[np.ndarray]):
+        lengths = np.array([len(r) for r in row_arrays], dtype=np.int64)
+        if len(lengths) == 0 or lengths.min() < 1:
+            raise ValueError("every bag needs at least one row")
+        flat = np.concatenate(row_arrays).astype(np.int64)
+        width = int(flat.max()) + 1
+        keys = np.repeat(np.arange(len(lengths)), lengths) * width + flat
+        pairs, counts = np.unique(keys, return_counts=True)
+        bag, row = np.divmod(pairs, width)
+        weight = counts / lengths[bag]
+        by_row = np.argsort(row, kind="stable")
+        first = np.r_[True, row[by_row][1:] != row[by_row][:-1]]
+        self.rows = row[by_row][first]
+        col = np.empty_like(row)
+        col[by_row] = np.cumsum(first) - 1
+        self.forward = _SegmentSum(bag, col, weight)
+        self.adjoint = _SegmentSum(col[by_row], bag[by_row], weight[by_row])
+
+    def mean(self, embeddings: np.ndarray) -> np.ndarray:
+        """Token-mean embedding of every bag, in float64."""
+        return self.forward(embeddings[self.rows].astype(np.float64))
+
+
+def profile_bags(vocab: Vocabulary, store: ProfileStore | Sequence[Profile]) -> Bags:
+    """Bags of the linearized profiles, one per profile in store order."""
+    return Bags([vocab.indices(linearize_profile(p).normalized()) for p in store])
+
+
 def encode_document(params: ModelParams, document: Document, mask=None) -> np.ndarray:
     """Embed a (possibly masked) document."""
     rows = document_row_indices(params.vocab, document, mask)
@@ -158,19 +238,12 @@ def rank_of(values: np.ndarray, index: int) -> int:
 
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:
     """Write a checkpoint: one JSON header line, then raw float32 arrays."""
-    arrays = [
-        ("embeddings", params.embeddings),
-        ("doc_proj", params.doc_proj),
-        ("profile_proj", params.profile_proj),
+    arrays = [np.ascontiguousarray(getattr(params, name), dtype="<f4") for name in CHECKPOINT_ARRAYS]
+    offsets = np.cumsum([0] + [arr.nbytes for arr in arrays]).tolist()
+    manifest = [
+        {"name": name, "shape": list(arr.shape), "offset": offset, "bytes": arr.nbytes}
+        for name, arr, offset in zip(CHECKPOINT_ARRAYS, arrays, offsets)
     ]
-    offset = 0
-    manifest = []
-    payload = []
-    for name, arr in arrays:
-        data = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-        manifest.append({"name": name, "shape": list(arr.shape), "offset": offset, "bytes": len(data)})
-        payload.append(data)
-        offset += len(data)
     header = {
         "version": params.version,
         "dim": params.dim,
@@ -183,34 +256,35 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        for data in payload:
-            fh.write(data)
+        for arr in arrays:
+            fh.write(arr.data)
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
-    """Load a checkpoint, rejecting unknown versions."""
+    """Load a checkpoint, rejecting unknown versions and short payloads."""
+    out: dict[str, np.ndarray] = {}
     with open(path, "rb") as fh:
         header_line = fh.readline()
-        blob = fh.read()
-    try:
-        header = json.loads(header_line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"unreadable checkpoint header in {path}") from exc
-    version = header.get("version")
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"checkpoint version {version!r} not supported (expected {CHECKPOINT_VERSION})"
-        )
-    vocab = Vocabulary(header["terms"], hash_buckets=header["hash_buckets"])
-    out: dict[str, np.ndarray] = {}
-    for spec in header["arrays"]:
-        start = spec["offset"]
-        end = start + spec["bytes"]
-        if end > len(blob):
-            raise CheckpointError(f"truncated checkpoint payload in {path}")
-        arr = np.frombuffer(blob[start:end], dtype="<f4").reshape(spec["shape"])
-        out[spec["name"]] = arr.copy()
-    for name in ("embeddings", "doc_proj", "profile_proj"):
+        try:
+            header = json.loads(header_line.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointError(f"unreadable checkpoint header in {path}") from exc
+        version = header.get("version")
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(
+                f"checkpoint version {version!r} not supported (expected {CHECKPOINT_VERSION})"
+            )
+        vocab = Vocabulary(header["terms"], hash_buckets=header["hash_buckets"])
+        payload, end = fh.tell(), os.fstat(fh.fileno()).st_size
+        for spec in header["arrays"]:
+            if 4 * math.prod(spec["shape"]) != spec["bytes"]:
+                raise CheckpointError(f"array {spec['name']!r} byte count does not match its shape")
+            if payload + spec["offset"] + spec["bytes"] > end:
+                raise CheckpointError(f"truncated checkpoint payload in {path}")
+            out[spec["name"]] = arr = np.empty(spec["shape"], dtype="<f4")
+            fh.seek(payload + spec["offset"])
+            fh.readinto(arr.data.cast("B"))
+    for name in CHECKPOINT_ARRAYS:
         if name not in out:
             raise CheckpointError(f"checkpoint missing array {name!r}")
     if out["embeddings"].shape[0] != vocab.n_rows:

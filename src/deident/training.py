@@ -11,6 +11,8 @@ configurable budget of profile epochs, only the document side trains.
 Targets are label-smoothed one-hot distributions over the full profile
 store (no negative sampling). Gradients are computed analytically and
 clipped by global norm; updates are plain SGD with linear warmup and decay.
+Batches, the profile store and the held-out set are encoded through sparse
+`Bags` operators, whose adjoint gives the embedding gradient per unique row.
 """
 
 from __future__ import annotations
@@ -24,12 +26,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Document, ProfileStore, Vocabulary, compute_idf, linearize_profile
+from .corpus import Corpus, Document, Vocabulary, compute_idf
 from .encoder import (
+    Bags,
     ModelParams,
     document_row_indices,
     init_params,
-    mean_rows,
+    profile_bags,
     rank_of,
     save_checkpoint,
 )
@@ -177,48 +180,17 @@ def apply_gradients(params: ModelParams, grads: Gradients, lr: float) -> None:
         params.embeddings[grads.emb_rows] -= (lr * grads.emb_grads).astype(dtype)
 
 
-class ProfileEncodingIndex:
-    """Precomputed token-row structure for encoding every profile at once."""
-
-    def __init__(self, vocab: Vocabulary, store: ProfileStore | Sequence):
-        profiles = list(store)
-        rows_parts, seg_parts, weight_parts = [], [], []
-        for i, profile in enumerate(profiles):
-            rows = vocab.indices(linearize_profile(profile).normalized())
-            unique, counts = np.unique(rows, return_counts=True)
-            rows_parts.append(unique)
-            seg_parts.append(np.full(len(unique), i, dtype=np.int64))
-            weight_parts.append(counts.astype(np.float64) / len(rows))
-        self.n_profiles = len(profiles)
-        self.flat_rows = np.concatenate(rows_parts)
-        self.flat_seg = np.concatenate(seg_parts)
-        self.flat_weights = np.concatenate(weight_parts)
-        self.unique_rows, self.flat_to_unique = np.unique(self.flat_rows, return_inverse=True)
-
-    def mean_matrix(self, params: ModelParams) -> np.ndarray:
-        """Per-profile mean token embedding (before projection)."""
-        pbar = np.zeros((self.n_profiles, params.dim), dtype=np.float64)
-        contrib = params.embeddings[self.flat_rows].astype(np.float64) * self.flat_weights[:, None]
-        np.add.at(pbar, self.flat_seg, contrib)
-        return pbar
-
-    def profile_matrix(self, params: ModelParams) -> np.ndarray:
-        return self.mean_matrix(params) @ params.profile_proj.astype(np.float64)
-
-
-def _record_unique_weights(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    unique, counts = np.unique(rows, return_counts=True)
-    return unique, counts.astype(np.float64) / len(rows)
-
-
-def _softmax_loss_rows(scores: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross entropy over rows plus its score gradient (P - T) / B."""
+def _softmax_loss_rows(scores: np.ndarray, true_indices, alpha: float) -> tuple[float, np.ndarray]:
+    """Mean cross entropy against label-smoothed targets plus its score gradient (P - T) / B."""
+    batch, n_profiles = scores.shape
+    targets = np.full((batch, n_profiles), alpha / n_profiles, dtype=np.float64)
+    targets[np.arange(batch), np.asarray(true_indices)] += 1.0 - alpha
     shifted = scores - scores.max(axis=1, keepdims=True)
     logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     logp = shifted - logz
     loss = float(-(targets * logp).sum(axis=1).mean())
     probs = np.exp(logp)
-    dscores = (probs - targets) / scores.shape[0]
+    dscores = (probs - targets) / batch
     return loss, dscores
 
 
@@ -230,55 +202,57 @@ def doc_batch_gradients(
     alpha: float,
 ) -> tuple[float, Gradients]:
     """Loss and document-side gradients against a fixed profile matrix."""
-    batch = len(row_arrays)
-    n_profiles = matrix.shape[0]
-    uniques, weights = zip(*(_record_unique_weights(r) for r in row_arrays))
-    ebar = np.stack(
-        [w @ params.embeddings[u].astype(np.float64) for u, w in zip(uniques, weights)]
-    )
+    bags = Bags(row_arrays)
+    ebar = bags.mean(params.embeddings)
     doc_proj = params.doc_proj.astype(np.float64)
     feats = ebar @ doc_proj
     scores = feats @ matrix.T
-    targets = np.full((batch, n_profiles), alpha / n_profiles, dtype=np.float64)
-    targets[np.arange(batch), np.asarray(true_indices)] += 1.0 - alpha
-    loss, dscores = _softmax_loss_rows(scores, targets)
+    loss, dscores = _softmax_loss_rows(scores, true_indices, alpha)
     dfeats = dscores @ matrix
     dproj = ebar.T @ dfeats
-    debar = dfeats @ doc_proj.T
-    flat_rows = np.concatenate(uniques)
-    flat_seg = np.concatenate([np.full(len(u), i, dtype=np.int64) for i, u in enumerate(uniques)])
-    flat_w = np.concatenate(weights)
-    contrib = flat_w[:, None] * debar[flat_seg]
-    unique_rows, inverse = np.unique(flat_rows, return_inverse=True)
-    acc = np.zeros((len(unique_rows), params.dim), dtype=np.float64)
-    np.add.at(acc, inverse, contrib)
-    return loss, Gradients(which="doc", proj=dproj, emb_rows=unique_rows, emb_grads=acc)
+    emb_grads = bags.adjoint(dfeats @ doc_proj.T)
+    return loss, Gradients(which="doc", proj=dproj, emb_rows=bags.rows, emb_grads=emb_grads)
 
 
 def profile_batch_gradients(
     params: ModelParams,
     doc_embs: np.ndarray,
     true_indices: Sequence[int],
-    pindex: ProfileEncodingIndex,
+    profiles: Bags,
     alpha: float,
 ) -> tuple[float, Gradients]:
-    """Loss and profile-side gradients with document embeddings held fixed."""
-    batch = doc_embs.shape[0]
-    n_profiles = pindex.n_profiles
-    pbar = pindex.mean_matrix(params)
-    profile_proj = params.profile_proj.astype(np.float64)
-    matrix = pbar @ profile_proj
-    scores = doc_embs @ matrix.T
-    targets = np.full((batch, n_profiles), alpha / n_profiles, dtype=np.float64)
-    targets[np.arange(batch), np.asarray(true_indices)] += 1.0 - alpha
-    loss, dscores = _softmax_loss_rows(scores, targets)
-    dmatrix = dscores.T @ doc_embs
-    dproj = pbar.T @ dmatrix
-    dpbar = dmatrix @ profile_proj.T
-    contrib = pindex.flat_weights[:, None] * dpbar[pindex.flat_seg]
-    acc = np.zeros((len(pindex.unique_rows), params.dim), dtype=np.float64)
-    np.add.at(acc, pindex.flat_to_unique, contrib)
-    return loss, Gradients(which="profile", proj=dproj, emb_rows=pindex.unique_rows, emb_grads=acc)
+    """Loss and profile-side gradients with document embeddings held fixed.
+
+    With W the profile bags, E their embedding rows and P the projection,
+    the scores doc_embs @ (W @ E @ P).T are evaluated as (W @ (E @ q.T)).T
+    with q = doc_embs @ P.T: the sparse products run at batch width, not
+    embedding width, and the profile means are never formed.
+    """
+    emb = params.embeddings[profiles.rows].astype(np.float64)
+    q = doc_embs @ params.profile_proj.astype(np.float64).T
+    scores = profiles.forward(emb @ q.T).T
+    loss, dscores = _softmax_loss_rows(scores, true_indices, alpha)
+    x = profiles.adjoint(dscores.T)
+    dproj = emb.T @ (x @ doc_embs)
+    return loss, Gradients(which="profile", proj=dproj, emb_rows=profiles.rows, emb_grads=x @ q)
+
+
+def _step(params, rows, true_indices, target, config: TrainConfig, lr: float) -> float:
+    """One clipped SGD update from per-record token rows; returns the batch loss.
+
+    A profile matrix as target trains the document side; the profiles' Bags
+    train the profile side.
+    """
+    if isinstance(target, Bags):
+        embs = Bags(rows).mean(params.embeddings) @ params.doc_proj.astype(np.float64)
+        loss, grads = profile_batch_gradients(params, embs, true_indices, target, config.label_smoothing)
+    else:
+        loss, grads = doc_batch_gradients(params, rows, true_indices, target, config.label_smoothing)
+    if not math.isfinite(loss):
+        raise FloatingPointError(f"non-finite training loss {loss}")
+    clip_gradients(grads, config.clip_norm)
+    apply_gradients(params, grads, lr)
+    return loss
 
 
 def grad_step(
@@ -292,33 +266,20 @@ def grad_step(
     """One clipped SGD update on the selected encoder.
 
     For which="doc", target is the fixed profile matrix and batch masks are
-    honored. For which="profile", target is a ProfileEncodingIndex (or a
+    honored. For which="profile", target is the profiles' `Bags` (or a
     ProfileStore) encoded live, and documents are used unmasked.
     """
     if which not in ("doc", "profile"):
         raise ValueError("which must be 'doc' or 'profile'")
-    if lr is None:
-        lr = config.learning_rate
-    alpha = config.label_smoothing
-    true_indices = [b[2] for b in batch]
     if which == "doc":
         rows = [document_row_indices(params.vocab, doc, mask) for doc, mask, _ in batch]
-        loss, grads = doc_batch_gradients(params, rows, true_indices, np.asarray(target), alpha)
+        target = np.asarray(target)
     else:
-        pindex = target if isinstance(target, ProfileEncodingIndex) else ProfileEncodingIndex(params.vocab, target)
-        embs = np.stack(
-            [
-                mean_rows(params.embeddings, document_row_indices(params.vocab, doc))
-                @ params.doc_proj.astype(np.float64)
-                for doc, _, _ in batch
-            ]
-        )
-        loss, grads = profile_batch_gradients(params, embs, true_indices, pindex, alpha)
-    if not math.isfinite(loss):
-        raise FloatingPointError(f"non-finite training loss {loss}")
-    clip_gradients(grads, config.clip_norm)
-    apply_gradients(params, grads, lr)
-    return params, loss
+        rows = [document_row_indices(params.vocab, doc) for doc, _, _ in batch]
+        if not isinstance(target, Bags):
+            target = profile_bags(params.vocab, target)
+    lr = config.learning_rate if lr is None else lr
+    return params, _step(params, rows, [b[2] for b in batch], target, config, lr)
 
 
 def _lr_at(config: TrainConfig, epoch: int) -> float:
@@ -333,21 +294,12 @@ def _lr_at(config: TrainConfig, epoch: int) -> float:
     return peak * (1.0 - 0.9 * t)
 
 
-def _accuracy(params, matrix, base_rows, masks, true_idx, indices) -> float:
-    if len(indices) == 0:
+def _accuracy(params: ModelParams, matrix: np.ndarray, docs: Bags | None, true_idx) -> float:
+    if docs is None:
         return float("nan")
-    doc_proj = params.doc_proj.astype(np.float64)
-    hits = 0
-    for i in indices:
-        rows = base_rows[i]
-        if masks is not None:
-            rows = rows.copy()
-            rows[masks[i] == 1] = params.vocab.mask_index
-        feat = mean_rows(params.embeddings, rows) @ doc_proj
-        scores = matrix @ feat
-        if rank_of(scores, true_idx[i]) == 1:
-            hits += 1
-    return hits / len(indices)
+    scores = (docs.mean(params.embeddings) @ params.doc_proj.astype(np.float64)) @ matrix.T
+    hits = sum(rank_of(row, int(t)) == 1 for row, t in zip(scores, true_idx))
+    return hits / len(true_idx)
 
 
 def train(
@@ -373,7 +325,7 @@ def train(
     n = len(corpus.records)
     base_rows = [document_row_indices(vocab, rec.document) for rec in corpus.records]
     true_idx = np.array([corpus.store.index_of(rec.profile_id) for rec in corpus.records])
-    pindex = ProfileEncodingIndex(vocab, corpus.store)
+    profiles = profile_bags(vocab, corpus.store)
 
     idf_weights = None
     if config.mask_prior == "idf":
@@ -389,18 +341,22 @@ def train(
     held = np.sort(rng.choice(n, size=n_held, replace=False)) if n_held else np.array([], dtype=int)
     held_set = set(held.tolist())
     train_ids = np.array([i for i in range(n) if i not in held_set])
-    held_masks = {
-        int(i): random_mask(
-            rng, len(base_rows[i]), int(round(config.heldout_mask_rate * len(base_rows[i])))
-        )
+    held_masks = [
+        random_mask(rng, len(base_rows[i]), int(round(config.heldout_mask_rate * len(base_rows[i]))))
         for i in held
-    }
+    ]
+    held_docs = Bags([base_rows[i] for i in held]) if n_held else None
+    masked = [np.where(m == 1, vocab.mask_index, base_rows[i]) for i, m in zip(held, held_masks)]
+    held_masked = Bags(masked) if n_held else None
 
-    matrix = pindex.profile_matrix(params)
+    def profile_matrix() -> np.ndarray:
+        return profiles.mean(params.embeddings) @ params.profile_proj.astype(np.float64)
+
+    matrix = profile_matrix()
     profile_epochs_done = 0
     best_acc = -1.0
     best_params: ModelParams | None = None
-    log_rows: list[dict] = []
+    log_rows: list[list] = []
 
     for epoch in range(config.epochs):
         lr = _lr_at(config, epoch)
@@ -410,47 +366,22 @@ def train(
         for start in range(0, len(order), config.batch_size):
             chunk = order[start : start + config.batch_size]
             trues = true_idx[chunk]
-            if profile_phase:
-                embs = np.stack(
-                    [
-                        mean_rows(params.embeddings, base_rows[i]) @ params.doc_proj.astype(np.float64)
-                        for i in chunk
-                    ]
-                )
-                loss, grads = profile_batch_gradients(
-                    params, embs, trues, pindex, config.label_smoothing
-                )
-            else:
-                rows = []
-                for i in chunk:
+            rows = [base_rows[i] for i in chunk]
+            if not profile_phase:
+                for j, i in enumerate(chunk):
                     weights = idf_weights[i] if idf_weights is not None else None
-                    mask = sample_mask(rng, len(base_rows[i]), prior=config.mask_prior, weights=weights)
-                    r = base_rows[i].copy()
-                    r[mask == 1] = vocab.mask_index
-                    rows.append(r)
-                loss, grads = doc_batch_gradients(params, rows, trues, matrix, config.label_smoothing)
-            if not math.isfinite(loss):
-                raise FloatingPointError(f"non-finite loss at epoch {epoch}")
-            clip_gradients(grads, config.clip_norm)
-            apply_gradients(params, grads, lr)
-            losses.append(loss)
+                    mask = sample_mask(rng, len(rows[j]), prior=config.mask_prior, weights=weights)
+                    rows[j] = np.where(mask == 1, vocab.mask_index, rows[j])
+            losses.append(_step(params, rows, trues, profiles if profile_phase else matrix, config, lr))
+
+        eval_matrix = profile_matrix()
         if profile_phase:
             profile_epochs_done += 1
-            matrix = pindex.profile_matrix(params)
-
-        eval_matrix = pindex.profile_matrix(params)
-        acc0 = _accuracy(params, eval_matrix, base_rows, None, true_idx, held)
-        acc30 = _accuracy(params, eval_matrix, base_rows, held_masks, true_idx, held)
-        log_rows.append(
-            {
-                "epoch": epoch + 1,
-                "phase": "profile" if profile_phase else "doc",
-                "mean_loss": float(np.mean(losses)) if losses else float("nan"),
-                "heldout_acc_0": acc0,
-                "heldout_acc_30": acc30,
-                "lr": lr,
-            }
-        )
+            matrix = eval_matrix
+        acc0 = _accuracy(params, eval_matrix, held_docs, true_idx[held])
+        acc30 = _accuracy(params, eval_matrix, held_masked, true_idx[held])
+        phase = "profile" if profile_phase else "doc"
+        log_rows.append([epoch + 1, phase, np.mean(losses) if losses else math.nan, acc0, acc30, lr])
         if n_held and not math.isnan(acc30) and acc30 > best_acc:
             best_acc = acc30
             best_params = params.copy()
@@ -463,19 +394,10 @@ def train(
     return params
 
 
-def write_training_log(rows: Sequence[dict], path: str | Path) -> None:
-    columns = ["epoch", "phase", "mean_loss", "heldout_acc_0", "heldout_acc_30", "lr"]
+def write_training_log(rows: Sequence[Sequence], path: str | Path) -> None:
+    """CSV with one row per epoch: epoch, phase, then the numeric columns as float reprs."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(
-                [
-                    row["epoch"],
-                    row["phase"],
-                    repr(float(row["mean_loss"])),
-                    repr(float(row["heldout_acc_0"])),
-                    repr(float(row["heldout_acc_30"])),
-                    repr(float(row["lr"])),
-                ]
-            )
+        writer.writerow(["epoch", "phase", "mean_loss", "heldout_acc_0", "heldout_acc_30", "lr"])
+        for epoch, phase, *values in rows:
+            writer.writerow([epoch, phase, *(repr(float(v)) for v in values)])

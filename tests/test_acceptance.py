@@ -28,6 +28,7 @@ from deident.encoder import (
     build_profile_matrix,
     encode_document,
     init_params,
+    profile_bags,
     rank_of,
     score_and_normalize,
 )
@@ -35,7 +36,6 @@ from deident.metrics import information_loss, percent_masked
 from deident.reid import NeuralReidentifier, bm25_scores, ensemble_evaluate
 from deident.stopwords import DEFAULT_STOPWORDS
 from deident.training import (
-    ProfileEncodingIndex,
     doc_batch_gradients,
     profile_batch_gradients,
     cross_entropy,
@@ -123,9 +123,9 @@ def test_criterion_01_gradient_oracle():
     }
 
     # profile phase: document embeddings held fixed
-    pindex = ProfileEncodingIndex(vocab, profiles)
+    bags = profile_bags(vocab, profiles)
     doc_embs = np.stack([encode_document(params, doc, None) for doc, _, _ in batch])
-    _, prof_grads = profile_batch_gradients(params, doc_embs, trues, pindex, alpha)
+    _, prof_grads = profile_batch_gradients(params, doc_embs, trues, bags, alpha)
 
     def prof_forward():
         matrix_live = build_profile_matrix(params, profiles)

@@ -248,3 +248,65 @@ def test_outputs_reload_cleanly(tmp_path, cli_corpus, cli_checkpoint):
         record = corpus.records[corpus.store.index_of(row["id"])]
         assert len(row["mask"]) == len(record.document)
         assert set(row["mask"]) <= {0, 1}
+
+
+def test_truncated_checkpoint_payload_exit_code(tmp_path, cli_corpus, cli_checkpoint, capsys):
+    short = tmp_path / "short.ckpt"
+    short.write_bytes(cli_checkpoint.read_bytes()[:-4])
+    code = main([
+        "deidentify", "--corpus", str(cli_corpus), "--model", str(short),
+        "--k", "1", "--out", str(tmp_path / "x.jsonl"),
+    ])
+    assert code == 5
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "checkpoint"
+    assert "truncated" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["deidentify", "--k", "1"],
+        ["baseline", "--method", "lexical"],
+        ["sweep", "--method", "idf", "--bm25"],
+    ],
+    ids=["deidentify", "baseline", "sweep"],
+)
+def test_limit_below_one_is_rejected(tmp_path, cli_corpus, cli_checkpoint, capsys, argv):
+    out = tmp_path / "out.jsonl"
+    extra = ["--model", str(cli_checkpoint)] if argv[0] == "deidentify" else []
+    code = main([*argv, "--corpus", str(cli_corpus), *extra, "--out", str(out), "--limit", "0"])
+    assert code == 1
+    err_lines = capsys.readouterr().err.strip().splitlines()
+    assert len(err_lines) == 1
+    err = json.loads(err_lines[0])
+    assert err["error"] == "error"
+    assert "--limit" in err["message"]
+    assert not out.exists()
+
+
+def test_evaluate_builds_each_member_matrix_once(tmp_path, cli_corpus, cli_checkpoint, capsys, monkeypatch):
+    import deident.reid
+
+    redacted = tmp_path / "lexical.jsonl"
+    assert main([
+        "baseline", "--corpus", str(cli_corpus), "--method", "lexical",
+        "--out", str(redacted), "--limit", "5",
+    ]) == 0
+    calls = []
+    real = deident.reid.build_profile_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(deident.reid, "build_profile_matrix", counting)
+    report = tmp_path / "report.json"
+    code = main([
+        "evaluate", "--corpus", str(cli_corpus), "--redacted", str(redacted),
+        "--models", str(cli_checkpoint), str(cli_checkpoint), "--bm25", "--report", str(report),
+    ])
+    assert code == 0
+    capsys.readouterr()
+    assert len(calls) == 2
+    assert set(json.loads(report.read_text())["per_member"]) == {"model", "model:1", "bm25"}

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -197,6 +198,33 @@ def test_checkpoint_version_mismatch_rejected(tmp_path, params):
     params.version = 999
     save_checkpoint(params, path)
     with pytest.raises(CheckpointError, match="version"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_payload_is_raw_float32_arrays(tmp_path, params):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(params, path)
+    header, payload = path.read_bytes().split(b"\n", 1)
+    names = [spec["name"] for spec in json.loads(header)["arrays"]]
+    assert names == ["embeddings", "doc_proj", "profile_proj"]
+    expected = b"".join(
+        np.ascontiguousarray(getattr(params, name), dtype="<f4").tobytes() for name in names
+    )
+    assert payload == expected
+
+
+def test_checkpoint_short_payload_rejected(tmp_path, params):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(params, path)
+    header, payload = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(header + b"\n" + payload[:-1])
+    with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(path)
+    # a manifest claiming far more than the file holds fails before allocating it
+    manifest = json.loads(header)
+    manifest["arrays"][-1].update(shape=[2**20, 2**20], bytes=4 * 2**40)
+    path.write_bytes(json.dumps(manifest).encode() + b"\n" + payload)
+    with pytest.raises(CheckpointError, match="truncated"):
         load_checkpoint(path)
 
 

@@ -3,17 +3,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from deident.corpus import Profile, ProfileStore, Vocabulary, load_corpus, tokenize
 from deident.encoder import (
+    Bags,
     build_profile_matrix,
     encode_document,
     init_params,
+    profile_bags,
     rank_of,
     score_and_normalize,
 )
 from deident.training import (
-    ProfileEncodingIndex,
     TrainConfig,
     clip_gradients,
     cross_entropy,
@@ -222,10 +225,10 @@ def test_doc_gradients_match_finite_differences():
 def test_profile_gradients_match_finite_differences():
     params, profiles, batch = toy_setup(seed=1)
     alpha = 0.1
-    pindex = ProfileEncodingIndex(params.vocab, profiles)
+    bags = profile_bags(params.vocab, profiles)
     doc_embs = np.stack([encode_document(params, doc, None) for doc, _, _ in batch])
     trues = [b[2] for b in batch]
-    _, grads = profile_batch_gradients(params, doc_embs, trues, pindex, alpha)
+    _, grads = profile_batch_gradients(params, doc_embs, trues, bags, alpha)
 
     def forward():
         matrix = build_profile_matrix(params, profiles)
@@ -290,6 +293,112 @@ def test_grad_step_profile_phase_updates_profile_side():
 
 
 # ---------------------------------------------------------------------------
+# the sparse bag-of-rows operator against a scatter-add oracle
+# ---------------------------------------------------------------------------
+
+ORACLE_VOCAB = Vocabulary(["a", "b", "c", "d", "e"], hash_buckets=3)
+ORACLE_ROWS = st.integers(0, ORACLE_VOCAB.n_rows - 1)
+# a bag is any multiset of rows (repeats, single tokens) or a fully masked document
+ORACLE_BAG = st.one_of(
+    st.lists(ORACLE_ROWS, min_size=1, max_size=9),
+    st.integers(1, 6).map(lambda n: [ORACLE_VOCAB.mask_index] * n),
+)
+
+
+def oracle_forward(bags, x):
+    """W @ x with x indexed by vocabulary row, one position at a time."""
+    out = np.zeros((len(bags), x.shape[1]))
+    for b, rows in enumerate(bags):
+        np.add.at(out, np.full(len(rows), b), x[rows] / len(rows))
+    return out
+
+
+def oracle_adjoint(bags, y, n_rows):
+    """W.T @ y as a dense table over all vocabulary rows."""
+    out = np.zeros((n_rows, y.shape[1]))
+    for b, rows in enumerate(bags):
+        np.add.at(out, rows, np.repeat(y[b : b + 1] / len(rows), len(rows), axis=0))
+    return out
+
+
+def oracle_softmax_grad(scores, trues, alpha):
+    targets = np.stack([smoothed_targets(int(t), scores.shape[1], alpha) for t in trues])
+    probs = np.exp(scores - scores.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    loss = float(np.mean([cross_entropy(p, t) for p, t in zip(probs, targets)]))
+    return loss, (probs - targets) / len(trues)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bags=st.lists(ORACLE_BAG, min_size=1, max_size=7),
+    width=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+)
+@example(bags=[[0], [0, 0, 1], [ORACLE_VOCAB.mask_index] * 3], width=2, seed=0)
+def test_bags_products_match_scatter_oracle(bags, width, seed):
+    rng = np.random.default_rng(seed)
+    op = Bags([np.array(b) for b in bags])
+    assert np.array_equal(op.rows, np.unique(np.concatenate(bags)))
+    x = rng.standard_normal((ORACLE_VOCAB.n_rows, width))
+    assert np.allclose(op.forward(x[op.rows]), oracle_forward(bags, x), rtol=0, atol=1e-12)
+    y = rng.standard_normal((len(bags), width))
+    dense = oracle_adjoint(bags, y, ORACLE_VOCAB.n_rows)
+    assert np.allclose(op.adjoint(y), dense[op.rows], rtol=0, atol=1e-12)
+    untouched = np.setdiff1d(np.arange(ORACLE_VOCAB.n_rows), op.rows)
+    assert not dense[untouched].any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    docs=st.lists(ORACLE_BAG, min_size=1, max_size=6),
+    store=st.lists(ORACLE_BAG, min_size=2, max_size=5),
+    seed=st.integers(0, 2**16),
+    alpha=st.sampled_from([0.0, 0.1]),
+)
+@example(docs=[[ORACLE_VOCAB.mask_index] * 4, [2]], store=[[0, 1], [1, 1]], seed=1, alpha=0.1)
+def test_batch_gradients_match_scatter_oracle(docs, store, seed, alpha):
+    params = init_params(ORACLE_VOCAB, dim=4, seed=seed, dtype=np.float64)
+    emb = params.embeddings
+    n_rows = ORACLE_VOCAB.n_rows
+    rng = np.random.default_rng(seed)
+    trues = rng.integers(len(store), size=len(docs))
+    doc_rows = [np.array(d) for d in docs]
+
+    # document phase against a fixed profile matrix
+    matrix = rng.standard_normal((len(store), 4))
+    ebar = oracle_forward(docs, emb)
+    scores = ebar @ params.doc_proj @ matrix.T
+    loss, dscores = oracle_softmax_grad(scores, trues, alpha)
+    dfeats = dscores @ matrix
+    got_loss, grads = doc_batch_gradients(params, doc_rows, trues, matrix, alpha)
+    assert got_loss == pytest.approx(loss, rel=0, abs=1e-12)
+    assert np.allclose(grads.proj, ebar.T @ dfeats, rtol=0, atol=1e-12)
+    dense = oracle_adjoint(docs, dfeats @ params.doc_proj.T, n_rows)
+    assert np.allclose(grads.dense_embeddings(n_rows), dense, rtol=0, atol=1e-12)
+
+    # profile phase with document embeddings held fixed
+    doc_embs = rng.standard_normal((len(docs), 4))
+    pbar = oracle_forward(store, emb)
+    scores = doc_embs @ (pbar @ params.profile_proj).T
+    loss, dscores = oracle_softmax_grad(scores, trues, alpha)
+    dmatrix = dscores.T @ doc_embs
+    bags = Bags([np.array(p) for p in store])
+    got_loss, grads = profile_batch_gradients(params, doc_embs, trues, bags, alpha)
+    assert got_loss == pytest.approx(loss, rel=0, abs=1e-12)
+    assert np.allclose(grads.proj, pbar.T @ dmatrix, rtol=0, atol=1e-12)
+    dense = oracle_adjoint(store, dmatrix @ params.profile_proj.T, n_rows)
+    assert np.allclose(grads.dense_embeddings(n_rows), dense, rtol=0, atol=1e-12)
+
+
+def test_bags_reject_empty_bags():
+    with pytest.raises(ValueError):
+        Bags([])
+    with pytest.raises(ValueError):
+        Bags([np.array([1]), np.array([], dtype=np.int64)])
+
+
+# ---------------------------------------------------------------------------
 # the training loop
 # ---------------------------------------------------------------------------
 
@@ -348,8 +457,8 @@ def test_training_is_deterministic(tmp_path, toy_corpus):
 def test_profile_index_matrix_matches_row_encoding(toy_corpus):
     vocab = Vocabulary.from_corpus(toy_corpus, hash_buckets=64)
     params = init_params(vocab, dim=16, seed=2)
-    pindex = ProfileEncodingIndex(vocab, toy_corpus.store)
-    fast = pindex.profile_matrix(params)
+    bags = profile_bags(vocab, toy_corpus.store)
+    fast = bags.mean(params.embeddings) @ params.profile_proj.astype(np.float64)
     exact = build_profile_matrix(params, toy_corpus.store)
     assert np.allclose(fast, exact, atol=1e-9)
 
