@@ -2,9 +2,10 @@
 
 Subcommands: train, deidentify, baseline, evaluate, sweep, stats. Errors
 are emitted as a single JSON object on stderr with distinct exit codes:
-3 unreadable file, 4 malformed corpus/tags, 5 checkpoint problems,
-1 anything else. A JSON file of flag defaults can be supplied with
---config; explicit flags win.
+3 unreadable file, 4 malformed corpus/redacted/sidecar/tags file or
+config, 5 checkpoint problems, 1 anything else. A JSON file of flag
+defaults can be supplied with --config; explicit flags win, and a key that
+names no flag is rejected.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 from .corpus import (
     Corpus,
     CorpusError,
+    _jsonl_rows,
     apply_mask,
     compute_idf,
     corpus_stats,
@@ -277,12 +279,7 @@ def cmd_evaluate(args) -> int:
 
 
 def load_redacted_sidecar(path) -> list[dict]:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                rows.append(json.loads(line))
-    return rows
+    return [row for _, row in _jsonl_rows(path)]
 
 
 def cmd_sweep(args) -> int:
@@ -365,6 +362,16 @@ def main(argv=None) -> int:
             return 4
         if not isinstance(defaults, dict):
             _emit_error("bad-config", ValueError("config must be a JSON object"))
+            return 4
+        known = {
+            action.dest
+            for sub_parser in parser.subcommand_parsers
+            for action in sub_parser._actions
+            if action.dest != "help"
+        }
+        unknown = sorted(set(defaults) - known)
+        if unknown:
+            _emit_error("bad-config", ValueError(f"unknown config keys: {', '.join(unknown)}"))
             return 4
         # subcommands parse into a fresh namespace, so defaults must be set
         # on each subparser for explicit flags to keep precedence

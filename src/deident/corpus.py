@@ -98,6 +98,7 @@ class ProfileStore:
 
     def __init__(self, profiles: Sequence[Profile]):
         self.profiles: list[Profile] = list(profiles)
+        self._linearized: tuple[Document, ...] | None = None
         self._index: dict[str, int] = {}
         for i, p in enumerate(self.profiles):
             if p.id in self._index:
@@ -121,6 +122,21 @@ class ProfileStore:
     def get(self, profile_id: str) -> Profile:
         return self.profiles[self.index_of(profile_id)]
 
+    @property
+    def linearized(self) -> tuple[Document, ...]:
+        """Each profile's `linearize_profile` Document, in store order, computed once."""
+        if self._linearized is None:
+            self._linearized = linearize_profiles(self.profiles)
+        return self._linearized
+
+
+def linearize_profiles(profiles: ProfileStore | Iterable[Profile]) -> tuple[Document, ...]:
+    """`linearize_profile` of each profile in order; a store's are computed once and kept."""
+    if isinstance(profiles, ProfileStore):
+        return profiles.linearized
+    table = _TokenTable(DEFAULT_STOPWORDS)
+    return tuple(_linearize(p, table) for p in profiles)
+
 
 @dataclass
 class Corpus:
@@ -133,6 +149,36 @@ class Corpus:
         return len(self.records)
 
 
+class _TokenTable(dict):
+    """Interned Tokens by surface for one stopword set: each distinct surface is built once.
+
+    A Token depends only on its surface and the stopword set, so sharing one
+    is invisible to callers. A table lives as long as one load or one
+    store's linearization, never across calls.
+    """
+
+    def __init__(self, stopwords: frozenset[str]):
+        super().__init__()
+        self.stopwords = stopwords
+
+    def __missing__(self, surface: str) -> Token:
+        normalized = surface.casefold()
+        token = self[surface] = Token(
+            surface=surface,
+            normalized=normalized,
+            is_stopword=normalized in self.stopwords,
+            is_punctuation=_ALNUM_RE.search(surface) is None,
+        )
+        return token
+
+
+def _tokenize(text: str, table: _TokenTable) -> Document:
+    tokens = tuple(map(table.__getitem__, _TOKEN_RE.findall(text)))
+    if not tokens:
+        raise CorpusError("no tokens in input text")
+    return Document(tokens=tokens)
+
+
 def tokenize(text: str, stopwords: frozenset[str] = DEFAULT_STOPWORDS) -> Document:
     """Split raw text into a Document.
 
@@ -140,21 +186,7 @@ def tokenize(text: str, stopwords: frozenset[str] = DEFAULT_STOPWORDS) -> Docume
     tokens, so "John Smith, farmer." yields five tokens. Normalization is
     the casefolded surface. Raises CorpusError when no tokens result.
     """
-    tokens = []
-    for surface in _TOKEN_RE.findall(text):
-        normalized = surface.casefold()
-        is_punct = _ALNUM_RE.search(surface) is None
-        tokens.append(
-            Token(
-                surface=surface,
-                normalized=normalized,
-                is_stopword=normalized in stopwords,
-                is_punctuation=is_punct,
-            )
-        )
-    if not tokens:
-        raise CorpusError("no tokens in input text")
-    return Document(tokens=tuple(tokens))
+    return _tokenize(text, _TokenTable(stopwords))
 
 
 def linearize_profile(profile: Profile, max_tokens: int = MAX_PROFILE_TOKENS) -> Document:
@@ -163,17 +195,22 @@ def linearize_profile(profile: Profile, max_tokens: int = MAX_PROFILE_TOKENS) ->
     Whole trailing entries are dropped until the sequence fits max_tokens.
     The first entry is kept even if it must be clipped hard.
     """
+    return _linearize(profile, _TokenTable(DEFAULT_STOPWORDS), max_tokens)
+
+
+def _linearize(profile: Profile, table: _TokenTable, max_tokens: int = MAX_PROFILE_TOKENS) -> Document:
     if not profile.entries:
         raise CorpusError(f"profile {profile.id!r} has no entries")
+    colon = _tokenize(":", table).tokens
     chunks: list[list[Token]] = []
     for key, value in profile.entries:
-        chunk = list(tokenize(key).tokens)
-        chunk.extend(tokenize(":").tokens)
-        chunk.extend(tokenize(str(value)).tokens)
+        chunk = list(_tokenize(key, table).tokens)
+        chunk.extend(colon)
+        chunk.extend(_tokenize(str(value), table).tokens)
         chunks.append(chunk)
 
     kept: list[Token] = list(chunks[0])
-    separator = tokenize("|").tokens[0]
+    separator = _tokenize("|", table).tokens[0]
     for chunk in chunks[1:]:
         if len(kept) + 1 + len(chunk) > max_tokens:
             break
@@ -184,9 +221,26 @@ def linearize_profile(profile: Profile, max_tokens: int = MAX_PROFILE_TOKENS) ->
     return Document(tokens=tuple(kept))
 
 
-def _parse_record(obj: dict, line: int) -> tuple[AlignedRecord, Profile]:
-    if not isinstance(obj, dict):
-        raise CorpusError("expected a JSON object", line)
+def _jsonl_rows(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, object) for each nonblank line of a JSONL file.
+
+    A line that is not valid JSON, or whose value is not an object, raises
+    CorpusError naming the line.
+    """
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorpusError(f"invalid JSON ({exc.msg})", line_no) from exc
+            if not isinstance(obj, dict):
+                raise CorpusError("expected a JSON object", line_no)
+            yield line_no, obj
+
+
+def _parse_record(obj: dict, line: int, table: _TokenTable) -> tuple[AlignedRecord, Profile]:
     for key in ("id", "document", "profile"):
         if key not in obj:
             raise CorpusError(f"missing field {key!r}", line)
@@ -203,7 +257,7 @@ def _parse_record(obj: dict, line: int) -> tuple[AlignedRecord, Profile]:
             raise CorpusError("profile entries must be [key, value] pairs", line)
         pairs.append((str(pair[0]), str(pair[1])))
     try:
-        document = tokenize(obj["document"])
+        document = _tokenize(obj["document"], table)
         profile = Profile(id=obj["id"], entries=tuple(pairs))
     except CorpusError as exc:
         raise CorpusError(str(exc), line) from exc
@@ -220,23 +274,17 @@ def load_corpus(path: str | Path) -> Corpus:
     records: list[AlignedRecord] = []
     profiles: list[Profile] = []
     seen: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"invalid JSON ({exc.msg})", line_no) from exc
-            record, profile = _parse_record(obj, line_no)
-            if profile.id in seen:
-                raise CorpusError(
-                    f"duplicate profile id {profile.id!r} (first seen on line {seen[profile.id]})",
-                    line_no,
-                )
-            seen[profile.id] = line_no
-            records.append(record)
-            profiles.append(profile)
+    table = _TokenTable(DEFAULT_STOPWORDS)
+    for line_no, obj in _jsonl_rows(path):
+        record, profile = _parse_record(obj, line_no, table)
+        if profile.id in seen:
+            raise CorpusError(
+                f"duplicate profile id {profile.id!r} (first seen on line {seen[profile.id]})",
+                line_no,
+            )
+        seen[profile.id] = line_no
+        records.append(record)
+        profiles.append(profile)
     if not records:
         raise CorpusError(f"no records in {path}")
     return Corpus(records=records, store=ProfileStore(profiles))
@@ -245,17 +293,10 @@ def load_corpus(path: str | Path) -> Corpus:
 def load_redacted(path: str | Path) -> list[dict]:
     """Load a redacted JSONL file, returning raw dicts with id/mask/method/k."""
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"invalid JSON ({exc.msg})", line_no) from exc
-            if "id" not in obj or "mask" not in obj:
-                raise CorpusError("redacted rows need 'id' and 'mask'", line_no)
-            rows.append(obj)
+    for line_no, obj in _jsonl_rows(path):
+        if "id" not in obj or "mask" not in obj:
+            raise CorpusError("redacted rows need 'id' and 'mask'", line_no)
+        rows.append(obj)
     return rows
 
 
@@ -292,7 +333,7 @@ class IdfTable:
 def compute_idf(corpus: Corpus) -> IdfTable:
     """IDF over the union of documents and linearized profiles."""
     docs: list[list[str]] = [rec.document.normalized() for rec in corpus.records]
-    docs.extend(linearize_profile(p).normalized() for p in corpus.store)
+    docs.extend(d.normalized() for d in corpus.store.linearized)
     return IdfTable.from_token_documents(docs)
 
 
@@ -343,8 +384,8 @@ def corpus_stats(corpus: Corpus) -> dict:
     vocab = set()
     for rec in corpus.records:
         vocab.update(rec.document.normalized())
-    for profile in corpus.store:
-        vocab.update(linearize_profile(profile).normalized())
+    for linearized in corpus.store.linearized:
+        vocab.update(linearized.normalized())
     return {
         "records": len(corpus.records),
         "profiles": len(corpus.store),
@@ -404,6 +445,6 @@ class Vocabulary:
         terms: set[str] = set()
         for rec in corpus.records:
             terms.update(rec.document.normalized())
-        for profile in corpus.store:
-            terms.update(linearize_profile(profile).normalized())
+        for linearized in corpus.store.linearized:
+            terms.update(linearized.normalized())
         return cls(sorted(terms), hash_buckets=hash_buckets)

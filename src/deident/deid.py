@@ -13,14 +13,13 @@ rule tagger).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import CorpusError, Document, IdfTable, Profile, tokenize
+from .corpus import CorpusError, Document, IdfTable, Profile, _jsonl_rows, tokenize
 from .encoder import rank_of
 from .stopwords import DEFAULT_STOPWORDS
 
@@ -380,15 +379,8 @@ def ner_baseline(document: Document, tags: Sequence[str] | None = None) -> Redac
 def load_tag_file(path: str | Path) -> dict[str, list[str]]:
     """Load per-token entity tags: JSONL rows of {"id": ..., "tags": [...]}."""
     out: dict[str, list[str]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"invalid JSON ({exc.msg})", line_no) from exc
-            if "id" not in obj or "tags" not in obj:
-                raise CorpusError("tag rows need 'id' and 'tags'", line_no)
-            out[obj["id"]] = [str(t) for t in obj["tags"]]
+    for line_no, obj in _jsonl_rows(path):
+        if "id" not in obj or not isinstance(obj.get("tags"), list):
+            raise CorpusError("tag rows need 'id' and a 'tags' list", line_no)
+        out[obj["id"]] = [str(t) for t in obj["tags"]]
     return out

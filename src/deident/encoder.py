@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Document, Profile, ProfileStore, Vocabulary, linearize_profile
+from .corpus import Document, Profile, ProfileStore, Vocabulary, linearize_profile, linearize_profiles
 
 CHECKPOINT_VERSION = 1
 CHECKPOINT_ARRAYS = ("embeddings", "doc_proj", "profile_proj")
@@ -189,7 +189,7 @@ class Bags:
 
 def profile_bags(vocab: Vocabulary, store: ProfileStore | Sequence[Profile]) -> Bags:
     """Bags of the linearized profiles, one per profile in store order."""
-    return Bags([vocab.indices(linearize_profile(p).normalized()) for p in store])
+    return Bags([vocab.indices(d.normalized()) for d in linearize_profiles(store)])
 
 
 def encode_document(params: ModelParams, document: Document, mask=None) -> np.ndarray:
@@ -201,18 +201,21 @@ def encode_document(params: ModelParams, document: Document, mask=None) -> np.nd
 
 def encode_profile(params: ModelParams, profile: Profile) -> np.ndarray:
     """Embed a profile through its linearization; profiles are never masked."""
-    linearized = linearize_profile(profile)
+    return _encode_linearized(params, linearize_profile(profile), params.profile_proj.astype(np.float64))
+
+
+def _encode_linearized(params: ModelParams, linearized: Document, proj: np.ndarray) -> np.ndarray:
     rows = params.vocab.indices(linearized.normalized())
-    mean = mean_rows(params.embeddings, rows)
-    return mean @ params.profile_proj.astype(np.float64)
+    return mean_rows(params.embeddings, rows) @ proj
 
 
 def build_profile_matrix(params: ModelParams, store: ProfileStore | Sequence[Profile]) -> np.ndarray:
     """Stack profile embeddings, one row per profile in store order."""
-    profiles = list(store)
-    if not profiles:
+    linearized = linearize_profiles(store)
+    if not linearized:
         raise ValueError("profile store is empty")
-    return np.stack([encode_profile(params, p) for p in profiles])
+    proj = params.profile_proj.astype(np.float64)
+    return np.stack([_encode_linearized(params, d, proj) for d in linearized])
 
 
 def score_and_normalize(doc_emb: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -269,14 +272,19 @@ def load_checkpoint(path: str | Path) -> ModelParams:
             header = json.loads(header_line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"unreadable checkpoint header in {path}") from exc
+        if not isinstance(header, dict):
+            raise CheckpointError(f"checkpoint header in {path} is not a JSON object")
         version = header.get("version")
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(
                 f"checkpoint version {version!r} not supported (expected {CHECKPOINT_VERSION})"
             )
-        vocab = Vocabulary(header["terms"], hash_buckets=header["hash_buckets"])
+        vocab = _header_vocabulary(header)
+        arrays = header.get("arrays")
+        if not isinstance(arrays, list) or not all(map(_is_array_spec, arrays)):
+            raise CheckpointError("checkpoint header field 'arrays' is missing or malformed")
         payload, end = fh.tell(), os.fstat(fh.fileno()).st_size
-        for spec in header["arrays"]:
+        for spec in arrays:
             if 4 * math.prod(spec["shape"]) != spec["bytes"]:
                 raise CheckpointError(f"array {spec['name']!r} byte count does not match its shape")
             if payload + spec["offset"] + spec["bytes"] > end:
@@ -297,3 +305,30 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         label_smoothing=float(header.get("label_smoothing", 0.0)),
         version=version,
     )
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _is_array_spec(spec) -> bool:
+    return (
+        isinstance(spec, dict)
+        and isinstance(spec.get("name"), str)
+        and isinstance(spec.get("shape"), list)
+        and all(map(_is_count, spec["shape"]))
+        and _is_count(spec.get("offset"))
+        and _is_count(spec.get("bytes"))
+    )
+
+
+def _header_vocabulary(header: dict) -> Vocabulary:
+    terms, buckets = header.get("terms"), header.get("hash_buckets")
+    if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms):
+        raise CheckpointError("checkpoint header field 'terms' is missing or not a list of strings")
+    if not _is_count(buckets):
+        raise CheckpointError("checkpoint header field 'hash_buckets' is missing or not an integer")
+    try:
+        return Vocabulary(terms, hash_buckets=buckets)
+    except ValueError as exc:
+        raise CheckpointError(f"bad checkpoint vocabulary: {exc}") from exc

@@ -9,14 +9,13 @@ document as reidentified when any member ranks its true profile first.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Document, IdfTable, ProfileStore, linearize_profile
+from .corpus import Document, IdfTable, ProfileStore, check_mask, linearize_profiles
 from .encoder import (
     ModelParams,
     document_row_indices,
@@ -80,7 +79,9 @@ class Bm25Reidentifier:
     """Okapi BM25 over linearized profiles, with smoothed nonnegative IDF.
 
     Query terms are the normalized unmasked document tokens (mask sentinels
-    are excluded); each distinct query term contributes once.
+    are excluded); each distinct query term contributes once. Each term's
+    postings list the profiles holding it, in store order, with the term's
+    score contribution to each, so scoring touches only matching profiles.
     """
 
     kind = "bm25"
@@ -96,28 +97,38 @@ class Bm25Reidentifier:
         self.k1 = k1
         self.b = b
         self.name = name
-        docs = [linearize_profile(p).normalized() for p in store]
-        self.term_freqs = [Counter(d) for d in docs]
-        self.lengths = np.array([len(d) for d in docs], dtype=np.float64)
-        self.avg_length = float(self.lengths.mean())
-        self.idf_table = IdfTable.from_token_documents(docs)
+        docs = [d.normalized() for d in linearize_profiles(store)]
+        n = len(docs)
+        lengths = np.array([len(d) for d in docs], dtype=np.float64)
+        ids: dict[str, int] = {}
+        term_ids = np.fromiter((ids.setdefault(t, len(ids)) for d in docs for t in d), dtype=np.int64)
+        # one key per distinct (term, profile) pair, sorted by term, then profile
+        profile_ids = np.repeat(np.arange(n), lengths.astype(np.int64))
+        keys, tf = np.unique(term_ids * n + profile_ids, return_counts=True)
+        term, self._profiles = np.divmod(keys, n)
+        df = np.bincount(term, minlength=len(ids))
+        self.idf_table = IdfTable(doc_count=n, df=dict(zip(ids, df.tolist())))
+        idf = np.array([self.idf_table.idf(t) for t in ids])
+        norm = k1 * (1.0 - b + b * lengths / float(lengths.mean()))
+        tf = tf.astype(np.float64)
+        # the Okapi term of each pair, with the float operations in the order a
+        # term-by-term loop uses, so the summed scores match that loop bit for bit
+        self._weights = idf[term] * tf * (k1 + 1.0) / (tf + norm[self._profiles])
+        ends = np.cumsum(df).tolist()
+        self._postings = {t: slice(end - count, end) for t, end, count in zip(ids, ends, df.tolist())}
 
     def query_terms(self, document: Document, mask=None) -> list[str]:
         if mask is None:
             return sorted(set(document.normalized()))
-        arr = np.asarray(mask, dtype=np.int8)
+        arr = check_mask(mask, len(document))
         return sorted({t.normalized for t, bit in zip(document.tokens, arr) if not bit})
 
     def scores(self, document: Document, mask=None) -> np.ndarray:
-        terms = self.query_terms(document, mask)
         scores = np.zeros(len(self.store), dtype=np.float64)
-        norm = self.k1 * (1.0 - self.b + self.b * self.lengths / self.avg_length)
-        for term in terms:
-            idf = self.idf_table.idf(term)
-            for i, tf_map in enumerate(self.term_freqs):
-                tf = tf_map.get(term)
-                if tf:
-                    scores[i] += idf * tf * (self.k1 + 1.0) / (tf + norm[i])
+        for term in self.query_terms(document, mask):
+            span = self._postings.get(term)
+            if span is not None:
+                scores[self._profiles[span]] += self._weights[span]
         return scores
 
     def distribution(self, document: Document, mask=None) -> np.ndarray:

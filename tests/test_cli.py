@@ -310,3 +310,93 @@ def test_evaluate_builds_each_member_matrix_once(tmp_path, cli_corpus, cli_check
     capsys.readouterr()
     assert len(calls) == 2
     assert set(json.loads(report.read_text())["per_member"]) == {"model", "model:1", "bm25"}
+
+
+def test_evaluate_rejects_a_redacted_row_that_is_not_an_object(tmp_path, cli_corpus, capsys):
+    redacted = tmp_path / "redacted.jsonl"
+    redacted.write_text("5\n")
+    code = main(["evaluate", "--corpus", str(cli_corpus), "--redacted", str(redacted), "--bm25"])
+    assert code == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "corpus-format"
+    assert "line 1" in err["message"]
+
+
+def test_evaluate_rejects_a_malformed_sidecar(tmp_path, cli_corpus, capsys):
+    redacted = tmp_path / "lexical.jsonl"
+    assert main([
+        "baseline", "--corpus", str(cli_corpus), "--method", "lexical",
+        "--out", str(redacted), "--limit", "3",
+    ]) == 0
+    sidecar = tmp_path / "sidecar.jsonl"
+    sidecar.write_text('{"id": "x", "success": true}\n{broken\n')
+    capsys.readouterr()
+    code = main([
+        "evaluate", "--corpus", str(cli_corpus), "--redacted", str(redacted), "--bm25",
+        "--sidecar", str(sidecar), "--success-only",
+    ])
+    assert code == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "corpus-format"
+    assert "line 2" in err["message"]
+
+
+def test_config_file_unknown_key_is_rejected(tmp_path, cli_corpus, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"epohcs": 1, "embed_dim": 16}))
+    out = tmp_path / "model.ckpt"
+    code = main(["--config", str(config), "train", "--corpus", str(cli_corpus), "--out", str(out)])
+    assert code == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "bad-config"
+    assert "epohcs" in err["message"] and "embed_dim" not in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda h: h.pop("terms"),
+        lambda h: h.pop("hash_buckets"),
+        lambda h: h.pop("arrays"),
+        lambda h: h.update(terms="alpha"),
+        lambda h: h.update(hash_buckets="64"),
+        lambda h: h.update(arrays={"embeddings": 1}),
+        lambda h: h["arrays"][0].pop("shape"),
+    ],
+    ids=["no-terms", "no-buckets", "no-arrays", "terms-str", "buckets-str", "arrays-dict", "no-shape"],
+)
+def test_incomplete_checkpoint_header_exit_code(tmp_path, cli_corpus, cli_checkpoint, capsys, edit):
+    header_line, payload = cli_checkpoint.read_bytes().split(b"\n", 1)
+    header = json.loads(header_line)
+    edit(header)
+    broken = tmp_path / "broken.ckpt"
+    broken.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    code = main([
+        "deidentify", "--corpus", str(cli_corpus), "--model", str(broken),
+        "--k", "1", "--out", str(tmp_path / "x.jsonl"),
+    ])
+    assert code == 5
+    err_lines = capsys.readouterr().err.strip().splitlines()
+    assert len(err_lines) == 1
+    assert json.loads(err_lines[0])["error"] == "checkpoint"
+
+
+def test_idf_bm25_sweep_linearizes_each_profile_once(tmp_path, cli_corpus, capsys, monkeypatch):
+    import deident.corpus
+
+    calls = []
+    real = deident.corpus._linearize
+
+    def counting(profile, *args, **kwargs):
+        calls.append(profile.id)
+        return real(profile, *args, **kwargs)
+
+    monkeypatch.setattr(deident.corpus, "_linearize", counting)
+    code = main([
+        "sweep", "--corpus", str(cli_corpus), "--method", "idf", "--bm25",
+        "--controls", "2", "3", "--limit", "5", "--out", str(tmp_path / "pareto.csv"),
+    ])
+    assert code == 0
+    capsys.readouterr()
+    assert sorted(calls) == sorted(row.profile_id for row in load_corpus(cli_corpus).records)

@@ -10,12 +10,16 @@ from deident.corpus import (
     Profile,
     Vocabulary,
     apply_mask,
+    _TokenTable,
+    _tokenize,
     compute_idf,
     corpus_stats,
     linearize_profile,
     load_corpus,
+    load_redacted,
     tokenize,
 )
+from deident.stopwords import DEFAULT_STOPWORDS
 
 from conftest import write_jsonl
 from synthdata import make_corpus_rows
@@ -65,6 +69,38 @@ def test_tokenize_deterministic(rng):
         assert [t.normalized for t in first.tokens] == [t.surface.casefold() for t in first.tokens]
 
 
+def test_tokenize_shared_table_gives_equal_documents():
+    text = "The farmer, the Farmer and THE farmer."
+    table = _TokenTable(DEFAULT_STOPWORDS)
+    shared = _tokenize(text, table)
+    assert shared == tokenize(text)
+    again = _tokenize("the farmer", table)
+    assert again == tokenize("the farmer")
+    # each distinct surface is built once per table
+    assert again.tokens[0] is shared.tokens[3]
+    assert again.tokens[1] is shared.tokens[1] is shared.tokens[7]
+
+
+def test_token_table_serves_one_stopword_set():
+    plain, custom = _TokenTable(DEFAULT_STOPWORDS), _TokenTable(frozenset({"farmer"}))
+    for table in (plain, custom):  # intern both surfaces, so the checks below read cached tokens
+        _tokenize("the farmer", table)
+    assert [t.is_stopword for t in _tokenize("the farmer", plain)] == [True, False]
+    assert [t.is_stopword for t in _tokenize("the farmer", custom)] == [False, True]
+    # no table outlives a call, so each call classifies with its own set
+    assert [t.is_stopword for t in tokenize("the farmer")] == [True, False]
+    assert [t.is_stopword for t in tokenize("the farmer", frozenset({"farmer"}))] == [False, True]
+    assert [t.is_stopword for t in tokenize("the farmer")] == [True, False]
+
+
+def test_load_corpus_matches_per_call_tokenization(tmp_path):
+    corpus = load_corpus(write_jsonl(tmp_path / "t.jsonl", make_corpus_rows(30, seed=4)))
+    for record in corpus.records:
+        assert record.document == tokenize(record.raw_text)
+    assert corpus.store.linearized == tuple(linearize_profile(p) for p in corpus.store)
+    assert corpus.store.linearized is corpus.store.linearized
+
+
 def test_load_corpus_three_records(tmp_path):
     rows = [
         {"id": "a", "document": "Ann is here.", "profile": [["name", "Ann"]]},
@@ -96,6 +132,14 @@ def test_load_corpus_malformed_line_number(tmp_path):
     )
     with pytest.raises(CorpusError, match="line 2"):
         load_corpus(path)
+
+
+@pytest.mark.parametrize("loader", [load_corpus, load_redacted])
+def test_jsonl_rows_must_be_objects(tmp_path, loader):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"id": "a", "document": "Ann.", "profile": [["name", "Ann"]], "mask": [0, 0]}\n\n5\n')
+    with pytest.raises(CorpusError, match="line 3: expected a JSON object"):
+        loader(path)
 
 
 def test_load_corpus_synthetic_thousand(tmp_path):

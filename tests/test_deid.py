@@ -316,3 +316,15 @@ def test_load_tag_file_round_trip(tmp_path):
     path.write_text('{"id": "a", "tags": ["PER", "O"]}\n{"id": "b", "tags": ["O"]}\n')
     tags = load_tag_file(path)
     assert tags == {"a": ["PER", "O"], "b": ["O"]}
+
+
+@pytest.mark.parametrize(
+    "row",
+    ['{"id": "a"}', '{"id": "a", "tags": 5}', '{"id": "a", "tags": "PER"}', "[]"],
+    ids=["no-tags", "tags-int", "tags-str", "not-object"],
+)
+def test_load_tag_file_rejects_malformed_rows(tmp_path, row):
+    path = tmp_path / "tags.jsonl"
+    path.write_text('{"id": "b", "tags": ["O"]}\n' + row + "\n")
+    with pytest.raises(CorpusError, match="line 2"):
+        load_tag_file(path)

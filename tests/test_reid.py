@@ -1,9 +1,12 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from deident.corpus import Profile, ProfileStore, Vocabulary, tokenize
+from deident.corpus import IdfTable, Profile, ProfileStore, Vocabulary, linearize_profile, tokenize
 from deident.encoder import init_params, rank_of
 from deident.reid import (
     Bm25Reidentifier,
@@ -70,7 +73,7 @@ def test_bm25_nonnegative_and_zero_iff_no_overlap(hand_store, rng):
     # terms present in every profile (df == D) have smoothed idf exactly 0
     # and cannot contribute, so overlap is judged on positive-idf terms
     model = Bm25Reidentifier(hand_store)
-    profile_terms = [set(tf) for tf in model.term_freqs]
+    profile_terms = [set(d.normalized()) for d in hand_store.linearized]
     pool = ["fenwick", "dover", "farmer", "qqq", "zzz", "name", "the"]
     for _ in range(40):
         words = [pool[int(rng.integers(len(pool)))] for _ in range(5)]
@@ -82,6 +85,75 @@ def test_bm25_nonnegative_and_zero_iff_no_overlap(hand_store, rng):
                 t for t in terms & set(doc.normalized()) if model.idf_table.idf(t) > 0
             }
             assert (scores[i] > 0) == bool(overlap)
+
+
+def naive_okapi(store, document, mask, k1, b):
+    """Okapi BM25 one term and one profile at a time, as a plain loop."""
+    docs = [linearize_profile(p).normalized() for p in store]
+    term_freqs = [Counter(d) for d in docs]
+    lengths = np.array([len(d) for d in docs], dtype=np.float64)
+    avg_length = float(lengths.mean())
+    idf_table = IdfTable.from_token_documents(docs)
+    if mask is None:
+        terms = sorted(set(document.normalized()))
+    else:
+        terms = sorted({t.normalized for t, bit in zip(document.tokens, mask) if not bit})
+    scores = np.zeros(len(store), dtype=np.float64)
+    norm = k1 * (1.0 - b + b * lengths / avg_length)
+    for term in terms:
+        idf = idf_table.idf(term)
+        for i, tf_map in enumerate(term_freqs):
+            tf = tf_map.get(term)
+            if tf:
+                scores[i] += idf * tf * (k1 + 1.0) / (tf + norm[i])
+    return scores
+
+
+# "qqq" and "zzz" are never in a profile; ":" is in every one (df = D)
+ORACLE_WORDS = ["ada", "bo", "dover", "farmer", "fenwick", "moth", "name", "city", ":", "qqq", "zzz"]
+ORACLE_PROFILE = st.lists(
+    st.tuples(
+        st.sampled_from(["name", "city", "occupation"]),
+        st.lists(st.sampled_from(ORACLE_WORDS[:8]), min_size=1, max_size=5).map(" ".join),
+    ),
+    min_size=1,
+    max_size=4,
+    unique_by=lambda entry: entry[0],
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    profiles=st.lists(ORACLE_PROFILE, min_size=1, max_size=7),
+    words=st.lists(st.sampled_from(ORACLE_WORDS), min_size=1, max_size=14),
+    bits=st.lists(st.integers(0, 1), min_size=14, max_size=14),
+    k1=st.floats(0.05, 3.0),
+    b=st.floats(0.0, 1.0),
+)
+@example(
+    profiles=[[("name", "ada fenwick")], [("name", "bo fenwick"), ("city", "dover")]],
+    words=["fenwick", "name", ":", "fenwick", "qqq", "dover"],
+    bits=[0, 0, 0, 1, 0, 1] + [0] * 8,
+    k1=1.5,
+    b=0.75,
+)
+def test_bm25_postings_match_naive_loop_bit_for_bit(profiles, words, bits, k1, b):
+    store = ProfileStore([Profile(id=f"p{i}", entries=tuple(e)) for i, e in enumerate(profiles)])
+    doc = tokenize(" ".join(words))
+    mask = np.array(bits[: len(doc)], dtype=np.int8)
+    model = Bm25Reidentifier(store, k1=k1, b=b)
+    for m in (None, mask):
+        assert model.scores(doc, m).tobytes() == naive_okapi(store, doc, m, k1, b).tobytes()
+
+
+@pytest.mark.parametrize("mask", [[0, 1, 0], [0, 2, 0, 0, 1], [[0, 0, 0, 0, 0]]], ids=["short", "not-0-1", "2d"])
+def test_bm25_rejects_a_bad_mask(hand_store, mask):
+    doc = tokenize("Fenwick the farmer of Dover")
+    model = Bm25Reidentifier(hand_store)
+    with pytest.raises(ValueError):
+        model.query_terms(doc, mask)
+    with pytest.raises(ValueError):
+        model.scores(doc, mask)
 
 
 def test_bm25_parameter_validation(hand_store):
