@@ -14,13 +14,13 @@ import argparse
 import json
 import sys
 from pathlib import Path
-import numpy as np
 
 from .corpus import (
     Corpus,
     CorpusError,
     _jsonl_rows,
     apply_mask,
+    check_mask,
     compute_idf,
     corpus_stats,
     load_corpus,
@@ -63,7 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--profile-epochs", type=int, default=5)
     t.add_argument("--warmup-epochs", type=int, default=2)
     t.add_argument("--batch-size", type=int, default=32)
-    t.add_argument("--hash-buckets", type=int, default=2**18)
 
     d = sub.add_parser("deidentify", help="search for k-anonymizing masks")
     d.add_argument("--corpus", required=True)
@@ -184,7 +183,6 @@ def cmd_train(args) -> int:
         profile_epochs=args.profile_epochs,
         warmup_epochs=args.warmup_epochs,
         batch_size=args.batch_size,
-        hash_buckets=args.hash_buckets,
     )
     log_path = args.log or f"{args.out}.log.csv"
     train(corpus, config, checkpoint_path=args.out, log_path=log_path)
@@ -253,17 +251,20 @@ def cmd_evaluate(args) -> int:
             row["id"] for row in load_redacted_sidecar(args.sidecar) if row.get("success")
         }
         rows = [r for r in rows if r["id"] in success_ids]
-    members = _build_members(args, corpus.store)
     records = []
     documents = []
     masks = []
     for row in rows:
-        index = corpus.store.index_of(row["id"])
-        record = corpus.records[index]
-        mask = np.asarray(row["mask"], dtype=np.int8)
-        records.append((row["id"], record.document, mask, index))
-        documents.append(record.document)
+        try:
+            index = corpus.store.index_of(row["id"])
+            document = corpus.records[index].document
+            mask = check_mask(row["mask"], len(document))
+        except (KeyError, ValueError) as exc:
+            raise CorpusError(f"redacted row {row['id']!r}: {exc.args[0]}") from exc
+        records.append((row["id"], document, mask, index))
+        documents.append(document)
         masks.append(mask)
+    members = _build_members(args, corpus.store)
     report = ensemble_evaluate(members, records)
     out = {"reid": report.to_json()}
     if documents:
@@ -279,7 +280,12 @@ def cmd_evaluate(args) -> int:
 
 
 def load_redacted_sidecar(path) -> list[dict]:
-    return [row for _, row in _jsonl_rows(path)]
+    rows = []
+    for line_no, row in _jsonl_rows(path):
+        if not isinstance(row.get("id"), str):
+            raise CorpusError("sidecar rows need a string 'id'", line_no)
+        rows.append(row)
+    return rows
 
 
 def cmd_sweep(args) -> int:
@@ -354,10 +360,10 @@ def main(argv=None) -> int:
         try:
             with open(config_path, encoding="utf-8") as fh:
                 defaults = json.load(fh)
-        except FileNotFoundError as exc:
+        except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
             _emit_error("file-not-found", exc)
             return 3
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             _emit_error("bad-config", exc)
             return 4
         if not isinstance(defaults, dict):

@@ -224,11 +224,15 @@ def _linearize(profile: Profile, table: _TokenTable, max_tokens: int = MAX_PROFI
 def _jsonl_rows(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield (line number, object) for each nonblank line of a JSONL file.
 
-    A line that is not valid JSON, or whose value is not an object, raises
-    CorpusError naming the line.
+    A line that is not valid UTF-8 or JSON, or whose value is not an object,
+    raises CorpusError naming the line.
     """
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CorpusError(f"invalid UTF-8 ({exc.reason})", line_no) from exc
             if not line.strip():
                 continue
             try:
@@ -291,11 +295,15 @@ def load_corpus(path: str | Path) -> Corpus:
 
 
 def load_redacted(path: str | Path) -> list[dict]:
-    """Load a redacted JSONL file, returning raw dicts with id/mask/method/k."""
+    """Load a redacted JSONL file, returning raw dicts with id/mask/method/k.
+
+    Each row needs a string 'id' and a list 'mask'; whether the id names a
+    profile and the mask fits its document is checked against the corpus.
+    """
     rows = []
     for line_no, obj in _jsonl_rows(path):
-        if "id" not in obj or "mask" not in obj:
-            raise CorpusError("redacted rows need 'id' and 'mask'", line_no)
+        if not isinstance(obj.get("id"), str) or not isinstance(obj.get("mask"), list):
+            raise CorpusError("redacted rows need a string 'id' and a list 'mask'", line_no)
         rows.append(obj)
     return rows
 
@@ -338,8 +346,11 @@ def compute_idf(corpus: Corpus) -> IdfTable:
 
 
 def check_mask(mask: np.ndarray | Sequence[int], n: int) -> np.ndarray:
-    """Validate and canonicalize a 0/1 mask of length n."""
-    arr = np.asarray(mask, dtype=np.int8)
+    """Validate and canonicalize a 0/1 mask of length n; a bad mask raises ValueError."""
+    try:
+        arr = np.asarray(mask, dtype=np.int8)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"mask is not a 0/1 vector ({exc})") from exc
     if arr.ndim != 1 or len(arr) != n:
         raise ValueError(f"mask length {arr.shape} does not match document length {n}")
     if np.any((arr != 0) & (arr != 1)):
@@ -398,19 +409,15 @@ def corpus_stats(corpus: Corpus) -> dict:
 
 
 class Vocabulary:
-    """Dense term index with hash buckets for unseen terms.
+    """Dense term index: one row per corpus term, then the mask row.
 
-    Known terms occupy indices [0, n_terms); unseen terms hash into
-    n_buckets rows after that; the final two rows are the mask symbol and
-    padding. Row layout is stable across save/load because terms are
-    stored sorted.
+    Known terms occupy rows [0, n_terms) in sorted order, so the layout is
+    stable across save/load; row n_terms is the mask symbol. An unseen term
+    reads as the mask row, so it encodes exactly like a masked position.
     """
 
-    def __init__(self, terms: Sequence[str], hash_buckets: int = 2**18):
-        if hash_buckets < 1:
-            raise ValueError("hash_buckets must be >= 1")
+    def __init__(self, terms: Sequence[str]):
         self.terms = tuple(terms)
-        self.hash_buckets = hash_buckets
         self._index = {t: i for i, t in enumerate(self.terms)}
         if len(self._index) != len(self.terms):
             raise ValueError("vocabulary terms must be unique")
@@ -421,30 +428,23 @@ class Vocabulary:
 
     @property
     def mask_index(self) -> int:
-        return self.n_terms + self.hash_buckets
-
-    @property
-    def pad_index(self) -> int:
-        return self.n_terms + self.hash_buckets + 1
+        return self.n_terms
 
     @property
     def n_rows(self) -> int:
-        return self.n_terms + self.hash_buckets + 2
+        return self.n_terms + 1
 
     def index_of(self, term: str) -> int:
-        idx = self._index.get(term)
-        if idx is not None:
-            return idx
-        return self.n_terms + zlib.crc32(term.encode("utf-8")) % self.hash_buckets
+        return self._index.get(term, self.mask_index)
 
     def indices(self, terms: Iterable[str]) -> np.ndarray:
         return np.array([self.index_of(t) for t in terms], dtype=np.int64)
 
     @classmethod
-    def from_corpus(cls, corpus: Corpus, hash_buckets: int = 2**18) -> "Vocabulary":
+    def from_corpus(cls, corpus: Corpus) -> "Vocabulary":
         terms: set[str] = set()
         for rec in corpus.records:
             terms.update(rec.document.normalized())
         for linearized in corpus.store.linearized:
             terms.update(linearized.normalized())
-        return cls(sorted(terms), hash_buckets=hash_buckets)
+        return cls(sorted(terms))

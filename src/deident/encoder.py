@@ -4,8 +4,9 @@ Documents and profiles share one word-embedding table; each side applies
 its own linear projection to the mean of its token embeddings. Masked
 document positions contribute the dedicated mask-symbol row instead of
 their word row, so a fully masked document encodes identically regardless
-of content. Match scores are plain dot products, normalized with a
-numerically stable softmax.
+of content; a word outside the vocabulary reads as that row too. Match
+scores are plain dot products, normalized with a numerically stable
+softmax.
 
 Training encodes many documents or profiles at once through `Bags`, a sparse
 bags-of-rows matrix whose adjoint maps mean gradients back onto embedding rows.
@@ -24,7 +25,7 @@ import numpy as np
 
 from .corpus import Document, Profile, ProfileStore, Vocabulary, linearize_profile, linearize_profiles
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 CHECKPOINT_ARRAYS = ("embeddings", "doc_proj", "profile_proj")
 
 
@@ -36,10 +37,10 @@ class CheckpointError(ValueError):
 class ModelParams:
     """Trainable arrays plus the vocabulary that indexes them.
 
-    embeddings has one row per vocabulary row (terms, hash buckets, mask
-    symbol, padding); doc_proj and profile_proj map the embedding width to
-    the output width. A document or profile encodes as the mean of its
-    token rows times its side's projection.
+    embeddings has one row per vocabulary row (terms, then the mask symbol);
+    doc_proj and profile_proj map the embedding width to the output width.
+    A document or profile encodes as the mean of its token rows times its
+    side's projection.
     """
 
     vocab: Vocabulary
@@ -252,7 +253,6 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
         "dim": params.dim,
         "out_dim": params.out_dim,
         "label_smoothing": params.label_smoothing,
-        "hash_buckets": params.vocab.hash_buckets,
         "terms": list(params.vocab.terms),
         "arrays": manifest,
     }
@@ -264,7 +264,7 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
-    """Load a checkpoint, rejecting unknown versions and short payloads."""
+    """Load a checkpoint, rejecting unknown versions, short payloads, bad shapes and non-finite values."""
     out: dict[str, np.ndarray] = {}
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -295,14 +295,22 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     for name in CHECKPOINT_ARRAYS:
         if name not in out:
             raise CheckpointError(f"checkpoint missing array {name!r}")
-    if out["embeddings"].shape[0] != vocab.n_rows:
+        if not np.isfinite(out[name]).all():
+            raise CheckpointError(f"array {name!r} has non-finite values")
+    embeddings, doc_proj, profile_proj = (out[name] for name in CHECKPOINT_ARRAYS)
+    if embeddings.ndim != 2 or embeddings.shape[0] != vocab.n_rows:
         raise CheckpointError("embedding table does not match vocabulary layout")
+    if doc_proj.ndim != 2 or doc_proj.shape[0] != embeddings.shape[1] or profile_proj.shape != doc_proj.shape:
+        raise CheckpointError("projections must both be (dim, out_dim) for embedding width dim")
+    label_smoothing = header.get("label_smoothing", 0.0)
+    if not isinstance(label_smoothing, (int, float)) or isinstance(label_smoothing, bool):
+        raise CheckpointError("checkpoint header field 'label_smoothing' is not a number")
     return ModelParams(
         vocab=vocab,
-        embeddings=out["embeddings"],
-        doc_proj=out["doc_proj"],
-        profile_proj=out["profile_proj"],
-        label_smoothing=float(header.get("label_smoothing", 0.0)),
+        embeddings=embeddings,
+        doc_proj=doc_proj,
+        profile_proj=profile_proj,
+        label_smoothing=float(label_smoothing),
         version=version,
     )
 
@@ -323,12 +331,10 @@ def _is_array_spec(spec) -> bool:
 
 
 def _header_vocabulary(header: dict) -> Vocabulary:
-    terms, buckets = header.get("terms"), header.get("hash_buckets")
+    terms = header.get("terms")
     if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms):
         raise CheckpointError("checkpoint header field 'terms' is missing or not a list of strings")
-    if not _is_count(buckets):
-        raise CheckpointError("checkpoint header field 'hash_buckets' is missing or not an integer")
     try:
-        return Vocabulary(terms, hash_buckets=buckets)
+        return Vocabulary(terms)
     except ValueError as exc:
         raise CheckpointError(f"bad checkpoint vocabulary: {exc}") from exc

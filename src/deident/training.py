@@ -54,7 +54,6 @@ class TrainConfig:
     profile_epochs: int = 5
     warmup_epochs: int = 2
     batch_size: int = 32
-    hash_buckets: int = 2**18
     heldout_fraction: float = 0.05
     heldout_mask_rate: float = 0.3
 
@@ -318,7 +317,7 @@ def train(
     if len(corpus.store) < 2:
         raise ValueError("need at least 2 profiles to train")
     rng = np.random.default_rng(config.seed)
-    vocab = Vocabulary.from_corpus(corpus, hash_buckets=config.hash_buckets)
+    vocab = Vocabulary.from_corpus(corpus)
     params = init_params(
         vocab, dim=config.embed_dim, seed=config.seed, label_smoothing=config.label_smoothing
     )

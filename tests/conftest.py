@@ -17,7 +17,6 @@ DESK_TRAIN = dict(
     embed_dim=128,
     profile_epochs=8,
     label_smoothing=0.15,
-    hash_buckets=2048,
 )
 
 TOY_TRAIN = dict(
@@ -27,7 +26,6 @@ TOY_TRAIN = dict(
     profile_epochs=5,
     label_smoothing=0.1,
     batch_size=4,
-    hash_buckets=256,
 )
 
 

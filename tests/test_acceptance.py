@@ -70,7 +70,7 @@ def test_criterion_01_gradient_oracle():
             for i in range(5)
         ]
     )
-    vocab = Vocabulary(sorted({"name", ":", "|", *words}), hash_buckets=4)
+    vocab = Vocabulary(sorted({"name", ":", "|", *words}))
     params = init_params(vocab, dim=8, seed=0, dtype=np.float64)
     alpha = 0.1
     batch = []
@@ -168,7 +168,7 @@ def _random_instance(seed, n_profiles=10, n_words=8, dim=12):
             for i in range(n_profiles)
         ]
     )
-    vocab = Vocabulary(sorted({"name", ":", "|", "the", ".", *words}), hash_buckets=4)
+    vocab = Vocabulary(sorted({"name", ":", "|", "the", ".", *words}))
     model = NeuralReidentifier(init_params(vocab, dim=dim, seed=seed), profiles)
     content = [words[int(rng.integers(25))] for _ in range(n_words)]
     doc = tokenize(
@@ -413,7 +413,7 @@ def test_criterion_08_metric_identities(desk_corpus):
 
 def test_criterion_09_determinism(tmp_path):
     corpus_path = write_jsonl(tmp_path / "corpus.jsonl", make_corpus_rows(40, seed=13))
-    flags = ["--epochs", "20", "--embed-dim", "32", "--hash-buckets", "128",
+    flags = ["--epochs", "20", "--embed-dim", "32",
              "--batch-size", "8", "--seed", "0"]
     artifacts = {}
     for run in ("one", "two"):

@@ -1,15 +1,21 @@
+import contextlib
+import io
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deident.cli import main
-from deident.corpus import load_corpus, load_redacted
+from deident.corpus import Vocabulary, load_corpus, load_redacted
+from deident.encoder import init_params, save_checkpoint
 
 from conftest import write_jsonl
 from synthdata import make_corpus_rows
 
 TRAIN_FLAGS = [
-    "--epochs", "30", "--embed-dim", "32", "--hash-buckets", "128",
+    "--epochs", "30", "--embed-dim", "32",
     "--batch-size", "8", "--seed", "0",
 ]
 
@@ -198,21 +204,28 @@ def test_malformed_corpus_exit_code(tmp_path, capsys):
     assert "line 1" in err["message"]
 
 
-def test_checkpoint_version_mismatch_exit_code(tmp_path, cli_corpus, capsys):
-    fake = tmp_path / "fake.ckpt"
-    fake.write_bytes(b'{"version": 99}\n')
-    code = main([
-        "deidentify", "--corpus", str(cli_corpus), "--model", str(fake),
-        "--k", "1", "--out", str(tmp_path / "x.jsonl"),
-    ])
-    assert code == 5
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "checkpoint"
+def test_checkpoint_version_mismatch_exit_code(tmp_path, cli_corpus, cli_checkpoint, capsys):
+    # version 1 is the layout with hash-bucket rows; it loads through no compatibility path
+    header_line, payload = cli_checkpoint.read_bytes().split(b"\n", 1)
+    v1 = dict(json.loads(header_line), version=1, hash_buckets=128)
+    for content in (b'{"version": 99}\n', json.dumps(v1).encode() + b"\n" + payload):
+        fake = tmp_path / "fake.ckpt"
+        fake.write_bytes(content)
+        code = main([
+            "deidentify", "--corpus", str(cli_corpus), "--model", str(fake),
+            "--k", "1", "--out", str(tmp_path / "x.jsonl"),
+        ])
+        assert code == 5
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1
+        err = json.loads(err_lines[0])
+        assert err["error"] == "checkpoint"
+        assert "version" in err["message"]
 
 
 def test_config_file_supplies_defaults(tmp_path, cli_corpus, capsys):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"epochs": 2, "embed_dim": 16, "hash_buckets": 64}))
+    config.write_text(json.dumps({"epochs": 2, "embed_dim": 16}))
     out = tmp_path / "model.ckpt"
     code = main([
         "--config", str(config), "train", "--corpus", str(cli_corpus), "--out", str(out),
@@ -225,7 +238,7 @@ def test_config_file_supplies_defaults(tmp_path, cli_corpus, capsys):
 
 def test_config_file_flags_override(tmp_path, cli_corpus, capsys):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"epochs": 2, "embed_dim": 16, "hash_buckets": 64}))
+    config.write_text(json.dumps({"epochs": 2, "embed_dim": 16}))
     out = tmp_path / "model.ckpt"
     code = main([
         "--config", str(config), "train", "--corpus", str(cli_corpus),
@@ -329,16 +342,18 @@ def test_evaluate_rejects_a_malformed_sidecar(tmp_path, cli_corpus, capsys):
         "--out", str(redacted), "--limit", "3",
     ]) == 0
     sidecar = tmp_path / "sidecar.jsonl"
-    sidecar.write_text('{"id": "x", "success": true}\n{broken\n')
     capsys.readouterr()
-    code = main([
-        "evaluate", "--corpus", str(cli_corpus), "--redacted", str(redacted), "--bm25",
-        "--sidecar", str(sidecar), "--success-only",
-    ])
-    assert code == 4
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "corpus-format"
-    assert "line 2" in err["message"]
+    first = '{"id": "x", "success": true}\n'
+    for content in (first + "{broken\n", first + '{"id": [1], "success": true}\n'):
+        sidecar.write_text(content)
+        code = main([
+            "evaluate", "--corpus", str(cli_corpus), "--redacted", str(redacted), "--bm25",
+            "--sidecar", str(sidecar), "--success-only",
+        ])
+        assert code == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "corpus-format"
+        assert "line 2" in err["message"]
 
 
 def test_config_file_unknown_key_is_rejected(tmp_path, cli_corpus, capsys):
@@ -353,33 +368,65 @@ def test_config_file_unknown_key_is_rejected(tmp_path, cli_corpus, capsys):
     assert not out.exists()
 
 
+def _array_spec(header, name):
+    return next(spec for spec in header["arrays"] if spec["name"] == name)
+
+
+def _narrow(name):
+    """Halve the array's column count in the manifest, so its payload reads as a narrower array."""
+
+    def edit(header, payload):
+        spec = _array_spec(header, name)
+        spec["shape"][1] //= 2
+        spec["bytes"] //= 2
+
+    return edit
+
+
+def _fill(name, value):
+    def edit(header, payload):
+        spec = _array_spec(header, name)
+        count = spec["bytes"] // 4
+        payload[spec["offset"] : spec["offset"] + spec["bytes"]] = np.full(count, value, "<f4").tobytes()
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit",
     [
-        lambda h: h.pop("terms"),
-        lambda h: h.pop("hash_buckets"),
-        lambda h: h.pop("arrays"),
-        lambda h: h.update(terms="alpha"),
-        lambda h: h.update(hash_buckets="64"),
-        lambda h: h.update(arrays={"embeddings": 1}),
-        lambda h: h["arrays"][0].pop("shape"),
+        lambda h, p: h.pop("terms"),
+        lambda h, p: h.pop("arrays"),
+        lambda h, p: h.update(terms="alpha"),
+        lambda h, p: h.update(arrays={"embeddings": 1}),
+        lambda h, p: h["arrays"][0].pop("shape"),
+        _narrow("doc_proj"),
+        _narrow("profile_proj"),
+        _fill("embeddings", np.nan),
+        _fill("doc_proj", np.inf),
+        lambda h, p: h.update(label_smoothing=None),
     ],
-    ids=["no-terms", "no-buckets", "no-arrays", "terms-str", "buckets-str", "arrays-dict", "no-shape"],
+    ids=[
+        "no-terms", "no-arrays", "terms-str", "arrays-dict", "no-shape",
+        "doc-proj-narrow", "profile-proj-narrow", "nan-embeddings", "inf-doc-proj", "smoothing-null",
+    ],
 )
 def test_incomplete_checkpoint_header_exit_code(tmp_path, cli_corpus, cli_checkpoint, capsys, edit):
     header_line, payload = cli_checkpoint.read_bytes().split(b"\n", 1)
-    header = json.loads(header_line)
-    edit(header)
+    header, payload = json.loads(header_line), bytearray(payload)
+    edit(header, payload)
     broken = tmp_path / "broken.ckpt"
     broken.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    out = tmp_path / "x.jsonl"
     code = main([
         "deidentify", "--corpus", str(cli_corpus), "--model", str(broken),
-        "--k", "1", "--out", str(tmp_path / "x.jsonl"),
+        "--k", "1", "--out", str(out),
     ])
     assert code == 5
     err_lines = capsys.readouterr().err.strip().splitlines()
     assert len(err_lines) == 1
     assert json.loads(err_lines[0])["error"] == "checkpoint"
+    assert not out.exists()
 
 
 def test_idf_bm25_sweep_linearizes_each_profile_once(tmp_path, cli_corpus, capsys, monkeypatch):
@@ -400,3 +447,143 @@ def test_idf_bm25_sweep_linearizes_each_profile_once(tmp_path, cli_corpus, capsy
     assert code == 0
     capsys.readouterr()
     assert sorted(calls) == sorted(row.profile_id for row in load_corpus(cli_corpus).records)
+
+
+def _one_error_line(capsys) -> dict:
+    err_lines = capsys.readouterr().err.strip().splitlines()
+    assert len(err_lines) == 1
+    return json.loads(err_lines[0])
+
+
+def _unmasked_redaction(root, corpus_path):
+    """An unmasked redaction of every record, plus a sidecar certifying all of them."""
+    records = load_corpus(corpus_path).records
+    redacted = write_jsonl(
+        root / "redacted.jsonl", [{"id": r.profile_id, "mask": [0] * len(r.document)} for r in records]
+    )
+    sidecar = write_jsonl(root / "sidecar.jsonl", [{"id": r.profile_id, "success": True} for r in records])
+    return redacted, sidecar
+
+
+@pytest.fixture(scope="module")
+def cli_redacted(tmp_path_factory, cli_corpus):
+    return _unmasked_redaction(tmp_path_factory.mktemp("cli_redacted"), cli_corpus)
+
+
+@pytest.mark.parametrize("kind", ["corpus", "redacted", "sidecar", "tags", "config"])
+def test_invalid_utf8_input_exit_code(tmp_path, cli_corpus, cli_redacted, capsys, kind):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b'\n{"id": "caf\xe9"}\n')
+    redacted, sidecar = cli_redacted
+    argv = {
+        "corpus": ["stats", "--corpus", str(bad)],
+        "redacted": ["evaluate", "--corpus", str(cli_corpus), "--redacted", str(bad), "--bm25"],
+        "sidecar": [
+            "evaluate", "--corpus", str(cli_corpus), "--redacted", str(redacted), "--bm25",
+            "--sidecar", str(bad), "--success-only",
+        ],
+        "tags": [
+            "baseline", "--corpus", str(cli_corpus), "--method", "ner", "--tags-file", str(bad),
+            "--out", str(tmp_path / "ner.jsonl"),
+        ],
+        "config": ["--config", str(bad), "stats", "--corpus", str(cli_corpus)],
+    }[kind]
+    assert main(argv) == 4
+    err = _one_error_line(capsys)
+    if kind == "config":
+        assert err["error"] == "bad-config"
+    else:
+        assert err["error"] == "corpus-format"
+        assert "line 2" in err["message"] and "UTF-8" in err["message"]
+
+
+def test_config_path_that_is_a_directory_exit_code(tmp_path, cli_corpus, capsys):
+    assert main(["--config", str(tmp_path), "stats", "--corpus", str(cli_corpus)]) == 3
+    assert _one_error_line(capsys)["error"] == "file-not-found"
+
+
+@pytest.mark.parametrize(
+    "edit, members",
+    [
+        (lambda row, n: row.update(mask="01"), "models"),
+        (lambda row, n: row.update(mask="01"), "bm25"),
+        (lambda row, n: row.update(mask=[0] * (n - 1)), "bm25"),
+        (lambda row, n: row.update(mask=[0] * (n - 1)), "models"),
+        (lambda row, n: row.update(mask=[2] + [0] * (n - 1)), "bm25"),
+        (lambda row, n: row.update(mask=[300] + [0] * (n - 1)), "bm25"),
+        (lambda row, n: row.update(mask=[None] + [0] * (n - 1)), "models"),
+        (lambda row, n: row.update(id=[row["id"]]), "bm25"),
+        (lambda row, n: row.update(id="nobody"), "models"),
+        (lambda row, n: row.pop("mask"), "bm25"),
+    ],
+    ids=[
+        "mask-str-models", "mask-str-bm25", "mask-short-bm25", "mask-short-models",
+        "mask-not-01", "mask-overflow", "mask-null", "id-list", "id-unknown", "no-mask",
+    ],
+)
+def test_evaluate_rejects_a_bad_redacted_row(tmp_path, cli_corpus, cli_checkpoint, capsys, edit, members):
+    record = load_corpus(cli_corpus).records[1]
+    good = {"id": record.profile_id, "mask": [0] * len(record.document)}
+    bad = dict(good)
+    edit(bad, len(record.document))
+    redacted = write_jsonl(tmp_path / "redacted.jsonl", [good, bad])
+    member_flags = ["--models", str(cli_checkpoint)] if members == "models" else ["--bm25"]
+    report = tmp_path / "report.json"
+    code = main([
+        "evaluate", "--corpus", str(cli_corpus), "--redacted", str(redacted), *member_flags,
+        "--report", str(report),
+    ])
+    assert code == 4
+    assert _one_error_line(capsys)["error"] == "corpus-format"
+    assert not report.exists()
+
+
+@pytest.fixture(scope="module")
+def tiny_inputs(tmp_path_factory):
+    """A four-record corpus, its unmasked redaction and sidecar, and an untrained checkpoint."""
+    root = tmp_path_factory.mktemp("tiny")
+    corpus_path = write_jsonl(root / "corpus.jsonl", make_corpus_rows(4, seed=5))
+    redacted, sidecar = _unmasked_redaction(root, corpus_path)
+    checkpoint = root / "model.ckpt"
+    vocab = Vocabulary.from_corpus(load_corpus(corpus_path))
+    save_checkpoint(init_params(vocab, dim=4, seed=0), checkpoint)
+    return {
+        "root": root, "corpus": corpus_path, "redacted": redacted, "sidecar": sidecar, "checkpoint": checkpoint,
+    }
+
+
+def _splice(original: bytes):
+    """Random bytes, or the original with one span replaced by random bytes."""
+    return st.one_of(
+        st.binary(max_size=200),
+        st.tuples(
+            st.integers(0, len(original)), st.integers(0, 64), st.binary(max_size=64)
+        ).map(lambda t: original[: t[0]] + t[2] + original[t[0] + t[1] :]),
+    )
+
+
+@pytest.mark.parametrize("kind", ["corpus", "redacted", "sidecar", "checkpoint"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_random_input_bytes_fail_cleanly(tiny_inputs, kind, data):
+    inputs = dict(tiny_inputs)
+    content = data.draw(_splice(inputs[kind].read_bytes()), label=kind)
+    inputs[kind] = inputs["root"] / f"fuzzed-{kind}"
+    inputs[kind].write_bytes(content)
+    out = inputs["root"] / f"out-{kind}.jsonl"
+    if kind == "checkpoint":
+        argv = ["deidentify", "--corpus", str(inputs["corpus"]), "--model", str(inputs["checkpoint"]),
+                "--k", "1", "--out", str(out)]
+    else:
+        argv = ["evaluate", "--corpus", str(inputs["corpus"]), "--redacted", str(inputs["redacted"]),
+                "--models", str(inputs["checkpoint"]), "--bm25"]
+        if kind == "sidecar":
+            argv += ["--sidecar", str(inputs["sidecar"]), "--success-only"]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code in (0, 3, 4, 5)
+    if code:
+        err_lines = stderr.getvalue().splitlines()
+        assert len(err_lines) == 1
+        assert set(json.loads(err_lines[0])) == {"error", "message"}

@@ -259,22 +259,21 @@ def test_apply_mask_counts_sentinels(rng):
         assert text.count(MASK_TOKEN) == int(mask.sum())
 
 
-def test_vocabulary_layout_and_hashing():
-    vocab = Vocabulary(["alpha", "beta"], hash_buckets=16)
+def test_vocabulary_layout_and_unseen_terms():
+    vocab = Vocabulary(["alpha", "beta"])
     assert vocab.index_of("alpha") == 0
     assert vocab.index_of("beta") == 1
-    unseen = vocab.index_of("gamma")
-    assert 2 <= unseen < 2 + 16
-    assert unseen == vocab.index_of("gamma")
-    assert vocab.mask_index == 18
-    assert vocab.pad_index == 19
-    assert vocab.n_rows == 20
+    assert vocab.mask_index == 2
+    assert vocab.n_rows == 3
+    # a term outside the vocabulary reads as the mask row
+    assert vocab.index_of("gamma") == vocab.mask_index
+    assert vocab.indices(["beta", "gamma", "alpha", "delta"]).tolist() == [1, 2, 0, 2]
 
 
 def test_vocabulary_from_corpus_is_sorted(tmp_path):
     path = write_jsonl(tmp_path / "v.jsonl", make_corpus_rows(20, seed=2))
     corpus = load_corpus(path)
-    vocab = Vocabulary.from_corpus(corpus, hash_buckets=8)
+    vocab = Vocabulary.from_corpus(corpus)
     assert list(vocab.terms) == sorted(vocab.terms)
     assert "name" in vocab.terms  # from linearized profiles
 

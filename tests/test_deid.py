@@ -37,7 +37,7 @@ def random_instance(seed, n_profiles=10, n_words=8):
             for i in range(n_profiles)
         ]
     )
-    vocab = Vocabulary(sorted({"name", ":", "|", "the", ".", *words}), hash_buckets=4)
+    vocab = Vocabulary(sorted({"name", ":", "|", "the", ".", *words}))
     params = init_params(vocab, dim=12, seed=seed)
     model = NeuralReidentifier(params, profiles)
     # documents mix content words with a stopword and punctuation filler
@@ -118,6 +118,27 @@ def test_greedy_step_optimality_random_instances():
         replay_greedy_with_oracle(model, doc, true_index, k, result)
 
 
+def test_unseen_words_read_as_the_mask_row():
+    # swapping one unseen word for another moves nothing, and an unseen word
+    # encodes exactly like a masked position
+    for seed in range(5):
+        model, doc, true_index = random_instance(seed)
+        words, at = doc.surfaces(), 2
+        doc_a = tokenize(" ".join([*words[:at], "zebra", *words[at:]]))
+        doc_b = tokenize(" ".join([*words[:at], "quokka", *words[at:]]))
+        unmasked = np.zeros(len(doc_a), dtype=np.int8)
+        masked = unmasked.copy()
+        masked[at] = 1
+        assert model.scores(doc_a, unmasked).tobytes() == model.scores(doc_b, unmasked).tobytes()
+        unseen = encode_document(model.params, doc_a)
+        assert unseen.tobytes() == encode_document(model.params, doc_a, masked).tobytes()
+        for k in (2, len(model.store)):
+            result_a = greedy_deidentify(model, doc_a, true_index, k)
+            result_b = greedy_deidentify(model, doc_b, true_index, k)
+            assert np.array_equal(result_a.mask, result_b.mask)
+            assert result_a.order == result_b.order
+
+
 def test_greedy_masks_only_grow_and_steps_match():
     model, doc, true_index = random_instance(3)
     result = greedy_deidentify(model, doc, true_index, k=2)
@@ -188,16 +209,24 @@ def test_beam_satisfies_k_anonymity_audit():
 
 
 def test_beam_depth_one_when_single_mask_suffices(toy_corpus, toy_model):
-    # find a record that greedy solves in one step and check beam terminates there
+    # per record, K is set just below the rank greedy's first mask reaches, so
+    # that one mask suffices; beam must then terminate at depth one too
+    checked = 0
     for rec in toy_corpus.records:
         true_index = toy_corpus.store.index_of(rec.profile_id)
-        greedy = greedy_deidentify(toy_model, rec.document, true_index, k=1)
-        if greedy.success and greedy.steps == 1:
-            beam = beam_deidentify(toy_model, rec.document, true_index, k=1, beam_width=2)
-            assert beam.success
-            assert beam.steps == 1
-            return
-    pytest.fail("no depth-1-solvable record in the toy corpus")
+        doc = rec.document
+        start = rank_of(toy_model.distribution(doc, np.zeros(len(doc), dtype=np.int8)), true_index)
+        first = greedy_deidentify(toy_model, doc, true_index, k=len(toy_corpus.store)).order[0]
+        k = rank_of(toy_model.distribution(doc, _with(np.zeros(len(doc), dtype=np.int8), first)), true_index) - 1
+        if k < start:
+            continue
+        greedy = greedy_deidentify(toy_model, doc, true_index, k=k)
+        assert greedy.success and greedy.steps == 1
+        beam = beam_deidentify(toy_model, doc, true_index, k=k, beam_width=2)
+        assert beam.success
+        assert beam.steps == 1
+        checked += 1
+    assert checked > 0, "no record where one mask suffices in the toy corpus"
 
 
 def test_lexical_baseline_masks_overlap():

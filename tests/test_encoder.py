@@ -20,7 +20,7 @@ from deident.encoder import (
 
 def small_vocab(extra=()):
     terms = sorted({"alpha", "beta", "gamma", "delta", "name", ":", "|", *extra})
-    return Vocabulary(terms, hash_buckets=8)
+    return Vocabulary(terms)
 
 
 @pytest.fixture()
@@ -181,7 +181,6 @@ def test_checkpoint_round_trip(tmp_path, params):
     assert np.array_equal(loaded.doc_proj, params.doc_proj)
     assert np.array_equal(loaded.profile_proj, params.profile_proj)
     assert loaded.vocab.terms == params.vocab.terms
-    assert loaded.vocab.hash_buckets == params.vocab.hash_buckets
     assert loaded.label_smoothing == params.label_smoothing
 
 

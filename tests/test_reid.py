@@ -172,7 +172,7 @@ def test_reidentify_returns_permutation(hand_store):
 
 def test_reidentify_rank_matches_sort(rng):
     store = ProfileStore([Profile(id=f"p{i}", entries=(("name", f"n{i}"),)) for i in range(8)])
-    vocab = Vocabulary(sorted({"name", ":", "|", *(f"n{i}" for i in range(8)), "a", "b"}), hash_buckets=4)
+    vocab = Vocabulary(sorted({"name", ":", "|", *(f"n{i}" for i in range(8)), "a", "b"}))
     params = init_params(vocab, dim=8, seed=1)
     model = NeuralReidentifier(params, store)
     doc = tokenize("a b a")

@@ -160,7 +160,7 @@ def toy_setup(seed=0, dim=8, n_profiles=5, n_records=10):
         ]
     )
     terms = sorted({"name", ":", "|", *words})
-    vocab = Vocabulary(terms, hash_buckets=4)
+    vocab = Vocabulary(terms)
     params = init_params(vocab, dim=dim, seed=seed, dtype=np.float64)
     batch = []
     for _ in range(n_records):
@@ -296,7 +296,7 @@ def test_grad_step_profile_phase_updates_profile_side():
 # the sparse bag-of-rows operator against a scatter-add oracle
 # ---------------------------------------------------------------------------
 
-ORACLE_VOCAB = Vocabulary(["a", "b", "c", "d", "e"], hash_buckets=3)
+ORACLE_VOCAB = Vocabulary(["a", "b", "c", "d", "e"])
 ORACLE_ROWS = st.integers(0, ORACLE_VOCAB.n_rows - 1)
 # a bag is any multiset of rows (repeats, single tokens) or a fully masked document
 ORACLE_BAG = st.one_of(
@@ -404,7 +404,7 @@ def test_bags_reject_empty_bags():
 
 def test_single_epoch_trains_doc_encoder_only(tmp_path, toy_corpus):
     log_path = tmp_path / "log.csv"
-    config = TrainConfig(epochs=1, embed_dim=16, hash_buckets=64, seed=0)
+    config = TrainConfig(epochs=1, embed_dim=16, seed=0)
     train(toy_corpus, config, log_path=log_path)
     rows = list(csv.DictReader(open(log_path)))
     assert len(rows) == 1
@@ -413,7 +413,7 @@ def test_single_epoch_trains_doc_encoder_only(tmp_path, toy_corpus):
 
 def test_training_log_schema(tmp_path, toy_corpus):
     log_path = tmp_path / "log.csv"
-    config = TrainConfig(epochs=4, embed_dim=16, hash_buckets=64, seed=0)
+    config = TrainConfig(epochs=4, embed_dim=16, seed=0)
     train(toy_corpus, config, log_path=log_path)
     rows = list(csv.DictReader(open(log_path)))
     assert len(rows) == 4
@@ -424,7 +424,7 @@ def test_training_log_schema(tmp_path, toy_corpus):
 
 def test_profile_epoch_budget_respected(tmp_path, toy_corpus):
     log_path = tmp_path / "log.csv"
-    config = TrainConfig(epochs=8, embed_dim=16, hash_buckets=64, seed=0, profile_epochs=2)
+    config = TrainConfig(epochs=8, embed_dim=16, seed=0, profile_epochs=2)
     train(toy_corpus, config, log_path=log_path)
     phases = [r["phase"] for r in csv.DictReader(open(log_path))]
     assert phases == ["doc", "profile", "doc", "profile", "doc", "doc", "doc", "doc"]
@@ -435,7 +435,7 @@ def test_toy_corpus_reaches_perfect_training_accuracy(tmp_path):
     path = write_jsonl(tmp_path / "ten.jsonl", rows)
     corpus = load_corpus(path)
     config = TrainConfig(
-        epochs=30, embed_dim=32, hash_buckets=128, seed=0, batch_size=4, heldout_fraction=0.0
+        epochs=30, embed_dim=32, seed=0, batch_size=4, heldout_fraction=0.0
     )
     params = train(corpus, config)
     matrix = build_profile_matrix(params, corpus.store)
@@ -445,7 +445,7 @@ def test_toy_corpus_reaches_perfect_training_accuracy(tmp_path):
 
 
 def test_training_is_deterministic(tmp_path, toy_corpus):
-    config = TrainConfig(epochs=6, embed_dim=16, hash_buckets=64, seed=9)
+    config = TrainConfig(epochs=6, embed_dim=16, seed=9)
     a = tmp_path / "a.ckpt"
     b = tmp_path / "b.ckpt"
     train(toy_corpus, config, checkpoint_path=a)
@@ -455,7 +455,7 @@ def test_training_is_deterministic(tmp_path, toy_corpus):
 
 
 def test_profile_index_matrix_matches_row_encoding(toy_corpus):
-    vocab = Vocabulary.from_corpus(toy_corpus, hash_buckets=64)
+    vocab = Vocabulary.from_corpus(toy_corpus)
     params = init_params(vocab, dim=16, seed=2)
     bags = profile_bags(vocab, toy_corpus.store)
     fast = bags.mean(params.embeddings) @ params.profile_proj.astype(np.float64)
