@@ -170,6 +170,17 @@ def _build_members(args, store) -> dict:
     return members
 
 
+def _baseline(method, document, profile, table, threshold, tags=None) -> RedactionResult:
+    """Run one of the baseline methods (`lexical`, `idf`, `idf-table`, `ner`) on a document."""
+    if method == "lexical":
+        return lexical_baseline(document, profile)
+    if method == "idf":
+        return idf_baseline(document, table, threshold)
+    if method == "idf-table":
+        return idf_table_aware_baseline(document, profile, table, threshold)
+    return ner_baseline(document, tags)
+
+
 def cmd_train(args) -> int:
     corpus = load_corpus(args.corpus)
     config = TrainConfig(
@@ -221,19 +232,13 @@ def cmd_baseline(args) -> int:
     tags = load_tag_file(args.tags_file) if args.tags_file else None
     results = []
     for record in selected:
-        profile = corpus.store.get(record.profile_id)
-        if args.method == "lexical":
-            result = lexical_baseline(record.document, profile)
-        elif args.method == "idf":
-            result = idf_baseline(record.document, table, args.idf_threshold)
-        elif args.method == "idf-table":
-            result = idf_table_aware_baseline(record.document, profile, table, args.idf_threshold)
-        else:
-            doc_tags = tags.get(record.profile_id) if tags is not None else None
-            if tags is not None and doc_tags is None:
+        doc_tags = None
+        if args.method == "ner" and tags is not None:
+            doc_tags = tags.get(record.profile_id)
+            if doc_tags is None:
                 raise CorpusError(f"no tags for record {record.profile_id!r}")
-            result = ner_baseline(record.document, doc_tags)
-        results.append(result)
+        profile = corpus.store.get(record.profile_id)
+        results.append(_baseline(args.method, record.document, profile, table, args.idf_threshold, doc_tags))
     _write_redacted(args.out, corpus, selected, results, args.mask_mode)
     if args.sidecar:
         _write_sidecar(args.sidecar, selected, results)
@@ -307,7 +312,6 @@ def cmd_sweep(args) -> int:
     def redact(i: int, control: float) -> RedactionResult:
         record = selected[i]
         true_index = records[i][2]
-        profile = corpus.store.get(record.profile_id)
         if args.method == "greedy":
             return greedy_deidentify(guide, record.document, true_index, int(control), stopwords=stopwords)
         if args.method == "beam":
@@ -315,13 +319,7 @@ def cmd_sweep(args) -> int:
                 guide, record.document, true_index, int(control),
                 beam_width=args.beam_width, stopwords=stopwords,
             )
-        if args.method == "idf":
-            return idf_baseline(record.document, table, control)
-        if args.method == "idf-table":
-            return idf_table_aware_baseline(record.document, profile, table, control)
-        if args.method == "lexical":
-            return lexical_baseline(record.document, profile)
-        return ner_baseline(record.document)
+        return _baseline(args.method, record.document, corpus.store.get(record.profile_id), table, control)
 
     points = pareto_sweep(args.method, redact, args.controls, records, members)
     write_pareto_csv(points, args.out)

@@ -346,16 +346,22 @@ def compute_idf(corpus: Corpus) -> IdfTable:
 
 
 def check_mask(mask: np.ndarray | Sequence[int], n: int) -> np.ndarray:
-    """Validate and canonicalize a 0/1 mask of length n; a bad mask raises ValueError."""
+    """Validate and canonicalize a 0/1 mask of length n; a bad mask raises ValueError.
+
+    Entries must be bools or numbers equal to 0 or 1: strings, objects and
+    values such as 0.5, which a cast to int8 would silently change, are rejected.
+    """
     try:
-        arr = np.asarray(mask, dtype=np.int8)
-    except (TypeError, ValueError, OverflowError) as exc:
+        arr = np.asarray(mask)
+    except ValueError as exc:
         raise ValueError(f"mask is not a 0/1 vector ({exc})") from exc
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"mask is not a 0/1 vector (entries of dtype {arr.dtype})")
     if arr.ndim != 1 or len(arr) != n:
         raise ValueError(f"mask length {arr.shape} does not match document length {n}")
     if np.any((arr != 0) & (arr != 1)):
         raise ValueError("mask entries must be 0 or 1")
-    return arr
+    return arr.astype(np.int8, copy=False)
 
 
 def apply_mask(document: Document, mask: np.ndarray | Sequence[int], mode: str = "replace") -> str:

@@ -1,10 +1,13 @@
 """Mask-construction methods: rank-based search and unsupervised baselines.
 
-The greedy search repeatedly masks the position whose single-position
-addition minimizes the true profile's probability, stopping once the true
-profile drops out of the top K. Stopwords and pure punctuation are not
-candidates. The beam variant tracks several lowest-probability mask states
-per depth and reduces exactly to greedy at width 1.
+The search repeatedly masks the position whose single-position addition
+minimizes the true profile's probability, stopping once the true profile
+drops out of the top K. Stopwords and pure punctuation are not candidates.
+Greedy and beam run one search loop: the beam search keeps several
+lowest-probability mask states per depth, and greedy is the beam search at
+width 1. The guide model must provide `store`, `distribution` and
+`candidate_true_probs`, as `NeuralReidentifier` does; `Bm25Reidentifier`
+has no candidate scorer, so it cannot guide a search.
 
 Baselines mask by profile overlap (lexical), rarity (IDF threshold), their
 combination (table-aware IDF), or entity tags (file-provided or a built-in
@@ -14,6 +17,7 @@ rule tagger).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 from pathlib import Path
 from typing import Sequence
 
@@ -99,17 +103,6 @@ def candidate_positions(
     return out
 
 
-def _true_probs_for(model, document, mask, candidates, true_index) -> np.ndarray:
-    if hasattr(model, "candidate_true_probs"):
-        return model.candidate_true_probs(document, mask, candidates, true_index)
-    probs = np.empty(len(candidates))
-    for c, j in enumerate(candidates):
-        trial = mask.copy()
-        trial[j] = 1
-        probs[c] = model.distribution(document, trial)[true_index]
-    return probs
-
-
 def greedy_deidentify(
     model,
     document: Document,
@@ -122,51 +115,10 @@ def greedy_deidentify(
     Each step masks the eligible position whose masking minimizes the true
     profile's probability (ties to the lowest index). The stopping condition
     is also checked before the first step, so an already-anonymous document
-    gets an empty mask. Runs out of candidates -> success is False.
+    gets an empty mask. Runs out of candidates -> success is False. This is
+    the beam search at width 1.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    n = len(document)
-    if not 0 <= true_index < len(model.store):
-        raise ValueError(f"profile index {true_index} not in store")
-    mask = np.zeros(n, dtype=np.int8)
-    dist = model.distribution(document, mask)
-    rank = rank_of(dist, true_index)
-    order: list[int] = []
-    if rank > k:
-        return RedactionResult(
-            mask=mask,
-            method="greedy",
-            k=k,
-            steps=0,
-            final_rank=rank,
-            final_prob=float(dist[true_index]),
-            success=True,
-            order=order,
-        )
-    candidates = candidate_positions(document, mask, stopwords)
-    success = False
-    while candidates:
-        probs = _true_probs_for(model, document, mask, candidates, true_index)
-        best = int(np.argmin(probs))
-        j = candidates.pop(best)
-        mask[j] = 1
-        order.append(j)
-        dist = model.distribution(document, mask)
-        rank = rank_of(dist, true_index)
-        if rank > k:
-            success = True
-            break
-    return RedactionResult(
-        mask=mask,
-        method="greedy",
-        k=k,
-        steps=len(order),
-        final_rank=rank,
-        final_prob=float(dist[true_index]),
-        success=success,
-        order=order,
-    )
+    return _search(model, document, true_index, k, 1, stopwords, "greedy")
 
 
 def beam_deidentify(
@@ -185,74 +137,60 @@ def beam_deidentify(
     """
     if beam_width < 1:
         raise ValueError("beam_width must be >= 1")
+    return _search(model, document, true_index, k, beam_width, stopwords, "beam")
+
+
+def _search(model, document, true_index, k, width, stopwords, method) -> RedactionResult:
+    """The search behind greedy and beam: masks grow one candidate per depth.
+
+    A state is the order in which its positions were masked. Depth 0 holds
+    the empty mask, so the precheck is the same audit as every later stop
+    check. Each depth audits its states in order and returns the first whose
+    true profile ranks below K. Otherwise every state is expanded by each of
+    its remaining candidates, and the `width` children with the lowest
+    (probability, order) are kept; children with the same mask set keep
+    their best entry. The last depth holds the single all-candidates state,
+    which is reported as a failure when it does not pass the audit either.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = len(document)
     if not 0 <= true_index < len(model.store):
         raise ValueError(f"profile index {true_index} not in store")
-    empty = np.zeros(n, dtype=np.int8)
-    dist = model.distribution(document, empty)
-    rank = rank_of(dist, true_index)
-    if rank > k:
-        return RedactionResult(
-            mask=empty,
-            method="beam",
-            k=k,
-            steps=0,
-            final_rank=rank,
-            final_prob=float(dist[true_index]),
-            success=True,
-            order=[],
-        )
-    all_candidates = candidate_positions(document, empty, stopwords)
-    # states are (prob, order tuple); the mask is implied by the order
-    states: list[tuple[float, tuple[int, ...]]] = [(float(dist[true_index]), ())]
-    last_state = states[0]
-    for depth in range(1, len(all_candidates) + 1):
-        children: dict[frozenset[int], tuple[float, tuple[int, ...]]] = {}
-        for prob, picked in states:
-            mask = np.zeros(n, dtype=np.int8)
-            mask[list(picked)] = 1
-            cands = [j for j in all_candidates if not mask[j]]
-            probs = _true_probs_for(model, document, mask, cands, true_index)
-            for j, p in zip(cands, probs):
-                key = frozenset(picked) | {j}
-                entry = (float(p), picked + (j,))
-                if key not in children or entry < children[key]:
-                    children[key] = entry
-        kept = sorted(children.values())[:beam_width]
-        for prob, picked in kept:
+    n = len(document)
+    candidates = candidate_positions(document, np.zeros(n, dtype=np.int8), stopwords)
+    states: list[tuple[int, ...]] = [()]
+    for depth in count():
+        masks = []
+        for picked in states:
             mask = np.zeros(n, dtype=np.int8)
             mask[list(picked)] = 1
             dist = model.distribution(document, mask)
             rank = rank_of(dist, true_index)
-            if rank > k:
+            if rank > k or depth == len(candidates):
                 return RedactionResult(
                     mask=mask,
-                    method="beam",
+                    method=method,
                     k=k,
                     steps=depth,
                     final_rank=rank,
                     final_prob=float(dist[true_index]),
-                    success=True,
+                    success=rank > k,
                     order=list(picked),
                 )
-        states = kept
-        last_state = kept[0]
-    prob, picked = last_state
-    mask = np.zeros(n, dtype=np.int8)
-    mask[list(picked)] = 1
-    dist = model.distribution(document, mask)
-    return RedactionResult(
-        mask=mask,
-        method="beam",
-        k=k,
-        steps=len(picked),
-        final_rank=rank_of(dist, true_index),
-        final_prob=float(dist[true_index]),
-        success=False,
-        order=list(picked),
-    )
+            masks.append(mask)
+        # children keyed by their mask set as a bit set of positions
+        children: dict[int, tuple[float, tuple[int, ...]]] = {}
+        for picked, mask in zip(states, masks):
+            key = sum(1 << j for j in picked)
+            remaining = [j for j in candidates if not mask[j]]
+            probs = model.candidate_true_probs(document, mask, remaining, true_index)
+            # a child outside its state's `width` lowest cannot be among the `width` lowest overall
+            for c in np.argsort(probs, kind="stable")[:width]:
+                j = remaining[c]
+                child_key, child = key | 1 << j, (float(probs[c]), picked + (j,))
+                if child_key not in children or child < children[child_key]:
+                    children[child_key] = child
+        states = [picked for _, picked in sorted(children.values())[:width]]
 
 
 def _profile_term_set(profile: Profile) -> set[str]:
@@ -266,15 +204,20 @@ def _profile_term_set(profile: Profile) -> set[str]:
 def lexical_baseline(document: Document, profile: Profile) -> RedactionResult:
     """Mask every non-punctuation word that also occurs in the profile."""
     terms = _profile_term_set(profile)
+    order = [
+        j for j, token in enumerate(document.tokens)
+        if not token.is_punctuation and token.normalized in terms
+    ]
+    return _fixed_result("lexical", document, order)
+
+
+def _fixed_result(method: str, document: Document, order: list[int]) -> RedactionResult:
+    """A baseline's result: the positions of order masked, with no search behind them."""
     mask = np.zeros(len(document), dtype=np.int8)
-    order = []
-    for j, token in enumerate(document.tokens):
-        if not token.is_punctuation and token.normalized in terms:
-            mask[j] = 1
-            order.append(j)
+    mask[order] = 1
     return RedactionResult(
         mask=mask,
-        method="lexical",
+        method=method,
         k=0,
         steps=len(order),
         final_rank=None,
@@ -297,18 +240,7 @@ def _idf_descending(document: Document, table: IdfTable, skip: set[int]) -> list
 def idf_baseline(document: Document, table: IdfTable, threshold: float) -> RedactionResult:
     """Mask all non-punctuation words whose IDF reaches the threshold."""
     order = [j for idf, j in _idf_descending(document, table, set()) if idf >= threshold]
-    mask = np.zeros(len(document), dtype=np.int8)
-    mask[order] = 1
-    return RedactionResult(
-        mask=mask,
-        method="idf",
-        k=0,
-        steps=len(order),
-        final_rank=None,
-        final_prob=None,
-        success=True,
-        order=order,
-    )
+    return _fixed_result("idf", document, order)
 
 
 def idf_table_aware_baseline(
@@ -319,18 +251,7 @@ def idf_table_aware_baseline(
     order = list(lexical.order)
     taken = set(order)
     order.extend(j for idf, j in _idf_descending(document, table, taken) if idf >= threshold)
-    mask = np.zeros(len(document), dtype=np.int8)
-    mask[order] = 1
-    return RedactionResult(
-        mask=mask,
-        method="idf_table",
-        k=0,
-        steps=len(order),
-        final_rank=None,
-        final_prob=None,
-        success=True,
-        order=order,
-    )
+    return _fixed_result("idf_table", document, order)
 
 
 def rule_tags(document: Document) -> list[str]:
@@ -362,18 +283,7 @@ def ner_baseline(document: Document, tags: Sequence[str] | None = None) -> Redac
             f"tag sequence length {len(tags)} does not match document length {len(document)}"
         )
     order = [j for j, tag in enumerate(tags) if tag in ENTITY_TAGS]
-    mask = np.zeros(len(document), dtype=np.int8)
-    mask[order] = 1
-    return RedactionResult(
-        mask=mask,
-        method="ner",
-        k=0,
-        steps=len(order),
-        final_rank=None,
-        final_prob=None,
-        success=True,
-        order=order,
-    )
+    return _fixed_result("ner", document, order)
 
 
 def load_tag_file(path: str | Path) -> dict[str, list[str]]:

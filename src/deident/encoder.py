@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Document, Profile, ProfileStore, Vocabulary, linearize_profile, linearize_profiles
+from .corpus import Document, Profile, ProfileStore, Vocabulary, check_mask, linearize_profile, linearize_profiles
 
 CHECKPOINT_VERSION = 2
 CHECKPOINT_ARRAYS = ("embeddings", "doc_proj", "profile_proj")
@@ -102,10 +102,7 @@ def document_row_indices(vocab: Vocabulary, document: Document, mask=None) -> np
     """Embedding-row index per position; masked positions map to the mask row."""
     rows = vocab.indices(document.normalized())
     if mask is not None:
-        arr = np.asarray(mask, dtype=np.int8)
-        if len(arr) != len(rows):
-            raise ValueError("mask length does not match document length")
-        rows[arr == 1] = vocab.mask_index
+        rows[check_mask(mask, len(rows)) == 1] = vocab.mask_index
     return rows
 
 
@@ -219,12 +216,16 @@ def build_profile_matrix(params: ModelParams, store: ProfileStore | Sequence[Pro
     return np.stack([_encode_linearized(params, d, proj) for d in linearized])
 
 
-def score_and_normalize(doc_emb: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Softmax over dot-product scores, stabilized by max subtraction."""
-    scores = matrix.astype(np.float64) @ np.asarray(doc_emb, dtype=np.float64)
-    shifted = scores - scores.max()
+def softmax(scores: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, stabilized by max subtraction."""
+    shifted = scores - scores.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum()
+    return exp / exp.sum(axis=-1, keepdims=True)
+
+
+def score_and_normalize(doc_emb: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Softmax over dot-product scores."""
+    return softmax(np.asarray(matrix, dtype=np.float64) @ np.asarray(doc_emb, dtype=np.float64))
 
 
 def rank_of(values: np.ndarray, index: int) -> int:

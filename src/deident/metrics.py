@@ -91,16 +91,15 @@ def pareto_sweep(
             for i, (doc_id, document, true_index) in enumerate(records)
         ]
         report = ensemble_evaluate(members, eval_records)
-        pct = float(np.mean([percent_masked(r.mask, records[i][1]) for i, r in enumerate(results)]))
-        loss = float(np.mean([information_loss(records[i][1], r.mask) for i, r in enumerate(results)]))
+        utility = utility_report([document for _, document, _ in records], [r.mask for r in results])
         success = 100.0 * float(np.mean([r.success for r in results]))
         points.append(
             ParetoPoint(
                 method=method,
                 control=float(control),
                 reid_rate=report.rate,
-                pct_masked=pct,
-                info_loss=loss,
+                pct_masked=utility.percent_masked,
+                info_loss=utility.information_loss,
                 success_rate=success,
             )
         )

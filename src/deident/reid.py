@@ -24,6 +24,7 @@ from .encoder import (
     load_checkpoint,
     rank_of,
     score_and_normalize,
+    softmax,
 )
 
 
@@ -49,30 +50,18 @@ class NeuralReidentifier:
     def distribution(self, document: Document, mask=None) -> np.ndarray:
         return score_and_normalize(encode_document(self.params, document, mask), self.matrix)
 
-    def _candidate_features(self, document: Document, mask, candidates: Sequence[int]) -> np.ndarray:
-        """Embeddings for each single-position mask addition, in one pass."""
-        vocab = self.params.vocab
-        rows = document_row_indices(vocab, document, mask)
-        emb = self.params.embeddings
-        n = len(rows)
-        base_sum = emb[rows].astype(np.float64).sum(axis=0)
-        mask_row = emb[vocab.mask_index].astype(np.float64)
-        deltas = mask_row - emb[np.asarray([rows[j] for j in candidates])].astype(np.float64)
-        means = (base_sum + deltas) / n
-        return means @ self.params.doc_proj.astype(np.float64)
-
-    def candidate_distributions(self, document: Document, mask, candidates: Sequence[int]) -> np.ndarray:
-        """Row c is the full distribution after additionally masking candidates[c]."""
-        feats = self._candidate_features(document, mask, candidates)
-        scores = feats @ self.matrix.T
-        shifted = scores - scores.max(axis=1, keepdims=True)
-        exp = np.exp(shifted)
-        return exp / exp.sum(axis=1, keepdims=True)
-
     def candidate_true_probs(
         self, document: Document, mask, candidates: Sequence[int], true_index: int
     ) -> np.ndarray:
-        return self.candidate_distributions(document, mask, candidates)[:, true_index]
+        """True-profile probability after additionally masking each of candidates, in one pass."""
+        vocab = self.params.vocab
+        rows = document_row_indices(vocab, document, mask)
+        emb = self.params.embeddings
+        base_sum = emb[rows].astype(np.float64).sum(axis=0)
+        mask_row = emb[vocab.mask_index].astype(np.float64)
+        deltas = mask_row - emb[rows[list(candidates)]].astype(np.float64)
+        feats = (base_sum + deltas) / len(rows) @ self.params.doc_proj.astype(np.float64)
+        return softmax(feats @ self.matrix.T)[:, true_index]
 
 
 class Bm25Reidentifier:
@@ -132,10 +121,7 @@ class Bm25Reidentifier:
         return scores
 
     def distribution(self, document: Document, mask=None) -> np.ndarray:
-        scores = self.scores(document, mask)
-        shifted = scores - scores.max()
-        exp = np.exp(shifted)
-        return exp / exp.sum()
+        return softmax(self.scores(document, mask))
 
 
 def bm25_scores(document: Document, store: ProfileStore, k1: float = 1.5, b: float = 0.75, mask=None) -> np.ndarray:

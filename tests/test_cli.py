@@ -515,10 +515,13 @@ def test_config_path_that_is_a_directory_exit_code(tmp_path, cli_corpus, capsys)
         (lambda row, n: row.update(id=[row["id"]]), "bm25"),
         (lambda row, n: row.update(id="nobody"), "models"),
         (lambda row, n: row.pop("mask"), "bm25"),
+        (lambda row, n: row.update(mask=[0.5] + [0] * (n - 1)), "models"),
+        (lambda row, n: row.update(mask=["1"] + [0] * (n - 1)), "bm25"),
     ],
     ids=[
         "mask-str-models", "mask-str-bm25", "mask-short-bm25", "mask-short-models",
         "mask-not-01", "mask-overflow", "mask-null", "id-list", "id-unknown", "no-mask",
+        "mask-half", "mask-digit-str",
     ],
 )
 def test_evaluate_rejects_a_bad_redacted_row(tmp_path, cli_corpus, cli_checkpoint, capsys, edit, members):

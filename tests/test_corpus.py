@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deident.corpus import (
     CorpusError,
@@ -249,6 +251,22 @@ def test_apply_mask_length_mismatch():
     doc = tokenize("a b c")
     with pytest.raises(ValueError):
         apply_mask(doc, [0, 1], mode="replace")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_apply_mask_invariants(data):
+    words = st.text(alphabet="abcXYZ019.,;!?'-", min_size=1, max_size=6)
+    doc = tokenize(" ".join(data.draw(st.lists(words, min_size=1, max_size=12))))
+    mask = data.draw(st.lists(st.booleans(), min_size=len(doc), max_size=len(doc)))
+    surfaces = doc.surfaces()
+    for mode in ("replace", "delete", "collapse"):
+        assert apply_mask(doc, np.zeros(len(doc), dtype=np.int8), mode=mode) == " ".join(surfaces)
+    replaced = apply_mask(doc, mask, mode="replace").split(" ")
+    assert replaced == [MASK_TOKEN if bit else s for s, bit in zip(surfaces, mask)]
+    assert apply_mask(doc, mask, mode="delete").split() == [s for s, bit in zip(surfaces, mask) if not bit]
+    merged = [t for i, t in enumerate(replaced) if not (t == MASK_TOKEN and i and replaced[i - 1] == MASK_TOKEN)]
+    assert apply_mask(doc, mask, mode="collapse") == " ".join(merged)
 
 
 def test_apply_mask_counts_sentinels(rng):

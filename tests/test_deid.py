@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deident.corpus import CorpusError, Profile, ProfileStore, Vocabulary, compute_idf, tokenize
 from deident.deid import (
@@ -206,6 +208,30 @@ def test_beam_satisfies_k_anonymity_audit():
             dist = oracle_distribution(model, doc, result.mask)
             assert rank_of(dist, true_index) > 3
         assert result.steps == int(result.mask.sum())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n_profiles=st.integers(2, 12),
+    n_words=st.integers(1, 8),
+    k=st.integers(1, 4),
+    width=st.integers(1, 4),
+)
+def test_search_results_re_audit_under_the_oracle(seed, n_profiles, n_words, k, width):
+    model, doc, true_index = random_instance(seed, n_profiles=n_profiles, n_words=n_words)
+    candidates = candidate_positions(doc, np.zeros(len(doc), dtype=np.int8), DEFAULT_STOPWORDS)
+    greedy = greedy_deidentify(model, doc, true_index, k)
+    beam = beam_deidentify(model, doc, true_index, k, beam_width=width)
+    for result in (greedy, beam):
+        assert result.steps == len(result.order) == int(result.mask.sum())
+        assert len(set(result.order)) == len(result.order)
+        assert set(result.order) <= set(candidates)
+        assert np.flatnonzero(result.mask).tolist() == sorted(result.order)
+        if result.success:
+            assert rank_of(oracle_distribution(model, doc, result.mask), true_index) > k
+        else:
+            assert sorted(result.order) == candidates
 
 
 def test_beam_depth_one_when_single_mask_suffices(toy_corpus, toy_model):

@@ -146,14 +146,34 @@ def test_bm25_postings_match_naive_loop_bit_for_bit(profiles, words, bits, k1, b
         assert model.scores(doc, m).tobytes() == naive_okapi(store, doc, m, k1, b).tobytes()
 
 
-@pytest.mark.parametrize("mask", [[0, 1, 0], [0, 2, 0, 0, 1], [[0, 0, 0, 0, 0]]], ids=["short", "not-0-1", "2d"])
-def test_bm25_rejects_a_bad_mask(hand_store, mask):
+BAD_MASKS = {
+    "short": [0, 1, 0],
+    "not-0-1": [0, 2, 0, 0, 1],
+    "negative": [0, -1, 0, 0, 1],
+    "2d": [[0, 0, 0, 0, 0]],
+}
+
+
+@pytest.mark.parametrize(
+    "ranker, mask",
+    [("bm25", mask) for mask in BAD_MASKS.values()] + [("neural", mask) for mask in BAD_MASKS.values()],
+    ids=[*BAD_MASKS, *(f"neural-{name}" for name in BAD_MASKS)],
+)
+def test_bm25_rejects_a_bad_mask(hand_store, ranker, mask):
     doc = tokenize("Fenwick the farmer of Dover")
-    model = Bm25Reidentifier(hand_store)
-    with pytest.raises(ValueError):
-        model.query_terms(doc, mask)
+    if ranker == "bm25":
+        model = Bm25Reidentifier(hand_store)
+        with pytest.raises(ValueError):
+            model.query_terms(doc, mask)
+    else:
+        vocab = Vocabulary(sorted(set(doc.normalized())))
+        model = NeuralReidentifier(init_params(vocab, dim=4, seed=0), hand_store)
+        with pytest.raises(ValueError):
+            model.candidate_true_probs(doc, mask, [0], 0)
     with pytest.raises(ValueError):
         model.scores(doc, mask)
+    with pytest.raises(ValueError):
+        model.distribution(doc, mask)
 
 
 def test_bm25_parameter_validation(hand_store):
