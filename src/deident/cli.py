@@ -209,7 +209,7 @@ def cmd_deidentify(args) -> int:
     results = []
     for record in selected:
         true_index = corpus.store.index_of(record.profile_id)
-        if args.beam_width > 1:
+        if args.beam_width != 1:  # beam_deidentify rejects widths below 1
             result = beam_deidentify(
                 model, record.document, true_index, args.k,
                 beam_width=args.beam_width, stopwords=stopwords,

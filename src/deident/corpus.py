@@ -444,7 +444,8 @@ class Vocabulary:
         return self._index.get(term, self.mask_index)
 
     def indices(self, terms: Iterable[str]) -> np.ndarray:
-        return np.array([self.index_of(t) for t in terms], dtype=np.int64)
+        get, mask = self._index.get, self.mask_index
+        return np.array([get(t, mask) for t in terms], dtype=np.int64)
 
     @classmethod
     def from_corpus(cls, corpus: Corpus) -> "Vocabulary":

@@ -2,17 +2,19 @@
 
 Documents are corrupted online with a fresh random dropout mask each epoch:
 the mask count is drawn uniformly from {0..N}, then that many positions are
-chosen without replacement (optionally weighted by IDF). Optimization
-alternates between the two encoders: even-indexed epochs update the
-document side against a fixed profile matrix, odd-indexed epochs update the
-profile side on unmasked documents and then rebuild the matrix. After a
-configurable budget of profile epochs, only the document side trains.
+chosen without replacement (optionally weighted by IDF). One `draw_masks`
+call draws a whole batch's masks from sort keys. Optimization alternates
+between the two encoders: even-indexed epochs update the document side
+against a fixed profile matrix, odd-indexed epochs update the profile side
+on unmasked documents and then rebuild the matrix. After a configurable
+budget of profile epochs, only the document side trains.
 
 Targets are label-smoothed one-hot distributions over the full profile
 store (no negative sampling). Gradients are computed analytically and
 clipped by global norm; updates are plain SGD with linear warmup and decay.
-Batches, the profile store and the held-out set are encoded through sparse
-`Bags` operators, whose adjoint gives the embedding gradient per unique row.
+A document batch is encoded through a dense (batch x touched rows) weight
+matrix, so its forward pass and adjoint are two small GEMMs. The profile
+store and the held-out sets are encoded through sparse `Bags` operators.
 """
 
 from __future__ import annotations
@@ -72,36 +74,37 @@ class TrainConfig:
             raise ValueError("heldout_fraction must be in [0, 1)")
 
 
-def random_mask(rng: np.random.Generator, n: int, count: int, weights=None) -> np.ndarray:
-    """Mask with exactly `count` ones over n positions.
+def draw_masks(rng: np.random.Generator, lengths, counts=None, weights=None) -> np.ndarray:
+    """Dropout masks for a batch, as one 0/1 array over its concatenated positions.
 
-    Uniform without replacement by default; with weights, positions are
-    drawn without replacement proportional to weight. If count exceeds the
-    number of positive-weight positions, the remainder is drawn uniformly
-    from the zero-weight ones.
+    Document i masks counts[i] positions (uniform on {0..lengths[i]} when
+    counts is None): the ones with its largest keys. A key is uniform, or
+    log(u) / w under weights w, which draws positions without replacement
+    proportional to weight (Efraimidis & Spirakis 2006). Zero-weight
+    positions rank after every positive-weight one, in uniform-key order,
+    so they fill a count above the positive positions uniformly.
     """
-    if count < 0 or count > n:
-        raise ValueError(f"count {count} out of range for {n} positions")
-    mask = np.zeros(n, dtype=np.int8)
-    if count == 0:
-        return mask
-    if weights is None:
-        chosen = rng.choice(n, size=count, replace=False)
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if len(w) != n or np.any(w < 0):
-            raise ValueError("weights must be nonnegative and length n")
-        positive = int(np.count_nonzero(w))
-        if positive == 0:
-            chosen = rng.choice(n, size=count, replace=False)
-        elif count <= positive:
-            chosen = rng.choice(n, size=count, replace=False, p=w / w.sum())
-        else:
-            zero_positions = np.flatnonzero(w == 0)
-            extra = rng.choice(zero_positions, size=count - positive, replace=False)
-            chosen = np.concatenate([np.flatnonzero(w > 0), extra])
-    mask[chosen] = 1
+    lengths = np.asarray(lengths, dtype=np.int64)
+    counts = rng.integers(0, lengths + 1) if counts is None else np.asarray(counts, dtype=np.int64)
+    if np.any(counts < 0) or np.any(counts > lengths):
+        raise ValueError(f"counts {counts} out of range for {lengths} positions")
+    doc = np.repeat(np.arange(len(lengths)), lengths)
+    u = rng.random(len(doc))
+    w = np.ones(len(doc)) if weights is None else np.asarray(weights, dtype=np.float64)
+    if w.shape != u.shape or np.any(w < 0):
+        raise ValueError("weights must be nonnegative, one per position")
+    zero = w == 0
+    key = np.where(zero, u, np.log(u) / np.where(zero, 1.0, w))
+    order = np.lexsort((-key, zero, doc))
+    rank = np.arange(len(doc)) - (np.cumsum(lengths) - lengths)[doc]
+    mask = np.zeros(len(doc), dtype=np.int8)
+    mask[order[rank < counts[doc]]] = 1
     return mask
+
+
+def random_mask(rng: np.random.Generator, n: int, count: int, weights=None) -> np.ndarray:
+    """Mask with exactly `count` ones over n positions: `draw_masks` for one document."""
+    return draw_masks(rng, [n], [count], weights)
 
 
 def sample_mask(rng: np.random.Generator, n: int, prior: str = "uniform", weights=None) -> np.ndarray:
@@ -112,8 +115,7 @@ def sample_mask(rng: np.random.Generator, n: int, prior: str = "uniform", weight
         raise ValueError(f"unknown mask prior {prior!r}")
     if prior == "off":
         return np.zeros(n, dtype=np.int8)
-    count = int(rng.integers(0, n + 1))
-    return random_mask(rng, n, count, weights=weights if prior == "idf" else None)
+    return draw_masks(rng, [n], weights=weights if prior == "idf" else None)
 
 
 def smoothed_targets(true_index: int, n_classes: int, alpha: float) -> np.ndarray:
@@ -180,17 +182,32 @@ def apply_gradients(params: ModelParams, grads: Gradients, lr: float) -> None:
 
 
 def _softmax_loss_rows(scores: np.ndarray, true_indices, alpha: float) -> tuple[float, np.ndarray]:
-    """Mean cross entropy against label-smoothed targets plus its score gradient (P - T) / B."""
+    """Mean cross entropy against label-smoothed targets plus its score gradient (P - T) / B.
+
+    With T = (1 - alpha) * one-hot + alpha / n, a row's loss is
+    -(alpha / n) * sum(logp) - (1 - alpha) * logp[true]; neither T nor logp is formed.
+    """
     batch, n_profiles = scores.shape
-    targets = np.full((batch, n_profiles), alpha / n_profiles, dtype=np.float64)
-    targets[np.arange(batch), np.asarray(true_indices)] += 1.0 - alpha
+    rows, trues = np.arange(batch), np.asarray(true_indices)
     shifted = scores - scores.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    logp = shifted - logz
-    loss = float(-(targets * logp).sum(axis=1).mean())
-    probs = np.exp(logp)
-    dscores = (probs - targets) / batch
-    return loss, dscores
+    probs = np.exp(shifted)
+    total = probs.sum(axis=1)
+    logz = np.log(total)
+    logp_sum = shifted.sum(axis=1) - n_profiles * logz
+    loss = float(np.mean(-(alpha / n_profiles) * logp_sum - (1.0 - alpha) * (shifted[rows, trues] - logz)))
+    probs /= (batch * total)[:, None]
+    probs -= alpha / (n_profiles * batch)
+    probs[rows, trues] -= (1.0 - alpha) / batch
+    return loss, probs
+
+
+def _dense_bags(row_arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Touched rows and the dense (bag x row) matrix W[b, r] = count / len, the weights of `Bags`."""
+    lengths = np.array([len(r) for r in row_arrays], dtype=np.int64)
+    rows, col = np.unique(np.concatenate(row_arrays), return_inverse=True)
+    bag = np.repeat(np.arange(len(lengths)), lengths)
+    counts = np.bincount(bag * len(rows) + col, minlength=len(lengths) * len(rows))
+    return rows, counts.reshape(len(lengths), len(rows)) / lengths[:, None]
 
 
 def doc_batch_gradients(
@@ -201,16 +218,16 @@ def doc_batch_gradients(
     alpha: float,
 ) -> tuple[float, Gradients]:
     """Loss and document-side gradients against a fixed profile matrix."""
-    bags = Bags(row_arrays)
-    ebar = bags.mean(params.embeddings)
+    rows, weights = _dense_bags(row_arrays)
+    ebar = weights @ params.embeddings[rows].astype(np.float64)
     doc_proj = params.doc_proj.astype(np.float64)
     feats = ebar @ doc_proj
     scores = feats @ matrix.T
     loss, dscores = _softmax_loss_rows(scores, true_indices, alpha)
     dfeats = dscores @ matrix
     dproj = ebar.T @ dfeats
-    emb_grads = bags.adjoint(dfeats @ doc_proj.T)
-    return loss, Gradients(which="doc", proj=dproj, emb_rows=bags.rows, emb_grads=emb_grads)
+    emb_grads = weights.T @ (dfeats @ doc_proj.T)
+    return loss, Gradients(which="doc", proj=dproj, emb_rows=rows, emb_grads=emb_grads)
 
 
 def profile_batch_gradients(
@@ -236,22 +253,23 @@ def profile_batch_gradients(
     return loss, Gradients(which="profile", proj=dproj, emb_rows=profiles.rows, emb_grads=x @ q)
 
 
-def _step(params, rows, true_indices, target, config: TrainConfig, lr: float) -> float:
-    """One clipped SGD update from per-record token rows; returns the batch loss.
+def _step(params, rows, true_indices, target, config: TrainConfig, lr: float) -> tuple[float, float]:
+    """One clipped SGD update from per-record token rows; returns the batch loss and pre-clip norm.
 
     A profile matrix as target trains the document side; the profiles' Bags
     train the profile side.
     """
     if isinstance(target, Bags):
-        embs = Bags(rows).mean(params.embeddings) @ params.doc_proj.astype(np.float64)
+        touched, weights = _dense_bags(rows)
+        embs = weights @ params.embeddings[touched].astype(np.float64) @ params.doc_proj.astype(np.float64)
         loss, grads = profile_batch_gradients(params, embs, true_indices, target, config.label_smoothing)
     else:
         loss, grads = doc_batch_gradients(params, rows, true_indices, target, config.label_smoothing)
     if not math.isfinite(loss):
         raise FloatingPointError(f"non-finite training loss {loss}")
-    clip_gradients(grads, config.clip_norm)
+    norm = clip_gradients(grads, config.clip_norm)
     apply_gradients(params, grads, lr)
-    return loss
+    return loss, norm
 
 
 def grad_step(
@@ -278,7 +296,7 @@ def grad_step(
         if not isinstance(target, Bags):
             target = profile_bags(params.vocab, target)
     lr = config.learning_rate if lr is None else lr
-    return params, _step(params, rows, [b[2] for b in batch], target, config, lr)
+    return params, _step(params, rows, [b[2] for b in batch], target, config, lr)[0]
 
 
 def _lr_at(config: TrainConfig, epoch: int) -> float:
@@ -361,17 +379,19 @@ def train(
         lr = _lr_at(config, epoch)
         profile_phase = epoch % 2 == 1 and profile_epochs_done < config.profile_epochs
         order = train_ids[rng.permutation(len(train_ids))]
-        losses: list[float] = []
+        steps = []
         for start in range(0, len(order), config.batch_size):
             chunk = order[start : start + config.batch_size]
-            trues = true_idx[chunk]
             rows = [base_rows[i] for i in chunk]
-            if not profile_phase:
-                for j, i in enumerate(chunk):
-                    weights = idf_weights[i] if idf_weights is not None else None
-                    mask = sample_mask(rng, len(rows[j]), prior=config.mask_prior, weights=weights)
-                    rows[j] = np.where(mask == 1, vocab.mask_index, rows[j])
-            losses.append(_step(params, rows, trues, profiles if profile_phase else matrix, config, lr))
+            if not profile_phase and config.mask_prior != "off":
+                lengths = [len(r) for r in rows]
+                weights = None if idf_weights is None else np.concatenate([idf_weights[i] for i in chunk])
+                mask = draw_masks(rng, lengths, weights=weights)
+                flat = np.where(mask == 1, vocab.mask_index, np.concatenate(rows))
+                rows = np.split(flat, np.cumsum(lengths)[:-1])
+            target = profiles if profile_phase else matrix
+            steps.append(_step(params, rows, true_idx[chunk], target, config, lr))
+        losses, norms = np.array(steps).T
 
         eval_matrix = profile_matrix()
         if profile_phase:
@@ -380,7 +400,10 @@ def train(
         acc0 = _accuracy(params, eval_matrix, held_docs, true_idx[held])
         acc30 = _accuracy(params, eval_matrix, held_masked, true_idx[held])
         phase = "profile" if profile_phase else "doc"
-        log_rows.append([epoch + 1, phase, np.mean(losses) if losses else math.nan, acc0, acc30, lr])
+        ordered = np.sort(norms)  # np.median would import numpy.ma, about 1 MB of memory
+        p50 = (ordered[(len(ordered) - 1) // 2] + ordered[len(ordered) // 2]) / 2
+        grad_stats = [p50, ordered[-1], np.mean(norms > config.clip_norm)]
+        log_rows.append([epoch + 1, phase, np.mean(losses), acc0, acc30, lr, *grad_stats])
         if n_held and not math.isnan(acc30) and acc30 > best_acc:
             best_acc = acc30
             best_params = params.copy()
@@ -397,6 +420,7 @@ def write_training_log(rows: Sequence[Sequence], path: str | Path) -> None:
     """CSV with one row per epoch: epoch, phase, then the numeric columns as float reprs."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "phase", "mean_loss", "heldout_acc_0", "heldout_acc_30", "lr"])
+        writer.writerow(["epoch", "phase", "mean_loss", "heldout_acc_0", "heldout_acc_30", "lr",
+                         "grad_norm_p50", "grad_norm_max", "clip_fraction"])
         for epoch, phase, *values in rows:
             writer.writerow([epoch, phase, *(repr(float(v)) for v in values)])

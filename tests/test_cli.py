@@ -54,7 +54,9 @@ def test_train_writes_artifacts(cli_corpus, cli_checkpoint):
     log = cli_checkpoint.with_name(cli_checkpoint.name + ".log.csv")
     assert log.exists()
     header = log.read_text().splitlines()[0]
-    assert header == "epoch,phase,mean_loss,heldout_acc_0,heldout_acc_30,lr"
+    assert header == (
+        "epoch,phase,mean_loss,heldout_acc_0,heldout_acc_30,lr,grad_norm_p50,grad_norm_max,clip_fraction"
+    )
 
 
 def test_deidentify_and_evaluate_guide_only(tmp_path, cli_corpus, cli_checkpoint, capsys):
@@ -453,6 +455,20 @@ def _one_error_line(capsys) -> dict:
     err_lines = capsys.readouterr().err.strip().splitlines()
     assert len(err_lines) == 1
     return json.loads(err_lines[0])
+
+
+@pytest.mark.parametrize("width", ["0", "-3"])
+def test_deidentify_rejects_a_beam_width_below_one(tmp_path, cli_corpus, cli_checkpoint, capsys, width):
+    out = tmp_path / "out.jsonl"
+    code = main([
+        "deidentify", "--corpus", str(cli_corpus), "--model", str(cli_checkpoint),
+        "--k", "1", "--beam-width", width, "--out", str(out),
+    ])
+    assert code == 1
+    err = _one_error_line(capsys)
+    assert err["error"] == "error"
+    assert "beam_width" in err["message"]
+    assert not out.exists()
 
 
 def _unmasked_redaction(root, corpus_path):

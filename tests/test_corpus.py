@@ -286,6 +286,7 @@ def test_vocabulary_layout_and_unseen_terms():
     # a term outside the vocabulary reads as the mask row
     assert vocab.index_of("gamma") == vocab.mask_index
     assert vocab.indices(["beta", "gamma", "alpha", "delta"]).tolist() == [1, 2, 0, 2]
+    assert vocab.indices(["beta", "gamma"]).dtype == vocab.indices([]).dtype == np.int64
 
 
 def test_vocabulary_from_corpus_is_sorted(tmp_path):

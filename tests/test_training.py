@@ -1,4 +1,6 @@
+import collections
 import csv
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from deident import training
 from deident.corpus import Profile, ProfileStore, Vocabulary, load_corpus, tokenize
 from deident.encoder import (
     Bags,
@@ -21,6 +24,7 @@ from deident.training import (
     clip_gradients,
     cross_entropy,
     doc_batch_gradients,
+    draw_masks,
     grad_step,
     profile_batch_gradients,
     random_mask,
@@ -80,6 +84,68 @@ def test_idf_weighted_mask_fills_from_zero_weights(rng):
     weights = np.array([0.0, 5.0, 0.0])
     full = random_mask(rng, 3, 3, weights=weights)
     assert full.sum() == 3
+
+
+def sequential_subset_probs(weights, count):
+    """Exact P(mask = S) for `count` sequential draws without replacement.
+
+    Each draw takes position i with probability w_i / (weight left), summed
+    over the orderings of S; once no positive weight is left, the draw is
+    uniform over the positions left.
+    """
+    probs = {}
+    for ordering in itertools.permutations(range(len(weights)), count):
+        p, left = 1.0, set(range(len(weights)))
+        for i in ordering:
+            total = sum(weights[j] for j in left)
+            p *= weights[i] / total if total > 0 else 1.0 / len(left)
+            left.remove(i)
+        key = sum(1 << i for i in ordering)
+        probs[key] = probs.get(key, 0.0) + p
+    return probs
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        [1.0, 1.0, 1.0, 1.0, 1.0],
+        [0.3, 1.2, 2.5, 0.7, 4.0],
+        [0.0, 2.0, 0.0, 0.5, 1.0],
+        [0.0, 0.0, 0.0, 0.0],
+    ],
+    ids=["uniform", "idf", "some-zero", "all-zero"],
+)
+def test_draw_masks_matches_sequential_subset_law(weights):
+    from scipy import stats
+
+    n, draws = len(weights), 20_000
+    rng = np.random.default_rng(7)
+    for count in range(n + 1):
+        exact = sequential_subset_probs(weights, count)
+        # the uniform case runs without weights, as the uniform prior does
+        w = None if weights[0] == 1.0 else np.tile(weights, draws)
+        masks = draw_masks(rng, [n] * draws, [count] * draws, w).reshape(draws, n)
+        observed = collections.Counter((masks.astype(np.int64) << np.arange(n)).sum(axis=1).tolist())
+        support = [key for key, p in exact.items() if p > 0]
+        assert set(observed) <= set(support)
+        if len(support) > 1:
+            expected = [draws * exact[key] for key in support]
+            result = stats.chisquare([observed[key] for key in support], expected)
+            assert result.pvalue > 1e-3, (count, result)
+
+
+def test_draw_masks_counts_per_document(rng):
+    lengths = [1, 4, 2, 7, 3]
+    counts = [1, 0, 2, 5, 3]
+    mask = draw_masks(rng, lengths, counts, weights=rng.uniform(0, 2, sum(lengths)))
+    assert [int(m.sum()) for m in np.split(mask, np.cumsum(lengths)[:-1])] == counts
+    drawn = draw_masks(rng, lengths)
+    sums = [int(m.sum()) for m in np.split(drawn, np.cumsum(lengths)[:-1])]
+    assert all(0 <= s <= n for s, n in zip(sums, lengths))
+    with pytest.raises(ValueError):
+        draw_masks(rng, [3], [4])
+    with pytest.raises(ValueError):
+        draw_masks(rng, [3], [1], weights=[1.0, -1.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +483,35 @@ def test_training_log_schema(tmp_path, toy_corpus):
     train(toy_corpus, config, log_path=log_path)
     rows = list(csv.DictReader(open(log_path)))
     assert len(rows) == 4
-    assert list(rows[0]) == ["epoch", "phase", "mean_loss", "heldout_acc_0", "heldout_acc_30", "lr"]
+    assert list(rows[0]) == [
+        "epoch", "phase", "mean_loss", "heldout_acc_0", "heldout_acc_30", "lr",
+        "grad_norm_p50", "grad_norm_max", "clip_fraction",
+    ]
     assert [r["phase"] for r in rows] == ["doc", "profile", "doc", "profile"]
     assert all(float(r["mean_loss"]) > 0 for r in rows)
+
+
+def test_training_log_gradient_columns(tmp_path, toy_corpus, monkeypatch):
+    norms = []
+
+    def recording_clip(grads, max_norm):
+        norms.append(clip_gradients(grads, max_norm))
+        return norms[-1]
+
+    monkeypatch.setattr(training, "clip_gradients", recording_clip)
+    log_path = tmp_path / "log.csv"
+    # an even number of batches per epoch, and a clip bound some of them exceed
+    config = TrainConfig(epochs=4, embed_dim=16, seed=0, batch_size=5, clip_norm=0.5)
+    train(toy_corpus, config, log_path=log_path)
+    rows = list(csv.DictReader(open(log_path)))
+    per_epoch = np.array(norms).reshape(len(rows), -1)
+    assert per_epoch.shape[1] % 2 == 0
+    fractions = [float(row["clip_fraction"]) for row in rows]
+    assert all(0.0 <= f <= 1.0 for f in fractions) and any(0.0 < f < 1.0 for f in fractions)
+    for row, epoch_norms in zip(rows, per_epoch):
+        assert float(row["grad_norm_p50"]) == np.median(epoch_norms)
+        assert float(row["grad_norm_max"]) == epoch_norms.max()
+        assert float(row["clip_fraction"]) == np.mean(epoch_norms > config.clip_norm)
 
 
 def test_profile_epoch_budget_respected(tmp_path, toy_corpus):
