@@ -42,12 +42,10 @@ from .encoder import (
     ModelParams,
     build_profile_matrix,
     encode_document,
-    encode_profile,
     init_params,
     load_checkpoint,
     rank_of,
     save_checkpoint,
-    score_and_normalize,
 )
 from .metrics import (
     ParetoPoint,
@@ -62,21 +60,15 @@ from .reid import (
     Bm25Reidentifier,
     EnsembleReport,
     NeuralReidentifier,
-    Ranking,
-    bm25_scores,
     ensemble_evaluate,
-    reidentify,
 )
 from .stopwords import DEFAULT_STOPWORDS, load_stopwords
 from .training import (
     Gradients,
     TrainConfig,
     clip_gradients,
-    cross_entropy,
-    grad_step,
     random_mask,
     sample_mask,
-    smoothed_targets,
     train,
 )
 

@@ -303,6 +303,9 @@ def cmd_sweep(args) -> int:
     if args.method in ("greedy", "beam"):
         if not args.model:
             raise ValueError(f"--model is required for method {args.method!r}")
+        bad = [c for c in map(float, args.controls) if not (c.is_integer() and c >= 1)]
+        if bad:
+            raise ValueError(f"--controls for method {args.method!r} must be integers K >= 1, got {bad}")
         guide = NeuralReidentifier.from_checkpoint(args.model, corpus.store)
 
     records = [

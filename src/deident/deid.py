@@ -69,10 +69,6 @@ class RedactionResult:
     success: bool
     order: list[int] = field(default_factory=list)
 
-    @property
-    def n_masked(self) -> int:
-        return int(self.mask.sum())
-
     def to_json(self, doc_id: str | None = None) -> dict:
         obj = {
             "method": self.method,

@@ -8,8 +8,12 @@ of content; a word outside the vocabulary reads as that row too. Match
 scores are plain dot products, normalized with a numerically stable
 softmax.
 
-Training encodes many documents or profiles at once through `Bags`, a sparse
-bags-of-rows matrix whose adjoint maps mean gradients back onto embedding rows.
+Each token mean has one product. Documents go through `DenseBags`, a dense
+(bag x touched rows) weight matrix: a training batch is one GEMM, and
+`encode_document` is the same product over one bag. Profile stores, and
+other sets encoded whole, go through `Bags`, a sparse bags-of-rows matrix
+whose rows do not depend on each other; `profile_matrix` projects its
+means. Each operator's adjoint maps mean gradients back onto embedding rows.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Document, Profile, ProfileStore, Vocabulary, check_mask, linearize_profile, linearize_profiles
+from .corpus import Document, Profile, ProfileStore, Vocabulary, check_mask, linearize_profiles
 
 CHECKPOINT_VERSION = 2
 CHECKPOINT_ARRAYS = ("embeddings", "doc_proj", "profile_proj")
@@ -106,17 +110,6 @@ def document_row_indices(vocab: Vocabulary, document: Document, mask=None) -> np
     return rows
 
 
-def mean_rows(embeddings: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Mean of the selected embedding rows, order-insensitive in float.
-
-    Rows are aggregated per unique index so that permuting positions with
-    identical content cannot change the result through summation order.
-    """
-    unique, counts = np.unique(rows, return_counts=True)
-    weights = counts.astype(np.float64) / len(rows)
-    return weights @ embeddings[unique].astype(np.float64)
-
-
 class _SegmentSum:
     """out[s] = sum of weight[e] * x[src[e]] over the entries e of segment s, in entry order.
 
@@ -156,8 +149,8 @@ class Bags:
     Row b of W @ E is the token mean of bag b. `rows` lists the touched
     embedding rows in ascending order; `forward(x)` is W @ x for x with one
     row per entry of `rows`, and `adjoint(y)` is W.T @ y, one row per entry
-    of `rows`. Only the unique (bag, row, weight) triples are stored, so,
-    as in `mean_rows`, permuting a bag's positions cannot change a result.
+    of `rows`. Only the unique (bag, row, weight) triples are stored, so
+    permuting a bag's positions cannot change a result.
     They are sorted once by bag and once by row; both products add each
     bag's (or row's) terms in that order, and no dense matrix is built.
     """
@@ -185,35 +178,49 @@ class Bags:
         return self.forward(embeddings[self.rows].astype(np.float64))
 
 
+class DenseBags:
+    """The weights of `Bags` as a dense matrix over the touched rows, for document batches.
+
+    `flat` holds the bags' embedding rows back to back, lengths[b] of them
+    for bag b. `rows` lists the touched rows in ascending order and
+    `weights[b, j]` is (count of rows[j] in bag b) / lengths[b], so a
+    batch's token means are one GEMM and their adjoint `weights.T @ y` one
+    more. A document batch touches few rows; a profile store needs `Bags`.
+    """
+
+    def __init__(self, flat: np.ndarray, lengths):
+        lengths = np.asarray(lengths, dtype=np.int64)
+        self.rows, col = np.unique(flat, return_inverse=True)
+        bag = np.repeat(np.arange(len(lengths)), lengths)
+        counts = np.bincount(bag * len(self.rows) + col, minlength=len(lengths) * len(self.rows))
+        self.weights = counts.reshape(len(lengths), len(self.rows)) / lengths[:, None]
+
+    def mean(self, embeddings: np.ndarray) -> np.ndarray:
+        """Token-mean embedding of every bag, in float64."""
+        return self.weights @ embeddings[self.rows].astype(np.float64)
+
+
 def profile_bags(vocab: Vocabulary, store: ProfileStore | Sequence[Profile]) -> Bags:
     """Bags of the linearized profiles, one per profile in store order."""
     return Bags([vocab.indices(d.normalized()) for d in linearize_profiles(store)])
 
 
 def encode_document(params: ModelParams, document: Document, mask=None) -> np.ndarray:
-    """Embed a (possibly masked) document."""
+    """Embed a (possibly masked) document: its `DenseBags` mean times the document projection."""
     rows = document_row_indices(params.vocab, document, mask)
-    mean = mean_rows(params.embeddings, rows)
-    return mean @ params.doc_proj.astype(np.float64)
+    return DenseBags(rows, [len(rows)]).mean(params.embeddings)[0] @ params.doc_proj.astype(np.float64)
 
 
-def encode_profile(params: ModelParams, profile: Profile) -> np.ndarray:
-    """Embed a profile through its linearization; profiles are never masked."""
-    return _encode_linearized(params, linearize_profile(profile), params.profile_proj.astype(np.float64))
-
-
-def _encode_linearized(params: ModelParams, linearized: Document, proj: np.ndarray) -> np.ndarray:
-    rows = params.vocab.indices(linearized.normalized())
-    return mean_rows(params.embeddings, rows) @ proj
+def profile_matrix(params: ModelParams, profiles: Bags) -> np.ndarray:
+    """Profile embeddings from the profiles' bags: their means times the profile projection."""
+    return profiles.mean(params.embeddings) @ params.profile_proj.astype(np.float64)
 
 
 def build_profile_matrix(params: ModelParams, store: ProfileStore | Sequence[Profile]) -> np.ndarray:
     """Stack profile embeddings, one row per profile in store order."""
-    linearized = linearize_profiles(store)
-    if not linearized:
+    if not len(store):
         raise ValueError("profile store is empty")
-    proj = params.profile_proj.astype(np.float64)
-    return np.stack([_encode_linearized(params, d, proj) for d in linearized])
+    return profile_matrix(params, profile_bags(params.vocab, store))
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -221,11 +228,6 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     shifted = scores - scores.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=-1, keepdims=True)
-
-
-def score_and_normalize(doc_emb: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Softmax over dot-product scores."""
-    return softmax(np.asarray(matrix, dtype=np.float64) @ np.asarray(doc_emb, dtype=np.float64))
 
 
 def rank_of(values: np.ndarray, index: int) -> int:

@@ -18,12 +18,11 @@ import numpy as np
 from .corpus import Document, IdfTable, ProfileStore, check_mask, linearize_profiles
 from .encoder import (
     ModelParams,
+    build_profile_matrix,
     document_row_indices,
     encode_document,
-    build_profile_matrix,
     load_checkpoint,
     rank_of,
-    score_and_normalize,
     softmax,
 )
 
@@ -48,7 +47,7 @@ class NeuralReidentifier:
         return self.matrix @ encode_document(self.params, document, mask)
 
     def distribution(self, document: Document, mask=None) -> np.ndarray:
-        return score_and_normalize(encode_document(self.params, document, mask), self.matrix)
+        return softmax(self.scores(document, mask))
 
     def candidate_true_probs(
         self, document: Document, mask, candidates: Sequence[int], true_index: int
@@ -122,29 +121,6 @@ class Bm25Reidentifier:
 
     def distribution(self, document: Document, mask=None) -> np.ndarray:
         return softmax(self.scores(document, mask))
-
-
-def bm25_scores(document: Document, store: ProfileStore, k1: float = 1.5, b: float = 0.75, mask=None) -> np.ndarray:
-    """One-shot BM25 scoring; builds statistics over the store on each call."""
-    return Bm25Reidentifier(store, k1=k1, b=b).scores(document, mask)
-
-
-@dataclass
-class Ranking:
-    """Profiles ordered by descending score with index tie-break."""
-
-    order: np.ndarray
-    scores: np.ndarray
-
-    def rank_of_index(self, index: int) -> int:
-        return rank_of(self.scores, index)
-
-
-def reidentify(reidentifier, document: Document, mask=None) -> Ranking:
-    """Rank every profile in the store for one document."""
-    scores = reidentifier.scores(document, mask)
-    order = np.lexsort((np.arange(len(scores)), -scores))
-    return Ranking(order=order, scores=scores)
 
 
 @dataclass

@@ -12,15 +12,16 @@ budget of profile epochs, only the document side trains.
 Targets are label-smoothed one-hot distributions over the full profile
 store (no negative sampling). Gradients are computed analytically and
 clipped by global norm; updates are plain SGD with linear warmup and decay.
-A document batch is encoded through a dense (batch x touched rows) weight
-matrix, so its forward pass and adjoint are two small GEMMs. The profile
-store and the held-out sets are encoded through sparse `Bags` operators.
+Documents are encoded through `encoder.DenseBags`, a dense (batch x touched
+rows) weight matrix built from the batch's concatenated rows, so a doc
+batch's forward pass and adjoint are two small GEMMs. The profile store and
+the held-out sets are encoded through sparse `Bags` operators, and the
+per-epoch profile matrix is `encoder.profile_matrix` of the store's `Bags`.
 """
 
 from __future__ import annotations
 
 import csv
-import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,18 +29,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Document, Vocabulary, compute_idf
+from .corpus import Corpus, Vocabulary, compute_idf
 from .encoder import (
     Bags,
+    DenseBags,
     ModelParams,
     document_row_indices,
     init_params,
     profile_bags,
+    profile_matrix,
     rank_of,
     save_checkpoint,
 )
-
-logger = logging.getLogger(__name__)
 
 MASK_PRIORS = ("uniform", "idf", "off")
 
@@ -62,8 +63,12 @@ class TrainConfig:
     def validate(self) -> None:
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.clip_norm <= 0:
-            raise ValueError("clip_norm must be > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and > 0")
+        if not (math.isfinite(self.clip_norm) and self.clip_norm > 0):
+            raise ValueError("clip_norm must be finite and > 0")
+        if self.warmup_epochs < 0 or self.profile_epochs < 0:
+            raise ValueError("warmup_epochs and profile_epochs must be >= 0")
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ValueError("label_smoothing must be in [0, 1)")
         if self.mask_prior not in MASK_PRIORS:
@@ -118,31 +123,6 @@ def sample_mask(rng: np.random.Generator, n: int, prior: str = "uniform", weight
     return draw_masks(rng, [n], weights=weights if prior == "idf" else None)
 
 
-def smoothed_targets(true_index: int, n_classes: int, alpha: float) -> np.ndarray:
-    """(1 - alpha) * one-hot + alpha * uniform."""
-    if n_classes < 2:
-        raise ValueError("n_classes must be >= 2")
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError("alpha must be in [0, 1)")
-    if not 0 <= true_index < n_classes:
-        raise IndexError("true_index out of range")
-    target = np.full(n_classes, alpha / n_classes, dtype=np.float64)
-    target[true_index] += 1.0 - alpha
-    return target
-
-
-def cross_entropy(distribution: np.ndarray, target: np.ndarray) -> float:
-    """H(target, distribution) = -sum target_i * ln p_i, clamping p at 1e-12."""
-    p = np.asarray(distribution, dtype=np.float64)
-    t = np.asarray(target, dtype=np.float64)
-    if p.shape != t.shape:
-        raise ValueError("distribution and target lengths differ")
-    clamped = (t > 0) & (p < 1e-12)
-    if np.any(clamped):
-        logger.warning("clamped %d near-zero probabilities in cross_entropy", int(clamped.sum()))
-    return float(-(t @ np.log(np.maximum(p, 1e-12))))
-
-
 @dataclass
 class Gradients:
     """Sparse gradient of one phase: a projection block plus touched embedding rows."""
@@ -154,11 +134,6 @@ class Gradients:
 
     def global_norm(self) -> float:
         return float(np.sqrt(np.sum(self.proj**2) + np.sum(self.emb_grads**2)))
-
-    def dense_embeddings(self, n_rows: int) -> np.ndarray:
-        dense = np.zeros((n_rows, self.emb_grads.shape[1]), dtype=np.float64)
-        dense[self.emb_rows] = self.emb_grads
-        return dense
 
 
 def clip_gradients(grads: Gradients, max_norm: float) -> float:
@@ -201,33 +176,23 @@ def _softmax_loss_rows(scores: np.ndarray, true_indices, alpha: float) -> tuple[
     return loss, probs
 
 
-def _dense_bags(row_arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Touched rows and the dense (bag x row) matrix W[b, r] = count / len, the weights of `Bags`."""
-    lengths = np.array([len(r) for r in row_arrays], dtype=np.int64)
-    rows, col = np.unique(np.concatenate(row_arrays), return_inverse=True)
-    bag = np.repeat(np.arange(len(lengths)), lengths)
-    counts = np.bincount(bag * len(rows) + col, minlength=len(lengths) * len(rows))
-    return rows, counts.reshape(len(lengths), len(rows)) / lengths[:, None]
-
-
 def doc_batch_gradients(
     params: ModelParams,
-    row_arrays: Sequence[np.ndarray],
+    docs: DenseBags,
     true_indices: Sequence[int],
     matrix: np.ndarray,
     alpha: float,
 ) -> tuple[float, Gradients]:
     """Loss and document-side gradients against a fixed profile matrix."""
-    rows, weights = _dense_bags(row_arrays)
-    ebar = weights @ params.embeddings[rows].astype(np.float64)
+    ebar = docs.mean(params.embeddings)
     doc_proj = params.doc_proj.astype(np.float64)
     feats = ebar @ doc_proj
     scores = feats @ matrix.T
     loss, dscores = _softmax_loss_rows(scores, true_indices, alpha)
     dfeats = dscores @ matrix
     dproj = ebar.T @ dfeats
-    emb_grads = weights.T @ (dfeats @ doc_proj.T)
-    return loss, Gradients(which="doc", proj=dproj, emb_rows=rows, emb_grads=emb_grads)
+    emb_grads = docs.weights.T @ (dfeats @ doc_proj.T)
+    return loss, Gradients(which="doc", proj=dproj, emb_rows=docs.rows, emb_grads=emb_grads)
 
 
 def profile_batch_gradients(
@@ -253,18 +218,17 @@ def profile_batch_gradients(
     return loss, Gradients(which="profile", proj=dproj, emb_rows=profiles.rows, emb_grads=x @ q)
 
 
-def _step(params, rows, true_indices, target, config: TrainConfig, lr: float) -> tuple[float, float]:
-    """One clipped SGD update from per-record token rows; returns the batch loss and pre-clip norm.
+def _step(params, docs: DenseBags, true_indices, target, config: TrainConfig, lr: float) -> tuple[float, float]:
+    """One clipped SGD update on a document batch; returns the batch loss and pre-clip norm.
 
     A profile matrix as target trains the document side; the profiles' Bags
     train the profile side.
     """
     if isinstance(target, Bags):
-        touched, weights = _dense_bags(rows)
-        embs = weights @ params.embeddings[touched].astype(np.float64) @ params.doc_proj.astype(np.float64)
+        embs = docs.mean(params.embeddings) @ params.doc_proj.astype(np.float64)
         loss, grads = profile_batch_gradients(params, embs, true_indices, target, config.label_smoothing)
     else:
-        loss, grads = doc_batch_gradients(params, rows, true_indices, target, config.label_smoothing)
+        loss, grads = doc_batch_gradients(params, docs, true_indices, target, config.label_smoothing)
     if not math.isfinite(loss):
         raise FloatingPointError(f"non-finite training loss {loss}")
     norm = clip_gradients(grads, config.clip_norm)
@@ -272,36 +236,9 @@ def _step(params, rows, true_indices, target, config: TrainConfig, lr: float) ->
     return loss, norm
 
 
-def grad_step(
-    params: ModelParams,
-    batch: Sequence[tuple[Document, np.ndarray | None, int]],
-    target,
-    which: str,
-    config: TrainConfig,
-    lr: float | None = None,
-) -> tuple[ModelParams, float]:
-    """One clipped SGD update on the selected encoder.
-
-    For which="doc", target is the fixed profile matrix and batch masks are
-    honored. For which="profile", target is the profiles' `Bags` (or a
-    ProfileStore) encoded live, and documents are used unmasked.
-    """
-    if which not in ("doc", "profile"):
-        raise ValueError("which must be 'doc' or 'profile'")
-    if which == "doc":
-        rows = [document_row_indices(params.vocab, doc, mask) for doc, mask, _ in batch]
-        target = np.asarray(target)
-    else:
-        rows = [document_row_indices(params.vocab, doc) for doc, _, _ in batch]
-        if not isinstance(target, Bags):
-            target = profile_bags(params.vocab, target)
-    lr = config.learning_rate if lr is None else lr
-    return params, _step(params, rows, [b[2] for b in batch], target, config, lr)[0]
-
-
 def _lr_at(config: TrainConfig, epoch: int) -> float:
     peak = config.learning_rate
-    warmup = max(0, config.warmup_epochs)
+    warmup = config.warmup_epochs
     if epoch < warmup:
         return peak * (epoch + 1) / warmup
     span = config.epochs - 1 - warmup
@@ -341,6 +278,7 @@ def train(
     )
     n = len(corpus.records)
     base_rows = [document_row_indices(vocab, rec.document) for rec in corpus.records]
+    doc_lengths = np.array([len(r) for r in base_rows])
     true_idx = np.array([corpus.store.index_of(rec.profile_id) for rec in corpus.records])
     profiles = profile_bags(vocab, corpus.store)
 
@@ -366,10 +304,7 @@ def train(
     masked = [np.where(m == 1, vocab.mask_index, base_rows[i]) for i, m in zip(held, held_masks)]
     held_masked = Bags(masked) if n_held else None
 
-    def profile_matrix() -> np.ndarray:
-        return profiles.mean(params.embeddings) @ params.profile_proj.astype(np.float64)
-
-    matrix = profile_matrix()
+    matrix = profile_matrix(params, profiles)
     profile_epochs_done = 0
     best_acc = -1.0
     best_params: ModelParams | None = None
@@ -382,18 +317,17 @@ def train(
         steps = []
         for start in range(0, len(order), config.batch_size):
             chunk = order[start : start + config.batch_size]
-            rows = [base_rows[i] for i in chunk]
+            lengths = doc_lengths[chunk]
+            flat = np.concatenate([base_rows[i] for i in chunk])
             if not profile_phase and config.mask_prior != "off":
-                lengths = [len(r) for r in rows]
                 weights = None if idf_weights is None else np.concatenate([idf_weights[i] for i in chunk])
                 mask = draw_masks(rng, lengths, weights=weights)
-                flat = np.where(mask == 1, vocab.mask_index, np.concatenate(rows))
-                rows = np.split(flat, np.cumsum(lengths)[:-1])
+                flat = np.where(mask == 1, vocab.mask_index, flat)
             target = profiles if profile_phase else matrix
-            steps.append(_step(params, rows, true_idx[chunk], target, config, lr))
+            steps.append(_step(params, DenseBags(flat, lengths), true_idx[chunk], target, config, lr))
         losses, norms = np.array(steps).T
 
-        eval_matrix = profile_matrix()
+        eval_matrix = profile_matrix(params, profiles)
         if profile_phase:
             profile_epochs_done += 1
             matrix = eval_matrix

@@ -1,0 +1,102 @@
+"""Reference implementations the tests check the library against.
+
+Each is a plain, per-item composition of what the library computes in
+batched or fused form: one document's softmax over profile scores, a
+smoothed target vector and its cross entropy, a dense embedding gradient,
+a one-batch SGD driver over per-document row arrays and a per-document
+token mean. They live here, apart from the code under test, so that a
+change to the library cannot change its oracle with it.
+"""
+
+from __future__ import annotations
+
+import logging
+from typing import Sequence
+
+import numpy as np
+
+from deident.corpus import Document
+from deident.encoder import Bags, DenseBags, ModelParams, document_row_indices, profile_bags, softmax
+from deident.training import Gradients, TrainConfig, _step
+
+logger = logging.getLogger(__name__)
+
+
+def score_and_normalize(doc_emb: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Softmax over dot-product scores."""
+    return softmax(np.asarray(matrix, dtype=np.float64) @ np.asarray(doc_emb, dtype=np.float64))
+
+
+def smoothed_targets(true_index: int, n_classes: int, alpha: float) -> np.ndarray:
+    """(1 - alpha) * one-hot + alpha * uniform."""
+    if n_classes < 2:
+        raise ValueError("n_classes must be >= 2")
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError("alpha must be in [0, 1)")
+    if not 0 <= true_index < n_classes:
+        raise IndexError("true_index out of range")
+    target = np.full(n_classes, alpha / n_classes, dtype=np.float64)
+    target[true_index] += 1.0 - alpha
+    return target
+
+
+def cross_entropy(distribution: np.ndarray, target: np.ndarray) -> float:
+    """H(target, distribution) = -sum target_i * ln p_i, clamping p at 1e-12."""
+    p = np.asarray(distribution, dtype=np.float64)
+    t = np.asarray(target, dtype=np.float64)
+    if p.shape != t.shape:
+        raise ValueError("distribution and target lengths differ")
+    clamped = (t > 0) & (p < 1e-12)
+    if np.any(clamped):
+        logger.warning("clamped %d near-zero probabilities in cross_entropy", int(clamped.sum()))
+    return float(-(t @ np.log(np.maximum(p, 1e-12))))
+
+
+def dense_embeddings(grads: Gradients, n_rows: int) -> np.ndarray:
+    """The sparse embedding gradient as a dense (n_rows x dim) table."""
+    dense = np.zeros((n_rows, grads.emb_grads.shape[1]), dtype=np.float64)
+    dense[grads.emb_rows] = grads.emb_grads
+    return dense
+
+
+def dense_bags(row_arrays: Sequence[np.ndarray]) -> DenseBags:
+    """`DenseBags` of a batch given as one row array per document."""
+    return DenseBags(np.concatenate(row_arrays), [len(r) for r in row_arrays])
+
+
+def grad_step(
+    params: ModelParams,
+    batch: Sequence[tuple[Document, np.ndarray | None, int]],
+    target,
+    which: str,
+    config: TrainConfig,
+    lr: float | None = None,
+) -> tuple[ModelParams, float]:
+    """One clipped SGD update on the selected encoder.
+
+    For which="doc", target is the fixed profile matrix and batch masks are
+    honored. For which="profile", target is the profiles' `Bags` (or a
+    ProfileStore) encoded live, and documents are used unmasked.
+    """
+    if which not in ("doc", "profile"):
+        raise ValueError("which must be 'doc' or 'profile'")
+    if which == "doc":
+        rows = [document_row_indices(params.vocab, doc, mask) for doc, mask, _ in batch]
+        target = np.asarray(target)
+    else:
+        rows = [document_row_indices(params.vocab, doc) for doc, _, _ in batch]
+        if not isinstance(target, Bags):
+            target = profile_bags(params.vocab, target)
+    lr = config.learning_rate if lr is None else lr
+    return params, _step(params, dense_bags(rows), [b[2] for b in batch], target, config, lr)[0]
+
+
+def mean_rows(embeddings: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Mean of the selected embedding rows, order-insensitive in float.
+
+    Rows are aggregated per unique index so that permuting positions with
+    identical content cannot change the result through summation order.
+    """
+    unique, counts = np.unique(rows, return_counts=True)
+    weights = counts.astype(np.float64) / len(rows)
+    return weights @ embeddings[unique].astype(np.float64)

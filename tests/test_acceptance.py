@@ -30,20 +30,14 @@ from deident.encoder import (
     init_params,
     profile_bags,
     rank_of,
-    score_and_normalize,
 )
 from deident.metrics import information_loss, percent_masked
-from deident.reid import NeuralReidentifier, bm25_scores, ensemble_evaluate
+from deident.reid import Bm25Reidentifier, NeuralReidentifier, ensemble_evaluate
 from deident.stopwords import DEFAULT_STOPWORDS
-from deident.training import (
-    doc_batch_gradients,
-    profile_batch_gradients,
-    cross_entropy,
-    sample_mask,
-    smoothed_targets,
-)
+from deident.training import doc_batch_gradients, profile_batch_gradients, sample_mask
 
 from conftest import DESK_TIMINGS, write_jsonl
+from oracles import cross_entropy, dense_bags, dense_embeddings, score_and_normalize, smoothed_targets
 from synthdata import make_corpus_rows
 
 
@@ -105,7 +99,7 @@ def test_criterion_01_gradient_oracle():
         for doc, mask, _ in batch
     ]
     trues = [b[2] for b in batch]
-    _, doc_grads = doc_batch_gradients(params, rows, trues, matrix, alpha)
+    _, doc_grads = doc_batch_gradients(params, dense_bags(rows), trues, matrix, alpha)
 
     def doc_forward():
         losses = [
@@ -118,7 +112,7 @@ def test_criterion_01_gradient_oracle():
         return float(np.mean(losses))
 
     errs = {
-        "doc/embeddings": rel_err(doc_grads.dense_embeddings(vocab.n_rows), fd(doc_forward, params.embeddings)),
+        "doc/embeddings": rel_err(dense_embeddings(doc_grads, vocab.n_rows), fd(doc_forward, params.embeddings)),
         "doc/doc_proj": rel_err(doc_grads.proj, fd(doc_forward, params.doc_proj)),
     }
 
@@ -136,7 +130,7 @@ def test_criterion_01_gradient_oracle():
         return float(np.mean(losses))
 
     errs["profile/embeddings"] = rel_err(
-        prof_grads.dense_embeddings(vocab.n_rows), fd(prof_forward, params.embeddings)
+        dense_embeddings(prof_grads, vocab.n_rows), fd(prof_forward, params.embeddings)
     )
     errs["profile/profile_proj"] = rel_err(prof_grads.proj, fd(prof_forward, params.profile_proj))
 
@@ -376,7 +370,7 @@ def test_criterion_07_bm25_exactness():
         ]
     )
     doc = tokenize("Fenwick the farmer of Dover")
-    scores = bm25_scores(doc, store, k1=1.5, b=0.75)
+    scores = Bm25Reidentifier(store, k1=1.5, b=0.75).scores(doc)
     expected = np.array([0.30744648964312454, 0.6148929792862491, 0.8690892115293777])
     worst = float(np.max(np.abs(scores - expected)))
     report(7, "BM25 matches the hand-evaluated formula", worst < 1e-9, f"max abs err {worst:.2e}")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deident import cli
 from deident.cli import main
 from deident.corpus import Vocabulary, load_corpus, load_redacted
 from deident.encoder import init_params, save_checkpoint
@@ -468,6 +469,45 @@ def test_deidentify_rejects_a_beam_width_below_one(tmp_path, cli_corpus, cli_che
     err = _one_error_line(capsys)
     assert err["error"] == "error"
     assert "beam_width" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--lr", "nan"], ["--lr", "-5"], ["--lr", "0"], ["--lr", "inf"],
+        ["--clip", "nan"], ["--clip", "inf"], ["--warmup-epochs", "-1"], ["--profile-epochs", "-2"],
+    ],
+    ids=["lr-nan", "lr-negative", "lr-zero", "lr-inf", "clip-nan", "clip-inf", "warmup-negative",
+         "profile-epochs-negative"],
+)
+def test_train_rejects_a_bad_step_setting(tmp_path, cli_corpus, capsys, flags):
+    out = tmp_path / "model.ckpt"
+    code = main(["train", "--corpus", str(cli_corpus), "--out", str(out), "--epochs", "3", "--embed-dim", "8", *flags])
+    assert code == 1
+    assert _one_error_line(capsys)["error"] == "error"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("control", ["2.7", "0", "nan", "inf"])
+@pytest.mark.parametrize("method", ["greedy", "beam"])
+def test_sweep_rejects_a_control_that_is_not_a_k(
+    tmp_path, cli_corpus, cli_checkpoint, capsys, monkeypatch, method, control
+):
+    def no_search(*args, **kwargs):
+        raise AssertionError("a search ran")
+
+    monkeypatch.setattr(cli, "greedy_deidentify", no_search)
+    monkeypatch.setattr(cli, "beam_deidentify", no_search)
+    out = tmp_path / "pareto.csv"
+    code = main([
+        "sweep", "--corpus", str(cli_corpus), "--method", method, "--controls", "2", control,
+        "--model", str(cli_checkpoint), "--bm25", "--out", str(out),
+    ])
+    assert code == 1
+    err = _one_error_line(capsys)
+    assert err["error"] == "error"
+    assert "--controls" in err["message"]
     assert not out.exists()
 
 

@@ -20,10 +20,11 @@ from deident.encoder import (
     encode_document,
     init_params,
     rank_of,
-    score_and_normalize,
 )
 from deident.reid import NeuralReidentifier
 from deident.stopwords import DEFAULT_STOPWORDS
+
+from oracles import score_and_normalize
 
 
 def random_instance(seed, n_profiles=10, n_words=8):

@@ -3,19 +3,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from deident.corpus import Profile, ProfileStore, Vocabulary, tokenize
+from deident.corpus import Profile, ProfileStore, Vocabulary, linearize_profile, tokenize
 from deident.encoder import (
+    Bags,
     CheckpointError,
     build_profile_matrix,
+    document_row_indices,
     encode_document,
-    encode_profile,
     init_params,
     load_checkpoint,
+    profile_bags,
     rank_of,
     save_checkpoint,
-    score_and_normalize,
 )
+
+from oracles import mean_rows, score_and_normalize
 
 
 def small_vocab(extra=()):
@@ -58,25 +63,37 @@ def test_masked_positions_hide_content(params):
     assert np.array_equal(encode_document(params, doc_a, mask), encode_document(params, doc_b, mask))
 
 
+def one_bag_mean(params, profile):
+    """A profile's token mean computed as a store of one."""
+    return profile_bags(params.vocab, [profile]).mean(params.embeddings)[0]
+
+
+def assert_store_rows_exact(params, store):
+    """Every row of the store's means is its profile's one-bag mean, and the matrix is means @ proj."""
+    means = profile_bags(params.vocab, store).mean(params.embeddings)
+    for i, profile in enumerate(store):
+        assert np.array_equal(means[i], one_bag_mean(params, profile))
+    proj = params.profile_proj.astype(np.float64)
+    assert np.array_equal(build_profile_matrix(params, store), means @ proj)
+
+
 def test_encode_profile_identity_and_difference(params):
     one = Profile(id="a", entries=(("name", "alpha beta"),))
     same = Profile(id="b", entries=(("name", "alpha beta"),))
     other = Profile(id="c", entries=(("name", "alpha gamma"),))
-    assert np.array_equal(encode_profile(params, one), encode_profile(params, same))
-    assert not np.allclose(encode_profile(params, one), encode_profile(params, other))
+    means = profile_bags(params.vocab, [one, same, other]).mean(params.embeddings)
+    assert np.array_equal(means[0], means[1])
+    assert not np.allclose(means[0], means[2])
 
 
 def test_encode_profile_truncation_equivalence(params):
-    from deident.corpus import linearize_profile
-    from deident.encoder import mean_rows
-
     long_value = " ".join(["alpha"] * 300)
     profile = Profile(id="a", entries=(("name", long_value), ("extra", "beta")))
     truncated = linearize_profile(profile)
     assert len(truncated) <= 128
-    direct = encode_profile(params, profile)
+    direct = build_profile_matrix(params, [profile])
     rows = params.vocab.indices(truncated.normalized())
-    manual = mean_rows(params.embeddings, rows) @ params.profile_proj.astype(np.float64)
+    manual = Bags([rows]).mean(params.embeddings) @ params.profile_proj.astype(np.float64)
     assert np.array_equal(direct, manual)
 
 
@@ -90,15 +107,14 @@ def test_profile_matrix_rows_match_encode_profile(params):
     )
     matrix = build_profile_matrix(params, store)
     assert matrix.shape == (3, params.out_dim)
-    for i, profile in enumerate(store):
-        assert np.array_equal(matrix[i], encode_profile(params, profile))
+    assert_store_rows_exact(params, store)
 
 
 def test_profile_matrix_single_profile(params):
     store = ProfileStore([Profile(id="a", entries=(("name", "alpha"),))])
     matrix = build_profile_matrix(params, store)
     assert matrix.shape == (1, params.out_dim)
-    assert np.array_equal(matrix[0], encode_profile(params, store[0]))
+    assert_store_rows_exact(params, store)
 
 
 def test_profile_matrix_tracks_params_change(params):
@@ -111,10 +127,35 @@ def test_profile_matrix_tracks_params_change(params):
 
 def test_profile_matrix_spot_check_large(desk_corpus, desk_models):
     params = desk_models[0]
-    matrix = build_profile_matrix(params, desk_corpus.store)
-    picks = np.random.default_rng(4).choice(len(desk_corpus.store), size=5, replace=False)
+    store = desk_corpus.store
+    means = profile_bags(params.vocab, store).mean(params.embeddings)
+    picks = np.random.default_rng(4).choice(len(store), size=5, replace=False)
     for i in picks:
-        assert np.array_equal(matrix[i], encode_profile(params, desk_corpus.store[int(i)]))
+        assert np.array_equal(means[i], one_bag_mean(params, store[int(i)]))
+    assert np.array_equal(build_profile_matrix(params, store), means @ params.profile_proj.astype(np.float64))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    terms=st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=8, unique=True),
+    words=st.lists(st.sampled_from("abcdefghij"), min_size=1, max_size=40),
+    bags=st.lists(st.lists(st.sampled_from("abcdefghij"), min_size=1, max_size=12), min_size=1, max_size=6),
+    dim=st.integers(1, 24),
+    seed=st.integers(0, 2**16),
+)
+def test_encoder_means_match_one_bag_oracles(terms, words, bags, dim, seed):
+    # a word outside `terms` reads as the mask row, like a masked position
+    vocab = Vocabulary(sorted(terms))
+    params = init_params(vocab, dim=dim, seed=seed)
+    document = tokenize(" ".join(words))
+    mask = np.random.default_rng(seed).integers(0, 2, len(document)).astype(np.int8)
+    rows = document_row_indices(vocab, document, mask)
+    expected = mean_rows(params.embeddings, rows) @ params.doc_proj.astype(np.float64)
+    assert np.array_equal(encode_document(params, document, mask), expected)
+    row_arrays = [vocab.indices(bag) for bag in bags]
+    means = Bags(row_arrays).mean(params.embeddings)
+    for i, bag_rows in enumerate(row_arrays):
+        assert np.array_equal(means[i], Bags([bag_rows]).mean(params.embeddings)[0])
 
 
 def test_softmax_uniform_for_identical_rows():

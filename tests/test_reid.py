@@ -8,13 +8,7 @@ from hypothesis import strategies as st
 
 from deident.corpus import IdfTable, Profile, ProfileStore, Vocabulary, linearize_profile, tokenize
 from deident.encoder import init_params, rank_of
-from deident.reid import (
-    Bm25Reidentifier,
-    NeuralReidentifier,
-    bm25_scores,
-    ensemble_evaluate,
-    reidentify,
-)
+from deident.reid import Bm25Reidentifier, NeuralReidentifier, ensemble_evaluate
 
 
 @pytest.fixture()
@@ -33,7 +27,7 @@ def hand_store():
 
 def test_bm25_no_shared_terms_scores_zero(hand_store):
     doc = tokenize("zzz yyy xxx")
-    assert np.array_equal(bm25_scores(doc, hand_store), np.zeros(3))
+    assert np.array_equal(Bm25Reidentifier(hand_store).scores(doc), np.zeros(3))
 
 
 def test_bm25_hand_fixture_exact(hand_store):
@@ -41,7 +35,7 @@ def test_bm25_hand_fixture_exact(hand_store):
     # with k1=1.5, b=0.75, smoothed idf ln((1+3)/(1+df)), profile lengths
     # 8, 8, 12 (avg 28/3), query terms {fenwick, the, farmer, of, dover}.
     doc = tokenize("Fenwick the farmer of Dover")
-    scores = bm25_scores(doc, hand_store, k1=1.5, b=0.75)
+    scores = Bm25Reidentifier(hand_store, k1=1.5, b=0.75).scores(doc)
     assert scores[0] == pytest.approx(0.30744648964312454, abs=1e-9)
     assert scores[1] == pytest.approx(0.6148929792862491, abs=1e-9)
     assert scores[2] == pytest.approx(0.8690892115293777, abs=1e-9)
@@ -55,7 +49,7 @@ def test_bm25_duplicate_profiles_tie(hand_store):
         ]
     )
     doc = tokenize("Rex Mole walked home")
-    scores = bm25_scores(doc, store)
+    scores = Bm25Reidentifier(store).scores(doc)
     assert scores[0] == scores[1]
 
 
@@ -185,9 +179,9 @@ def test_bm25_parameter_validation(hand_store):
 
 def test_reidentify_returns_permutation(hand_store):
     doc = tokenize("Fenwick the farmer of Dover")
-    ranking = reidentify(Bm25Reidentifier(hand_store), doc)
-    assert sorted(ranking.order.tolist()) == [0, 1, 2]
-    assert ranking.order[0] == 2  # pc has the highest hand-computed score
+    scores = Bm25Reidentifier(hand_store).scores(doc)
+    assert sorted(rank_of(scores, i) for i in range(3)) == [1, 2, 3]
+    assert rank_of(scores, 2) == 1  # pc has the highest hand-computed score
 
 
 def test_reidentify_rank_matches_sort(rng):
@@ -196,16 +190,16 @@ def test_reidentify_rank_matches_sort(rng):
     params = init_params(vocab, dim=8, seed=1)
     model = NeuralReidentifier(params, store)
     doc = tokenize("a b a")
-    ranking = reidentify(model, doc)
-    for position, index in enumerate(ranking.order):
-        assert ranking.rank_of_index(int(index)) == position + 1
+    scores = model.scores(doc)
+    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    for position, index in enumerate(order):
+        assert rank_of(scores, index) == position + 1
 
 
 def test_neural_trained_model_ranks_own_profile_first(toy_corpus, toy_model):
     hits = 0
     for rec in toy_corpus.records:
-        ranking = reidentify(toy_model, rec.document)
-        hits += ranking.order[0] == toy_corpus.store.index_of(rec.profile_id)
+        hits += rank_of(toy_model.scores(rec.document), toy_corpus.store.index_of(rec.profile_id)) == 1
     assert hits >= 28  # at most the held-out records miss
 
 
@@ -214,9 +208,7 @@ def test_neural_full_mask_is_content_independent(toy_corpus, toy_model):
     doc_b = toy_corpus.records[1].document
     mask_a = np.ones(len(doc_a), dtype=np.int8)
     mask_b = np.ones(len(doc_b), dtype=np.int8)
-    assert np.array_equal(
-        reidentify(toy_model, doc_a, mask_a).order, reidentify(toy_model, doc_b, mask_b).order
-    )
+    assert np.array_equal(toy_model.scores(doc_a, mask_a), toy_model.scores(doc_b, mask_b))
 
 
 def test_bm25_unique_lexical_match_ranks_first():
@@ -228,9 +220,8 @@ def test_bm25_unique_lexical_match_ranks_first():
         ]
     )
     doc = tokenize("the quorax was here")
-    ranking = reidentify(Bm25Reidentifier(store), doc)
-    assert ranking.order[0] == 0
-    assert ranking.rank_of_index(0) == 1
+    scores = Bm25Reidentifier(store).scores(doc)
+    assert rank_of(scores, 0) == 1
 
 
 def make_eval_records(store, texts, masks=None):

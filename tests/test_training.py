@@ -17,23 +17,20 @@ from deident.encoder import (
     init_params,
     profile_bags,
     rank_of,
-    score_and_normalize,
 )
 from deident.training import (
     TrainConfig,
     clip_gradients,
-    cross_entropy,
     doc_batch_gradients,
     draw_masks,
-    grad_step,
     profile_batch_gradients,
     random_mask,
     sample_mask,
-    smoothed_targets,
     train,
 )
 
 from conftest import write_jsonl
+from oracles import cross_entropy, dense_bags, dense_embeddings, grad_step, score_and_normalize, smoothed_targets
 from synthdata import make_corpus_rows
 
 
@@ -267,7 +264,7 @@ def test_doc_gradients_match_finite_differences():
         for doc, mask, _ in batch
     ]
     trues = [b[2] for b in batch]
-    _, grads = doc_batch_gradients(params, rows, trues, matrix, alpha)
+    _, grads = doc_batch_gradients(params, dense_bags(rows), trues, matrix, alpha)
 
     def forward():
         # independent composition: per-record encode -> softmax -> cross entropy
@@ -280,7 +277,7 @@ def test_doc_gradients_match_finite_differences():
 
     fd_emb = fd_gradient(forward, params.embeddings)
     fd_proj = fd_gradient(forward, params.doc_proj)
-    dense = grads.dense_embeddings(params.vocab.n_rows)
+    dense = dense_embeddings(grads, params.vocab.n_rows)
     assert max_rel_error(dense, fd_emb) < 1e-3
     assert max_rel_error(grads.proj, fd_proj) < 1e-3
     # profile projection is untouched in the document phase
@@ -306,7 +303,7 @@ def test_profile_gradients_match_finite_differences():
 
     fd_emb = fd_gradient(forward, params.embeddings)
     fd_proj = fd_gradient(forward, params.profile_proj)
-    dense = grads.dense_embeddings(params.vocab.n_rows)
+    dense = dense_embeddings(grads, params.vocab.n_rows)
     assert max_rel_error(dense, fd_emb) < 1e-3
     assert max_rel_error(grads.proj, fd_proj) < 1e-3
 
@@ -319,7 +316,7 @@ def test_clipping_post_norm_bound(rng):
         np.where(mask == 1, params.vocab.mask_index, params.vocab.indices(doc.normalized()))
         for doc, mask, _ in batch
     ]
-    _, grads = doc_batch_gradients(params, rows, [b[2] for b in batch], matrix, 0.1)
+    _, grads = doc_batch_gradients(params, dense_bags(rows), [b[2] for b in batch], matrix, 0.1)
     before = grads.global_norm()
     clip_gradients(grads, 0.5)
     assert before > 0.5
@@ -437,11 +434,11 @@ def test_batch_gradients_match_scatter_oracle(docs, store, seed, alpha):
     scores = ebar @ params.doc_proj @ matrix.T
     loss, dscores = oracle_softmax_grad(scores, trues, alpha)
     dfeats = dscores @ matrix
-    got_loss, grads = doc_batch_gradients(params, doc_rows, trues, matrix, alpha)
+    got_loss, grads = doc_batch_gradients(params, dense_bags(doc_rows), trues, matrix, alpha)
     assert got_loss == pytest.approx(loss, rel=0, abs=1e-12)
     assert np.allclose(grads.proj, ebar.T @ dfeats, rtol=0, atol=1e-12)
     dense = oracle_adjoint(docs, dfeats @ params.doc_proj.T, n_rows)
-    assert np.allclose(grads.dense_embeddings(n_rows), dense, rtol=0, atol=1e-12)
+    assert np.allclose(dense_embeddings(grads, n_rows), dense, rtol=0, atol=1e-12)
 
     # profile phase with document embeddings held fixed
     doc_embs = rng.standard_normal((len(docs), 4))
@@ -454,7 +451,7 @@ def test_batch_gradients_match_scatter_oracle(docs, store, seed, alpha):
     assert got_loss == pytest.approx(loss, rel=0, abs=1e-12)
     assert np.allclose(grads.proj, pbar.T @ dmatrix, rtol=0, atol=1e-12)
     dense = oracle_adjoint(store, dmatrix @ params.profile_proj.T, n_rows)
-    assert np.allclose(grads.dense_embeddings(n_rows), dense, rtol=0, atol=1e-12)
+    assert np.allclose(dense_embeddings(grads, n_rows), dense, rtol=0, atol=1e-12)
 
 
 def test_bags_reject_empty_bags():
@@ -552,7 +549,7 @@ def test_profile_index_matrix_matches_row_encoding(toy_corpus):
     bags = profile_bags(vocab, toy_corpus.store)
     fast = bags.mean(params.embeddings) @ params.profile_proj.astype(np.float64)
     exact = build_profile_matrix(params, toy_corpus.store)
-    assert np.allclose(fast, exact, atol=1e-9)
+    assert np.array_equal(fast, exact)
 
 
 def test_train_config_validation():
