@@ -67,8 +67,6 @@ from .training import (
     Gradients,
     TrainConfig,
     clip_gradients,
-    random_mask,
-    sample_mask,
     train,
 )
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -298,8 +299,7 @@ def cmd_sweep(args) -> int:
     selected = _records_slice(corpus, args.limit)
     members = _build_members(args, corpus.store)
     stopwords = _stopword_set(args)
-    table = compute_idf(corpus) if args.method in ("idf", "idf-table") else None
-    guide = None
+    table = guide = None
     if args.method in ("greedy", "beam"):
         if not args.model:
             raise ValueError(f"--model is required for method {args.method!r}")
@@ -307,6 +307,10 @@ def cmd_sweep(args) -> int:
         if bad:
             raise ValueError(f"--controls for method {args.method!r} must be integers K >= 1, got {bad}")
         guide = NeuralReidentifier.from_checkpoint(args.model, corpus.store)
+    elif args.method in ("idf", "idf-table"):
+        if any(math.isnan(c) for c in args.controls):
+            raise ValueError(f"--controls for method {args.method!r} must not be NaN")
+        table = compute_idf(corpus)
 
     records = [
         (rec.profile_id, rec.document, corpus.store.index_of(rec.profile_id)) for rec in selected

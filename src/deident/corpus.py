@@ -21,8 +21,6 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .stopwords import DEFAULT_STOPWORDS
-
 MASK_TOKEN = "<mask>"
 
 # Maximum encoded length of a linearized profile, in tokens.
@@ -48,7 +46,6 @@ class Token:
 
     surface: str
     normalized: str
-    is_stopword: bool
     is_punctuation: bool
 
 
@@ -90,7 +87,6 @@ class AlignedRecord:
 
     document: Document
     profile_id: str
-    raw_text: str = ""
 
 
 class ProfileStore:
@@ -134,7 +130,7 @@ def linearize_profiles(profiles: ProfileStore | Iterable[Profile]) -> tuple[Docu
     """`linearize_profile` of each profile in order; a store's are computed once and kept."""
     if isinstance(profiles, ProfileStore):
         return profiles.linearized
-    table = _TokenTable(DEFAULT_STOPWORDS)
+    table = _TokenTable()
     return tuple(_linearize(p, table) for p in profiles)
 
 
@@ -150,25 +146,15 @@ class Corpus:
 
 
 class _TokenTable(dict):
-    """Interned Tokens by surface for one stopword set: each distinct surface is built once.
+    """Interned Tokens by surface: each distinct surface is built once.
 
-    A Token depends only on its surface and the stopword set, so sharing one
-    is invisible to callers. A table lives as long as one load or one
-    store's linearization, never across calls.
+    A Token depends only on its surface, so sharing one is invisible to
+    callers. A table lives as long as one load or one store's
+    linearization, never across calls.
     """
 
-    def __init__(self, stopwords: frozenset[str]):
-        super().__init__()
-        self.stopwords = stopwords
-
     def __missing__(self, surface: str) -> Token:
-        normalized = surface.casefold()
-        token = self[surface] = Token(
-            surface=surface,
-            normalized=normalized,
-            is_stopword=normalized in self.stopwords,
-            is_punctuation=_ALNUM_RE.search(surface) is None,
-        )
+        token = self[surface] = Token(surface, surface.casefold(), _ALNUM_RE.search(surface) is None)
         return token
 
 
@@ -179,14 +165,14 @@ def _tokenize(text: str, table: _TokenTable) -> Document:
     return Document(tokens=tokens)
 
 
-def tokenize(text: str, stopwords: frozenset[str] = DEFAULT_STOPWORDS) -> Document:
+def tokenize(text: str) -> Document:
     """Split raw text into a Document.
 
     Words are split on whitespace and punctuation runs become standalone
     tokens, so "John Smith, farmer." yields five tokens. Normalization is
     the casefolded surface. Raises CorpusError when no tokens result.
     """
-    return _tokenize(text, _TokenTable(stopwords))
+    return _tokenize(text, _TokenTable())
 
 
 def linearize_profile(profile: Profile, max_tokens: int = MAX_PROFILE_TOKENS) -> Document:
@@ -195,7 +181,7 @@ def linearize_profile(profile: Profile, max_tokens: int = MAX_PROFILE_TOKENS) ->
     Whole trailing entries are dropped until the sequence fits max_tokens.
     The first entry is kept even if it must be clipped hard.
     """
-    return _linearize(profile, _TokenTable(DEFAULT_STOPWORDS), max_tokens)
+    return _linearize(profile, _TokenTable(), max_tokens)
 
 
 def _linearize(profile: Profile, table: _TokenTable, max_tokens: int = MAX_PROFILE_TOKENS) -> Document:
@@ -265,8 +251,7 @@ def _parse_record(obj: dict, line: int, table: _TokenTable) -> tuple[AlignedReco
         profile = Profile(id=obj["id"], entries=tuple(pairs))
     except CorpusError as exc:
         raise CorpusError(str(exc), line) from exc
-    record = AlignedRecord(document=document, profile_id=obj["id"], raw_text=obj["document"])
-    return record, profile
+    return AlignedRecord(document=document, profile_id=obj["id"]), profile
 
 
 def load_corpus(path: str | Path) -> Corpus:
@@ -278,7 +263,7 @@ def load_corpus(path: str | Path) -> Corpus:
     records: list[AlignedRecord] = []
     profiles: list[Profile] = []
     seen: dict[str, int] = {}
-    table = _TokenTable(DEFAULT_STOPWORDS)
+    table = _TokenTable()
     for line_no, obj in _jsonl_rows(path):
         record, profile = _parse_record(obj, line_no, table)
         if profile.id in seen:
@@ -297,13 +282,18 @@ def load_corpus(path: str | Path) -> Corpus:
 def load_redacted(path: str | Path) -> list[dict]:
     """Load a redacted JSONL file, returning raw dicts with id/mask/method/k.
 
-    Each row needs a string 'id' and a list 'mask'; whether the id names a
-    profile and the mask fits its document is checked against the corpus.
+    Each row needs a string 'id', used by no earlier row, and a list 'mask';
+    whether the id names a profile and the mask fits its document is checked
+    against the corpus.
     """
     rows = []
+    seen: dict[str, int] = {}
     for line_no, obj in _jsonl_rows(path):
         if not isinstance(obj.get("id"), str) or not isinstance(obj.get("mask"), list):
             raise CorpusError("redacted rows need a string 'id' and a list 'mask'", line_no)
+        if obj["id"] in seen:
+            raise CorpusError(f"duplicate id {obj['id']!r} (first seen on line {seen[obj['id']]})", line_no)
+        seen[obj["id"]] = line_no
         rows.append(obj)
     return rows
 
@@ -398,15 +388,10 @@ def corpus_stats(corpus: Corpus) -> dict:
     """Summary counts used by the CLI stats command."""
     idf = compute_idf(corpus)
     lengths = [len(rec.document) for rec in corpus.records]
-    vocab = set()
-    for rec in corpus.records:
-        vocab.update(rec.document.normalized())
-    for linearized in corpus.store.linearized:
-        vocab.update(linearized.normalized())
     return {
         "records": len(corpus.records),
         "profiles": len(corpus.store),
-        "vocab_size": len(vocab),
+        "vocab_size": len(idf.df),
         "idf_documents": idf.doc_count,
         "mean_doc_tokens": sum(lengths) / len(lengths),
         "max_doc_tokens": max(lengths),

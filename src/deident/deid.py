@@ -16,6 +16,7 @@ rule tagger).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import count
 from pathlib import Path
@@ -223,20 +224,24 @@ def _fixed_result(method: str, document: Document, order: list[int]) -> Redactio
     )
 
 
-def _idf_descending(document: Document, table: IdfTable, skip: set[int]) -> list[tuple[float, int]]:
-    """Eligible positions sorted by (idf desc, position asc)."""
+def _idf_at_least(document: Document, table: IdfTable, threshold: float, skip=frozenset()) -> list[int]:
+    """Non-punctuation positions outside skip whose IDF reaches threshold, by (idf desc, position asc).
+
+    A NaN threshold would mask nothing without complaint, so it raises ValueError.
+    """
+    if math.isnan(threshold):
+        raise ValueError("IDF threshold must not be NaN")
     scored = [
         (table.idf(token.normalized), j)
         for j, token in enumerate(document.tokens)
         if j not in skip and not token.is_punctuation
     ]
-    return sorted(scored, key=lambda pair: (-pair[0], pair[1]))
+    return [j for idf, j in sorted(scored, key=lambda pair: (-pair[0], pair[1])) if idf >= threshold]
 
 
 def idf_baseline(document: Document, table: IdfTable, threshold: float) -> RedactionResult:
     """Mask all non-punctuation words whose IDF reaches the threshold."""
-    order = [j for idf, j in _idf_descending(document, table, set()) if idf >= threshold]
-    return _fixed_result("idf", document, order)
+    return _fixed_result("idf", document, _idf_at_least(document, table, threshold))
 
 
 def idf_table_aware_baseline(
@@ -245,8 +250,7 @@ def idf_table_aware_baseline(
     """Profile-overlap mask, then rarest-first IDF masking down to the threshold."""
     lexical = lexical_baseline(document, profile)
     order = list(lexical.order)
-    taken = set(order)
-    order.extend(j for idf, j in _idf_descending(document, table, taken) if idf >= threshold)
+    order.extend(_idf_at_least(document, table, threshold, set(order)))
     return _fixed_result("idf_table", document, order)
 
 

@@ -13,7 +13,9 @@ Each token mean has one product. Documents go through `DenseBags`, a dense
 `encode_document` is the same product over one bag. Profile stores, and
 other sets encoded whole, go through `Bags`, a sparse bags-of-rows matrix
 whose rows do not depend on each other; `profile_matrix` projects its
-means. Each operator's adjoint maps mean gradients back onto embedding rows.
+means. Each operator's adjoint maps mean gradients back onto embedding rows:
+`DenseBags`' is one more GEMM, and `Bags`' is one `np.bincount` per column
+over its (bag, row, weight) triples, which adds each row's terms in bag order.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ class ModelParams:
     doc_proj: np.ndarray
     profile_proj: np.ndarray
     label_smoothing: float = 0.0
-    version: int = CHECKPOINT_VERSION
 
     @property
     def dim(self) -> int:
@@ -69,7 +70,6 @@ class ModelParams:
             doc_proj=self.doc_proj.copy(),
             profile_proj=self.profile_proj.copy(),
             label_smoothing=self.label_smoothing,
-            version=self.version,
         )
 
 
@@ -150,9 +150,10 @@ class Bags:
     embedding rows in ascending order; `forward(x)` is W @ x for x with one
     row per entry of `rows`, and `adjoint(y)` is W.T @ y, one row per entry
     of `rows`. Only the unique (bag, row, weight) triples are stored, so
-    permuting a bag's positions cannot change a result.
-    They are sorted once by bag and once by row; both products add each
-    bag's (or row's) terms in that order, and no dense matrix is built.
+    permuting a bag's positions cannot change a result. They are kept in
+    (bag, row) order: `forward` adds each bag's terms in row order, and
+    `adjoint` is one `np.bincount` per column, which adds each row's terms
+    in bag order. No dense matrix is built.
     """
 
     def __init__(self, row_arrays: Sequence[np.ndarray]):
@@ -164,14 +165,14 @@ class Bags:
         keys = np.repeat(np.arange(len(lengths)), lengths) * width + flat
         pairs, counts = np.unique(keys, return_counts=True)
         bag, row = np.divmod(pairs, width)
-        weight = counts / lengths[bag]
-        by_row = np.argsort(row, kind="stable")
-        first = np.r_[True, row[by_row][1:] != row[by_row][:-1]]
-        self.rows = row[by_row][first]
-        col = np.empty_like(row)
-        col[by_row] = np.cumsum(first) - 1
-        self.forward = _SegmentSum(bag, col, weight)
-        self.adjoint = _SegmentSum(col[by_row], bag[by_row], weight[by_row])
+        self._bag, self._weight = bag, counts / lengths[bag]
+        self.rows, self._col = np.unique(row, return_inverse=True)
+        self.forward = _SegmentSum(bag, self._col, self._weight)
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        """W.T @ y, one row per entry of `rows`: one `np.bincount` per column of y."""
+        columns = [np.bincount(self._col, c[self._bag] * self._weight, len(self.rows)) for c in y.T]
+        return np.stack(columns, axis=1)
 
     def mean(self, embeddings: np.ndarray) -> np.ndarray:
         """Token-mean embedding of every bag, in float64."""
@@ -252,7 +253,7 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
         for name, arr, offset in zip(CHECKPOINT_ARRAYS, arrays, offsets)
     ]
     header = {
-        "version": params.version,
+        "version": CHECKPOINT_VERSION,
         "dim": params.dim,
         "out_dim": params.out_dim,
         "label_smoothing": params.label_smoothing,
@@ -314,7 +315,6 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         doc_proj=doc_proj,
         profile_proj=profile_proj,
         label_smoothing=float(label_smoothing),
-        version=version,
     )
 
 

@@ -9,6 +9,7 @@ document as reidentified when any member ranks its true profile first.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -29,8 +30,6 @@ from .encoder import (
 
 class NeuralReidentifier:
     """Ranks profiles by dot product with the encoded document."""
-
-    kind = "neural"
 
     def __init__(self, params: ModelParams, store: ProfileStore, name: str = "neural"):
         self.params = params
@@ -72,18 +71,14 @@ class Bm25Reidentifier:
     score contribution to each, so scoring touches only matching profiles.
     """
 
-    kind = "bm25"
-
     def __init__(self, store: ProfileStore, k1: float = 1.5, b: float = 0.75, name: str = "bm25"):
-        if k1 <= 0:
-            raise ValueError("k1 must be > 0")
+        if not (math.isfinite(k1) and k1 > 0):
+            raise ValueError("k1 must be finite and > 0")
         if not 0.0 <= b <= 1.0:
             raise ValueError("b must be in [0, 1]")
         if len(store) == 0:
             raise ValueError("profile store is empty")
         self.store = store
-        self.k1 = k1
-        self.b = b
         self.name = name
         docs = [d.normalized() for d in linearize_profiles(store)]
         n = len(docs)

@@ -43,6 +43,8 @@ from .encoder import (
 )
 
 MASK_PRIORS = ("uniform", "idf", "off")
+# Share of each held-out document masked for the log's heldout_acc_30 column.
+HELDOUT_MASK_RATE = 0.3
 
 
 @dataclass
@@ -58,7 +60,6 @@ class TrainConfig:
     warmup_epochs: int = 2
     batch_size: int = 32
     heldout_fraction: float = 0.05
-    heldout_mask_rate: float = 0.3
 
     def validate(self) -> None:
         if self.epochs < 1:
@@ -105,22 +106,6 @@ def draw_masks(rng: np.random.Generator, lengths, counts=None, weights=None) -> 
     mask = np.zeros(len(doc), dtype=np.int8)
     mask[order[rank < counts[doc]]] = 1
     return mask
-
-
-def random_mask(rng: np.random.Generator, n: int, count: int, weights=None) -> np.ndarray:
-    """Mask with exactly `count` ones over n positions: `draw_masks` for one document."""
-    return draw_masks(rng, [n], [count], weights)
-
-
-def sample_mask(rng: np.random.Generator, n: int, prior: str = "uniform", weights=None) -> np.ndarray:
-    """Draw a dropout mask: count uniform on {0..n}, positions per prior."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if prior not in MASK_PRIORS:
-        raise ValueError(f"unknown mask prior {prior!r}")
-    if prior == "off":
-        return np.zeros(n, dtype=np.int8)
-    return draw_masks(rng, [n], weights=weights if prior == "idf" else None)
 
 
 @dataclass
@@ -296,13 +281,12 @@ def train(
     held = np.sort(rng.choice(n, size=n_held, replace=False)) if n_held else np.array([], dtype=int)
     held_set = set(held.tolist())
     train_ids = np.array([i for i in range(n) if i not in held_set])
-    held_masks = [
-        random_mask(rng, len(base_rows[i]), int(round(config.heldout_mask_rate * len(base_rows[i]))))
-        for i in held
-    ]
-    held_docs = Bags([base_rows[i] for i in held]) if n_held else None
-    masked = [np.where(m == 1, vocab.mask_index, base_rows[i]) for i, m in zip(held, held_masks)]
-    held_masked = Bags(masked) if n_held else None
+    held_docs = held_masked = None
+    if n_held:
+        rows, lengths = [base_rows[i] for i in held], doc_lengths[held]
+        mask = draw_masks(rng, lengths, np.round(HELDOUT_MASK_RATE * lengths))
+        masked = np.where(mask == 1, vocab.mask_index, np.concatenate(rows))
+        held_docs, held_masked = Bags(rows), Bags(np.split(masked, np.cumsum(lengths)[:-1]))
 
     matrix = profile_matrix(params, profiles)
     profile_epochs_done = 0

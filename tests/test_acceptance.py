@@ -34,7 +34,7 @@ from deident.encoder import (
 from deident.metrics import information_loss, percent_masked
 from deident.reid import Bm25Reidentifier, NeuralReidentifier, ensemble_evaluate
 from deident.stopwords import DEFAULT_STOPWORDS
-from deident.training import doc_batch_gradients, profile_batch_gradients, sample_mask
+from deident.training import doc_batch_gradients, draw_masks, profile_batch_gradients
 
 from conftest import DESK_TIMINGS, write_jsonl
 from oracles import cross_entropy, dense_bags, dense_embeddings, score_and_normalize, smoothed_targets
@@ -338,12 +338,12 @@ def test_criterion_06_mask_prior_statistics():
     from scipy import stats
 
     rng = np.random.default_rng(0)
-    fractions = [sample_mask(rng, 20).sum() / 20 for _ in range(10_000)]
+    fractions = [draw_masks(rng, [20]).sum() / 20 for _ in range(10_000)]
     mean = float(np.mean(fractions))
 
     counts = np.zeros(11)
     for _ in range(10_000):
-        counts[int(sample_mask(rng, 10).sum())] += 1
+        counts[int(draw_masks(rng, [10]).sum())] += 1
     pvalue = float(stats.chisquare(counts).pvalue)
 
     report(

@@ -511,6 +511,63 @@ def test_sweep_rejects_a_control_that_is_not_a_k(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method", ["idf", "idf-table"])
+def test_sweep_rejects_a_nan_idf_threshold_up_front(tmp_path, cli_corpus, capsys, monkeypatch, method):
+    def no_baseline(*args, **kwargs):
+        raise AssertionError("a baseline ran")
+
+    monkeypatch.setattr(cli, "_baseline", no_baseline)
+    out = tmp_path / "pareto.csv"
+    code = main([
+        "sweep", "--corpus", str(cli_corpus), "--method", method, "--controls", "2", "nan",
+        "--bm25", "--out", str(out),
+    ])
+    assert code == 1
+    err = _one_error_line(capsys)
+    assert err["error"] == "error"
+    assert "--controls" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["idf", "idf-table"])
+def test_baseline_rejects_a_nan_idf_threshold(tmp_path, cli_corpus, capsys, method):
+    out = tmp_path / "out.jsonl"
+    code = main([
+        "baseline", "--corpus", str(cli_corpus), "--method", method, "--idf-threshold", "nan",
+        "--out", str(out),
+    ])
+    assert code == 1
+    assert "NaN" in _one_error_line(capsys)["message"]
+    assert not out.exists()
+
+
+def test_infinite_idf_thresholds_mask_nothing_or_every_word(tmp_path, cli_corpus):
+    records = load_corpus(cli_corpus).records
+    for threshold in ("inf", "-inf"):
+        out = tmp_path / f"{threshold}.jsonl"
+        argv = ["baseline", "--corpus", str(cli_corpus), "--method", "idf", f"--idf-threshold={threshold}"]
+        assert main([*argv, "--out", str(out)]) == 0
+        for row, record in zip(load_redacted(out), records, strict=True):
+            words = [int(not t.is_punctuation) for t in record.document]
+            assert row["mask"] == (words if threshold == "-inf" else [0] * len(words))
+
+
+@pytest.mark.parametrize("k1", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+def test_bm25_rejects_a_k1_that_is_not_finite(tmp_path, tiny_inputs, capsys, command, k1):
+    out = tmp_path / "out"
+    corpus = ["--corpus", str(tiny_inputs["corpus"])]
+    argv = {
+        "evaluate": ["evaluate", *corpus, "--redacted", str(tiny_inputs["redacted"]), "--report", str(out)],
+        "sweep": ["sweep", *corpus, "--method", "idf", "--controls", "3", "--out", str(out)],
+    }[command]
+    assert main([*argv, "--bm25", "--bm25-k1", k1]) == 1
+    err = _one_error_line(capsys)
+    assert err["error"] == "error"
+    assert "k1" in err["message"]
+    assert not out.exists()
+
+
 def _unmasked_redaction(root, corpus_path):
     """An unmasked redaction of every record, plus a sidecar certifying all of them."""
     records = load_corpus(corpus_path).records
@@ -573,11 +630,12 @@ def test_config_path_that_is_a_directory_exit_code(tmp_path, cli_corpus, capsys)
         (lambda row, n: row.pop("mask"), "bm25"),
         (lambda row, n: row.update(mask=[0.5] + [0] * (n - 1)), "models"),
         (lambda row, n: row.update(mask=["1"] + [0] * (n - 1)), "bm25"),
+        (lambda row, n: row.update(mask=[1] + [0] * (n - 1)), "models"),
     ],
     ids=[
         "mask-str-models", "mask-str-bm25", "mask-short-bm25", "mask-short-models",
         "mask-not-01", "mask-overflow", "mask-null", "id-list", "id-unknown", "no-mask",
-        "mask-half", "mask-digit-str",
+        "mask-half", "mask-digit-str", "duplicate-id",
     ],
 )
 def test_evaluate_rejects_a_bad_redacted_row(tmp_path, cli_corpus, cli_checkpoint, capsys, edit, members):

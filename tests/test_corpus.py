@@ -21,7 +21,6 @@ from deident.corpus import (
     load_redacted,
     tokenize,
 )
-from deident.stopwords import DEFAULT_STOPWORDS
 
 from conftest import write_jsonl
 from synthdata import make_corpus_rows
@@ -37,7 +36,6 @@ def test_tokenize_single_token():
     doc = tokenize("a")
     assert len(doc) == 1
     assert doc.tokens[0].normalized == "a"
-    assert doc.tokens[0].is_stopword
 
 
 def test_tokenize_hand_counted_sentence():
@@ -73,7 +71,7 @@ def test_tokenize_deterministic(rng):
 
 def test_tokenize_shared_table_gives_equal_documents():
     text = "The farmer, the Farmer and THE farmer."
-    table = _TokenTable(DEFAULT_STOPWORDS)
+    table = _TokenTable()
     shared = _tokenize(text, table)
     assert shared == tokenize(text)
     again = _tokenize("the farmer", table)
@@ -83,22 +81,11 @@ def test_tokenize_shared_table_gives_equal_documents():
     assert again.tokens[1] is shared.tokens[1] is shared.tokens[7]
 
 
-def test_token_table_serves_one_stopword_set():
-    plain, custom = _TokenTable(DEFAULT_STOPWORDS), _TokenTable(frozenset({"farmer"}))
-    for table in (plain, custom):  # intern both surfaces, so the checks below read cached tokens
-        _tokenize("the farmer", table)
-    assert [t.is_stopword for t in _tokenize("the farmer", plain)] == [True, False]
-    assert [t.is_stopword for t in _tokenize("the farmer", custom)] == [False, True]
-    # no table outlives a call, so each call classifies with its own set
-    assert [t.is_stopword for t in tokenize("the farmer")] == [True, False]
-    assert [t.is_stopword for t in tokenize("the farmer", frozenset({"farmer"}))] == [False, True]
-    assert [t.is_stopword for t in tokenize("the farmer")] == [True, False]
-
-
 def test_load_corpus_matches_per_call_tokenization(tmp_path):
-    corpus = load_corpus(write_jsonl(tmp_path / "t.jsonl", make_corpus_rows(30, seed=4)))
-    for record in corpus.records:
-        assert record.document == tokenize(record.raw_text)
+    rows = make_corpus_rows(30, seed=4)
+    corpus = load_corpus(write_jsonl(tmp_path / "t.jsonl", rows))
+    for record, row in zip(corpus.records, rows, strict=True):
+        assert record.document == tokenize(row["document"])
     assert corpus.store.linearized == tuple(linearize_profile(p) for p in corpus.store)
     assert corpus.store.linearized is corpus.store.linearized
 
@@ -142,6 +129,12 @@ def test_jsonl_rows_must_be_objects(tmp_path, loader):
     path.write_text('{"id": "a", "document": "Ann.", "profile": [["name", "Ann"]], "mask": [0, 0]}\n\n5\n')
     with pytest.raises(CorpusError, match="line 3: expected a JSON object"):
         loader(path)
+
+
+def test_load_redacted_rejects_a_repeated_id(tmp_path):
+    rows = [{"id": "a", "mask": [0]}, {"id": "b", "mask": [1]}, {"id": "a", "mask": [1]}]
+    with pytest.raises(CorpusError, match=r"line 3: duplicate id 'a' \(first seen on line 1\)"):
+        load_redacted(write_jsonl(tmp_path / "redacted.jsonl", rows))
 
 
 def test_load_corpus_synthetic_thousand(tmp_path):
@@ -304,6 +297,8 @@ def test_corpus_stats_counts(tmp_path):
         {"id": "c", "document": "Cal is gone.", "profile": [["name", "Cal"]]},
     ]
     path = write_jsonl(tmp_path / "s.jsonl", rows)
-    stats = corpus_stats(load_corpus(path))
+    corpus = load_corpus(path)
+    stats = corpus_stats(corpus)
     assert stats["records"] == 3
     assert stats["idf_documents"] == 6
+    assert stats["vocab_size"] == Vocabulary.from_corpus(corpus).n_terms

@@ -290,6 +290,12 @@ def test_idf_baseline_extremes(toy_corpus):
     full = idf_baseline(doc, table, 0.0)
     n_non_punct = sum(not t.is_punctuation for t in doc.tokens)
     assert full.mask.sum() == n_non_punct
+    assert np.array_equal(idf_baseline(doc, table, -float("inf")).mask, full.mask)
+    profile = toy_corpus.store.get(toy_corpus.records[0].profile_id)
+    with pytest.raises(ValueError, match="NaN"):
+        idf_baseline(doc, table, float("nan"))
+    with pytest.raises(ValueError, match="NaN"):
+        idf_table_aware_baseline(doc, profile, table, float("nan"))
 
 
 def test_idf_baseline_median_threshold_matches_filter(toy_corpus):

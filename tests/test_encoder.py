@@ -235,8 +235,9 @@ def test_checkpoint_save_is_byte_stable(tmp_path, params):
 
 def test_checkpoint_version_mismatch_rejected(tmp_path, params):
     path = tmp_path / "model.ckpt"
-    params.version = 999
     save_checkpoint(params, path)
+    header_line, payload = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(json.dumps(dict(json.loads(header_line), version=999)).encode() + b"\n" + payload)
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(path)
 

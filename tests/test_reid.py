@@ -171,8 +171,10 @@ def test_bm25_rejects_a_bad_mask(hand_store, ranker, mask):
 
 
 def test_bm25_parameter_validation(hand_store):
-    with pytest.raises(ValueError):
-        Bm25Reidentifier(hand_store, k1=0.0)
+    # a NaN or infinite k1 scores every matching term NaN, so every true profile would rank first
+    for k1 in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="k1"):
+            Bm25Reidentifier(hand_store, k1=k1)
     with pytest.raises(ValueError):
         Bm25Reidentifier(hand_store, b=1.5)
 

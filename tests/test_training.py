@@ -24,8 +24,6 @@ from deident.training import (
     doc_batch_gradients,
     draw_masks,
     profile_batch_gradients,
-    random_mask,
-    sample_mask,
     train,
 )
 
@@ -39,18 +37,32 @@ from synthdata import make_corpus_rows
 # ---------------------------------------------------------------------------
 
 def test_random_mask_extremes(rng):
-    assert random_mask(rng, 6, 0).sum() == 0
-    assert random_mask(rng, 6, 6).sum() == 6
+    assert draw_masks(rng, [6], [0]).sum() == 0
+    assert draw_masks(rng, [6], [6]).sum() == 6
 
 
-def test_sample_mask_off_prior(rng):
-    assert sample_mask(rng, 9, prior="off").sum() == 0
+def test_sample_mask_off_prior(tmp_path, monkeypatch):
+    # under mask_prior="off" no doc batch draws a dropout mask; the held-out
+    # set's fixed-count masks are the only draw
+    corpus = load_corpus(write_jsonl(tmp_path / "c.jsonl", make_corpus_rows(12, seed=1)))
+    calls = []
+
+    def spy(rng, lengths, counts=None, weights=None):
+        calls.append("held-out" if counts is not None else "doc batch")
+        return draw_masks(rng, lengths, counts, weights)
+
+    monkeypatch.setattr(training, "draw_masks", spy)
+    # 2 held-out and 10 training records: one doc epoch of 3 batches, then a profile epoch
+    for prior, draws in {"uniform": ["held-out"] + ["doc batch"] * 3, "off": ["held-out"]}.items():
+        calls.clear()
+        train(corpus, TrainConfig(epochs=2, embed_dim=8, batch_size=4, heldout_fraction=0.2, mask_prior=prior))
+        assert calls == draws
 
 
 def test_sample_mask_count_distribution(rng):
     # mean masked fraction of Uni{0..N} draws is N/2
     n = 20
-    fractions = [sample_mask(rng, n).sum() / n for _ in range(10_000)]
+    fractions = [draw_masks(rng, [n]).sum() / n for _ in range(10_000)]
     assert abs(float(np.mean(fractions)) - 0.5) <= 0.02
 
 
@@ -60,7 +72,7 @@ def test_sample_mask_count_uniformity(rng):
     n = 10
     counts = np.zeros(n + 1)
     for _ in range(10_000):
-        counts[int(sample_mask(rng, n).sum())] += 1
+        counts[int(draw_masks(rng, [n]).sum())] += 1
     result = stats.chisquare(counts)
     assert result.pvalue > 0.01
 
@@ -70,7 +82,7 @@ def test_idf_weighted_mask_prefers_heavy_positions(rng):
     heavy = 0
     draws = 0
     for _ in range(2000):
-        mask = sample_mask(rng, 5, prior="idf", weights=weights)
+        mask = draw_masks(rng, [5], weights=weights)
         if mask.sum() >= 1:
             draws += 1
             heavy += int(mask[2] == 1)
@@ -79,7 +91,7 @@ def test_idf_weighted_mask_prefers_heavy_positions(rng):
 
 def test_idf_weighted_mask_fills_from_zero_weights(rng):
     weights = np.array([0.0, 5.0, 0.0])
-    full = random_mask(rng, 3, 3, weights=weights)
+    full = draw_masks(rng, [3], [3], weights=weights)
     assert full.sum() == 3
 
 
