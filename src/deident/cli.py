@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -44,8 +45,16 @@ from .stopwords import DEFAULT_STOPWORDS, load_stopwords
 from .training import TrainConfig, train
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads `-inf` as a negative number, as argparse reads `-2.5`, not as an unknown option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+|\d*\.\d+|inf(inity)?)$", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="deident", description="Text deidentification toolkit")
+    parser = _Parser(prog="deident", description="Text deidentification toolkit")
     parser.add_argument("--config", help="JSON file with default values for flags")
     sub = parser.add_subparsers(dest="command", required=True)
     parser.subcommand_parsers = []

@@ -5,9 +5,9 @@ minimizes the true profile's probability, stopping once the true profile
 drops out of the top K. Stopwords and pure punctuation are not candidates.
 Greedy and beam run one search loop: the beam search keeps several
 lowest-probability mask states per depth, and greedy is the beam search at
-width 1. The guide model must provide `store`, `distribution` and
-`candidate_true_probs`, as `NeuralReidentifier` does; `Bm25Reidentifier`
-has no candidate scorer, so it cannot guide a search.
+width 1. The guide model must provide `store`, `params`, `score_rows` and
+`candidate_scores`, as `NeuralReidentifier` does; `Bm25Reidentifier` has no
+candidate table, so it cannot guide a search.
 
 Baselines mask by profile overlap (lexical), rarity (IDF threshold), their
 combination (table-aware IDF), or entity tags (file-provided or a built-in
@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import CorpusError, Document, IdfTable, Profile, _jsonl_rows, tokenize
-from .encoder import rank_of
+from .encoder import document_row_indices, rank_of, softmax
 from .stopwords import DEFAULT_STOPWORDS
 
 ENTITY_TAGS = frozenset({"PER", "ORG", "LOC", "MISC"})
@@ -146,44 +146,42 @@ def _search(model, document, true_index, k, width, stopwords, method) -> Redacti
     true profile ranks below K. Otherwise every state is expanded by each of
     its remaining candidates, and the `width` children with the lowest
     (probability, order) are kept; children with the same mask set keep
-    their best entry. The last depth holds the single all-candidates state,
+    their best entry. A child scores as its state's audited scores plus its
+    candidate's row of the document's `candidate_scores` table, built at the
+    first expansion. The last depth holds the single all-candidates state,
     which is reported as a failure when it does not pass the audit either.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not 0 <= true_index < len(model.store):
         raise ValueError(f"profile index {true_index} not in store")
-    n = len(document)
-    candidates = candidate_positions(document, np.zeros(n, dtype=np.int8), stopwords)
+    candidates = candidate_positions(document, np.zeros(len(document), dtype=np.int8), stopwords)
+    vocab, table = model.params.vocab, None
+    rows = document_row_indices(vocab, document)
     states: list[tuple[int, ...]] = [()]
     for depth in count():
-        masks = []
+        audited = []
         for picked in states:
-            mask = np.zeros(n, dtype=np.int8)
-            mask[list(picked)] = 1
-            dist = model.distribution(document, mask)
+            state_rows = rows.copy()
+            state_rows[list(picked)] = vocab.mask_index
+            scores = model.score_rows(state_rows)
+            dist = softmax(scores)
             rank = rank_of(dist, true_index)
             if rank > k or depth == len(candidates):
-                return RedactionResult(
-                    mask=mask,
-                    method=method,
-                    k=k,
-                    steps=depth,
-                    final_rank=rank,
-                    final_prob=float(dist[true_index]),
-                    success=rank > k,
-                    order=list(picked),
-                )
-            masks.append(mask)
+                prob = float(dist[true_index])
+                return _result(method, document, list(picked), k, final_rank=rank, final_prob=prob, success=rank > k)
+            audited.append((picked, scores))
+        if table is None:
+            table = model.candidate_scores(document, candidates)
         # children keyed by their mask set as a bit set of positions
         children: dict[int, tuple[float, tuple[int, ...]]] = {}
-        for picked, mask in zip(states, masks):
+        for picked, scores in audited:
             key = sum(1 << j for j in picked)
-            remaining = [j for j in candidates if not mask[j]]
-            probs = model.candidate_true_probs(document, mask, remaining, true_index)
+            left = [c for c, j in enumerate(candidates) if not key >> j & 1]
+            probs = softmax(scores + table[left])[:, true_index]
             # a child outside its state's `width` lowest cannot be among the `width` lowest overall
             for c in np.argsort(probs, kind="stable")[:width]:
-                j = remaining[c]
+                j = candidates[left[c]]
                 child_key, child = key | 1 << j, (float(probs[c]), picked + (j,))
                 if child_key not in children or child < children[child_key]:
                     children[child_key] = child
@@ -205,21 +203,23 @@ def lexical_baseline(document: Document, profile: Profile) -> RedactionResult:
         j for j, token in enumerate(document.tokens)
         if not token.is_punctuation and token.normalized in terms
     ]
-    return _fixed_result("lexical", document, order)
+    return _result("lexical", document, order)
 
 
-def _fixed_result(method: str, document: Document, order: list[int]) -> RedactionResult:
-    """A baseline's result: the positions of order masked, with no search behind them."""
+def _result(
+    method: str, document: Document, order: list[int], k: int = 0, final_rank=None, final_prob=None, success=True
+) -> RedactionResult:
+    """The result that masks the positions of order; a baseline's has no K or audit behind it."""
     mask = np.zeros(len(document), dtype=np.int8)
     mask[order] = 1
     return RedactionResult(
         mask=mask,
         method=method,
-        k=0,
+        k=k,
         steps=len(order),
-        final_rank=None,
-        final_prob=None,
-        success=True,
+        final_rank=final_rank,
+        final_prob=final_prob,
+        success=success,
         order=order,
     )
 
@@ -241,7 +241,7 @@ def _idf_at_least(document: Document, table: IdfTable, threshold: float, skip=fr
 
 def idf_baseline(document: Document, table: IdfTable, threshold: float) -> RedactionResult:
     """Mask all non-punctuation words whose IDF reaches the threshold."""
-    return _fixed_result("idf", document, _idf_at_least(document, table, threshold))
+    return _result("idf", document, _idf_at_least(document, table, threshold))
 
 
 def idf_table_aware_baseline(
@@ -251,7 +251,7 @@ def idf_table_aware_baseline(
     lexical = lexical_baseline(document, profile)
     order = list(lexical.order)
     order.extend(_idf_at_least(document, table, threshold, set(order)))
-    return _fixed_result("idf_table", document, order)
+    return _result("idf_table", document, order)
 
 
 def rule_tags(document: Document) -> list[str]:
@@ -283,7 +283,7 @@ def ner_baseline(document: Document, tags: Sequence[str] | None = None) -> Redac
             f"tag sequence length {len(tags)} does not match document length {len(document)}"
         )
     order = [j for j, tag in enumerate(tags) if tag in ENTITY_TAGS]
-    return _fixed_result("ner", document, order)
+    return _result("ner", document, order)
 
 
 def load_tag_file(path: str | Path) -> dict[str, list[str]]:

@@ -207,8 +207,12 @@ def profile_bags(vocab: Vocabulary, store: ProfileStore | Sequence[Profile]) -> 
 
 
 def encode_document(params: ModelParams, document: Document, mask=None) -> np.ndarray:
-    """Embed a (possibly masked) document: its `DenseBags` mean times the document projection."""
-    rows = document_row_indices(params.vocab, document, mask)
+    """Embed a (possibly masked) document: `encode_rows` of its embedding rows."""
+    return encode_rows(params, document_row_indices(params.vocab, document, mask))
+
+
+def encode_rows(params: ModelParams, rows: np.ndarray) -> np.ndarray:
+    """Embed one document's embedding rows: their `DenseBags` mean times the document projection."""
     return DenseBags(rows, [len(rows)]).mean(params.embeddings)[0] @ params.doc_proj.astype(np.float64)
 
 

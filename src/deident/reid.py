@@ -21,7 +21,7 @@ from .encoder import (
     ModelParams,
     build_profile_matrix,
     document_row_indices,
-    encode_document,
+    encode_rows,
     load_checkpoint,
     rank_of,
     softmax,
@@ -43,23 +43,24 @@ class NeuralReidentifier:
         return cls(params, store, name=name or Path(path).stem)
 
     def scores(self, document: Document, mask=None) -> np.ndarray:
-        return self.matrix @ encode_document(self.params, document, mask)
+        return self.score_rows(document_row_indices(self.params.vocab, document, mask))
 
     def distribution(self, document: Document, mask=None) -> np.ndarray:
         return softmax(self.scores(document, mask))
 
-    def candidate_true_probs(
-        self, document: Document, mask, candidates: Sequence[int], true_index: int
-    ) -> np.ndarray:
-        """True-profile probability after additionally masking each of candidates, in one pass."""
-        vocab = self.params.vocab
-        rows = document_row_indices(vocab, document, mask)
+    def score_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Profile scores of one document given as embedding rows, masked positions at the mask row."""
+        return self.matrix @ encode_rows(self.params, rows)
+
+    def candidate_scores(self, document: Document, candidates: Sequence[int]) -> np.ndarray:
+        """(candidates x profiles) table: what masking each candidate adds to `scores`, whatever else is masked."""
+        candidates = np.asarray(candidates, dtype=np.int64)
+        if ((candidates < 0) | (candidates >= len(document))).any():
+            raise ValueError(f"candidate positions must lie in [0, {len(document)})")
+        rows = document_row_indices(self.params.vocab, document)
         emb = self.params.embeddings
-        base_sum = emb[rows].astype(np.float64).sum(axis=0)
-        mask_row = emb[vocab.mask_index].astype(np.float64)
-        deltas = mask_row - emb[rows[list(candidates)]].astype(np.float64)
-        feats = (base_sum + deltas) / len(rows) @ self.params.doc_proj.astype(np.float64)
-        return softmax(feats @ self.matrix.T)[:, true_index]
+        deltas = emb[self.params.vocab.mask_index].astype(np.float64) - emb[rows[candidates]].astype(np.float64)
+        return deltas / len(rows) @ self.params.doc_proj.astype(np.float64) @ self.matrix.T
 
 
 class Bm25Reidentifier:

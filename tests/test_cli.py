@@ -552,6 +552,24 @@ def test_infinite_idf_thresholds_mask_nothing_or_every_word(tmp_path, cli_corpus
             assert row["mask"] == (words if threshold == "-inf" else [0] * len(words))
 
 
+def test_a_separate_minus_inf_reads_as_a_number(tmp_path, cli_corpus):
+    # argparse reads a bare `-inf` as an option unless told it is a number, as `-2.5` is
+    records = load_corpus(cli_corpus).records
+    out = tmp_path / "all.jsonl"
+    argv = ["baseline", "--corpus", str(cli_corpus), "--method", "idf", "--idf-threshold", "-inf"]
+    assert main([*argv, "--out", str(out)]) == 0
+    for row, record in zip(load_redacted(out), records, strict=True):
+        assert row["mask"] == [int(not t.is_punctuation) for t in record.document]
+    pareto = tmp_path / "pareto.csv"
+    code = main([
+        "sweep", "--corpus", str(cli_corpus), "--method", "idf", "--controls", "-inf", "2",
+        "--bm25", "--out", str(pareto),
+    ])
+    assert code == 0
+    rows = pareto.read_text().strip().splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [["idf", "-inf"], ["idf", "2.0"]]
+
+
 @pytest.mark.parametrize("k1", ["nan", "inf"])
 @pytest.mark.parametrize("command", ["evaluate", "sweep"])
 def test_bm25_rejects_a_k1_that_is_not_finite(tmp_path, tiny_inputs, capsys, command, k1):

@@ -235,6 +235,64 @@ def test_search_results_re_audit_under_the_oracle(seed, n_profiles, n_words, k, 
             assert sorted(result.order) == candidates
 
 
+# a child's scores are a sum of the state's scores and a table row, so they
+# differ from a direct encoding by roundoff only, measured against the largest score
+CHILD_SCORE_RTOL = 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n_profiles=st.integers(2, 12),
+    n_words=st.integers(1, 8),
+    bits=st.integers(0, 2**8 - 1),
+)
+def test_candidate_table_rows_add_up_to_each_childs_scores(seed, n_profiles, n_words, bits):
+    model, doc, _ = random_instance(seed, n_profiles=n_profiles, n_words=n_words)
+    candidates = candidate_positions(doc, np.zeros(len(doc), dtype=np.int8), DEFAULT_STOPWORDS)
+    table = model.candidate_scores(doc, candidates)
+    assert table.shape == (len(candidates), len(model.store))
+    state = np.zeros(len(doc), dtype=np.int8)
+    state[[j for i, j in enumerate(candidates) if bits >> i & 1]] = 1
+    scores = model.scores(doc, state)
+    for i, j in enumerate(candidates):
+        if not state[j]:
+            expected = model.scores(doc, _with(state, j))
+            error = np.abs(scores + table[i] - expected).max()
+            assert error <= CHILD_SCORE_RTOL * np.abs(expected).max()
+
+
+class CountingGuide:
+    """A guide that counts its candidate-table builds and otherwise defers to the model."""
+
+    def __init__(self, model):
+        self.model, self.builds = model, 0
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+    def candidate_scores(self, document, candidates):
+        self.builds += 1
+        return self.model.candidate_scores(document, candidates)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n_words=st.integers(1, 8),
+    k=st.integers(1, 6),
+    width=st.integers(1, 4),
+)
+def test_a_search_builds_its_candidate_table_once_and_only_past_depth_zero(seed, n_words, k, width):
+    model, doc, true_index = random_instance(seed, n_words=n_words)
+    for search, extra in ((greedy_deidentify, {}), (beam_deidentify, {"beam_width": width})):
+        guide = CountingGuide(model)
+        result = search(guide, doc, true_index, k, **extra)
+        assert guide.builds == (result.steps > 0)
+        same = search(model, doc, true_index, k, **extra)
+        assert result.order == same.order and result.final_prob == same.final_prob
+
+
 def test_beam_depth_one_when_single_mask_suffices(toy_corpus, toy_model):
     # per record, K is set just below the rank greedy's first mask reaches, so
     # that one mask suffices; beam must then terminate at depth one too

@@ -162,12 +162,20 @@ def test_bm25_rejects_a_bad_mask(hand_store, ranker, mask):
     else:
         vocab = Vocabulary(sorted(set(doc.normalized())))
         model = NeuralReidentifier(init_params(vocab, dim=4, seed=0), hand_store)
-        with pytest.raises(ValueError):
-            model.candidate_true_probs(doc, mask, [0], 0)
     with pytest.raises(ValueError):
         model.scores(doc, mask)
     with pytest.raises(ValueError):
         model.distribution(doc, mask)
+
+
+@pytest.mark.parametrize("candidates", [[-1], [0, 5], [7]], ids=["negative", "length", "past-length"])
+def test_candidate_scores_rejects_a_position_outside_the_document(hand_store, candidates):
+    # a negative position would otherwise wrap round to the document's end
+    doc = tokenize("Fenwick the farmer of Dover")
+    model = NeuralReidentifier(init_params(Vocabulary(sorted(set(doc.normalized()))), dim=4, seed=0), hand_store)
+    with pytest.raises(ValueError, match="candidate"):
+        model.candidate_scores(doc, candidates)
+    assert model.candidate_scores(doc, [0, 4]).shape == (2, len(hand_store))
 
 
 def test_bm25_parameter_validation(hand_store):
