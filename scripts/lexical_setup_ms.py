@@ -1,0 +1,61 @@
+"""Lexical set-up timing: milliseconds of each stage an IDF + BM25 sweep runs first.
+
+Loads the corpus, linearizes its profile store, builds the IDF table over
+documents and profiles and builds the BM25 ranker, timing each stage on its
+own: `load_corpus`, `store.linearized`, `compute_idf` (after the
+linearization, so it counts only the IDF pass) and `Bm25Reidentifier`. Each
+repeat starts from a fresh load. Prints one JSON line with every repeat's
+milliseconds per stage and their medians. BLAS runs on one thread.
+
+    PYTHONPATH=src python3 scripts/lexical_setup_ms.py --corpus big.jsonl --repeats 7
+"""
+
+import argparse
+import json
+import os
+import statistics
+import time
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+from deident.corpus import compute_idf, load_corpus  # noqa: E402  (imports numpy)
+from deident.reid import Bm25Reidentifier  # noqa: E402
+
+STAGES = ("load_corpus", "linearized", "compute_idf", "bm25")
+
+
+def one_pass(path: str) -> dict[str, float]:
+    seconds = {}
+    start = time.perf_counter()
+    corpus = load_corpus(path)
+    seconds["load_corpus"] = time.perf_counter() - start
+    start = time.perf_counter()
+    corpus.store.linearized
+    seconds["linearized"] = time.perf_counter() - start
+    start = time.perf_counter()
+    compute_idf(corpus)
+    seconds["compute_idf"] = time.perf_counter() - start
+    start = time.perf_counter()
+    Bm25Reidentifier(corpus.store)
+    seconds["bm25"] = time.perf_counter() - start
+    return {stage: 1e3 * s for stage, s in seconds.items()}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--corpus", required=True)
+    parser.add_argument("--repeats", type=int, default=7)
+    args = parser.parse_args()
+
+    passes = [one_pass(args.corpus) for _ in range(args.repeats)]
+    print(json.dumps({
+        "repeats": args.repeats,
+        "ms": {stage: [round(p[stage], 2) for p in passes] for stage in STAGES},
+        "median_ms": {stage: round(statistics.median(p[stage] for p in passes), 2) for stage in STAGES},
+        "median_total_ms": round(statistics.median(sum(p.values()) for p in passes), 2),
+    }))
+
+
+if __name__ == "__main__":
+    main()

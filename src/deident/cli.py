@@ -267,8 +267,6 @@ def cmd_evaluate(args) -> int:
         }
         rows = [r for r in rows if r["id"] in success_ids]
     records = []
-    documents = []
-    masks = []
     for row in rows:
         try:
             index = corpus.store.index_of(row["id"])
@@ -277,18 +275,14 @@ def cmd_evaluate(args) -> int:
         except (KeyError, ValueError) as exc:
             raise CorpusError(f"redacted row {row['id']!r}: {exc.args[0]}") from exc
         records.append((row["id"], document, mask, index))
-        documents.append(document)
-        masks.append(mask)
     members = _build_members(args, corpus.store)
     report = ensemble_evaluate(members, records)
-    out = {"reid": report.to_json()}
-    if documents:
-        out["utility"] = utility_report(documents, masks).to_json()
+    utility = utility_report([r[1] for r in records], [r[2] for r in records]).to_json() if records else None
     if args.report:
         report.save(args.report)
-    if args.utility and documents:
+    if args.utility and utility is not None:
         with open(args.utility, "w", encoding="utf-8") as fh:
-            json.dump(out["utility"], fh, sort_keys=True)
+            json.dump(utility, fh, sort_keys=True)
             fh.write("\n")
     print(json.dumps({"rate": report.rate, "documents": len(records)}, sort_keys=True))
     return 0

@@ -15,7 +15,9 @@ import json
 import math
 import re
 import zlib
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -90,11 +92,15 @@ class AlignedRecord:
 
 
 class ProfileStore:
-    """Ordered collection of unique profiles, addressable by id or index."""
+    """Ordered collection of unique profiles, addressable by id or index.
 
-    def __init__(self, profiles: Sequence[Profile]):
+    A store from `load_corpus` keeps the load's token table for its one linearization, then drops it.
+    """
+
+    def __init__(self, profiles: Sequence[Profile], table: _TokenTable | None = None):
         self.profiles: list[Profile] = list(profiles)
         self._linearized: tuple[Document, ...] | None = None
+        self._table = table
         self._index: dict[str, int] = {}
         for i, p in enumerate(self.profiles):
             if p.id in self._index:
@@ -122,7 +128,8 @@ class ProfileStore:
     def linearized(self) -> tuple[Document, ...]:
         """Each profile's `linearize_profile` Document, in store order, computed once."""
         if self._linearized is None:
-            self._linearized = linearize_profiles(self.profiles)
+            table, self._table = self._table or _TokenTable(), None
+            self._linearized = tuple(_linearize(p, table) for p in self.profiles)
         return self._linearized
 
 
@@ -145,21 +152,32 @@ class Corpus:
         return len(self.records)
 
 
-class _TokenTable(dict):
-    """Interned Tokens by surface: each distinct surface is built once.
-
-    A Token depends only on its surface, so sharing one is invisible to
-    callers. A table lives as long as one load or one store's
-    linearization, never across calls.
-    """
+class _Surfaces(dict):
+    """Interned Tokens by surface: a Token depends only on its surface, so sharing one is invisible."""
 
     def __missing__(self, surface: str) -> Token:
         token = self[surface] = Token(surface, surface.casefold(), _ALNUM_RE.search(surface) is None)
         return token
 
 
+class _TokenTable(dict):
+    """The Tokens of each distinct profile key or value text, split once; () for a text with none.
+
+    Documents are split through its `surfaces` without being kept. A table lives through one
+    corpus load and that load's store linearization, or through one call; never across calls.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.surfaces = _Surfaces()
+
+    def __missing__(self, text: str) -> tuple[Token, ...]:
+        tokens = self[text] = tuple(map(self.surfaces.__getitem__, _TOKEN_RE.findall(text)))
+        return tokens
+
+
 def _tokenize(text: str, table: _TokenTable) -> Document:
-    tokens = tuple(map(table.__getitem__, _TOKEN_RE.findall(text)))
+    tokens = tuple(map(table.surfaces.__getitem__, _TOKEN_RE.findall(text)))
     if not tokens:
         raise CorpusError("no tokens in input text")
     return Document(tokens=tokens)
@@ -187,24 +205,23 @@ def linearize_profile(profile: Profile, max_tokens: int = MAX_PROFILE_TOKENS) ->
 def _linearize(profile: Profile, table: _TokenTable, max_tokens: int = MAX_PROFILE_TOKENS) -> Document:
     if not profile.entries:
         raise CorpusError(f"profile {profile.id!r} has no entries")
-    colon = _tokenize(":", table).tokens
-    chunks: list[list[Token]] = []
+    colon, separator = table[":"], table["|"]
+    tokens: list[Token] = []
+    full = False
+    # every entry is tokenized, kept or not, so a token-less one raises wherever it falls
     for key, value in profile.entries:
-        chunk = list(_tokenize(key, table).tokens)
-        chunk.extend(colon)
-        chunk.extend(_tokenize(str(value), table).tokens)
-        chunks.append(chunk)
-
-    kept: list[Token] = list(chunks[0])
-    separator = _tokenize("|", table).tokens[0]
-    for chunk in chunks[1:]:
-        if len(kept) + 1 + len(chunk) > max_tokens:
-            break
-        kept.append(separator)
-        kept.extend(chunk)
-    if len(kept) > max_tokens:
-        kept = kept[:max_tokens]
-    return Document(tokens=tuple(kept))
+        key_tokens, value_tokens = table[key], table[str(value)]
+        if not (key_tokens and value_tokens):
+            raise CorpusError("no tokens in input text")
+        if tokens:
+            full = full or len(tokens) + len(key_tokens) + len(value_tokens) + 2 > max_tokens
+            if full:
+                continue
+            tokens += separator
+        tokens += key_tokens
+        tokens += colon
+        tokens += value_tokens
+    return Document(tokens=tuple(tokens[:max_tokens]))
 
 
 def _jsonl_rows(path: str | Path) -> Iterator[tuple[int, dict]]:
@@ -245,7 +262,11 @@ def _parse_record(obj: dict, line: int, table: _TokenTable) -> tuple[AlignedReco
     for pair in entries:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise CorpusError("profile entries must be [key, value] pairs", line)
-        pairs.append((str(pair[0]), str(pair[1])))
+        key, value = str(pair[0]), str(pair[1])
+        if not (table[key] and table[value]):
+            part = "value" if table[key] else "key"
+            raise CorpusError(f"profile entry {key!r} has no tokens in its {part}", line)
+        pairs.append((key, value))
     try:
         document = _tokenize(obj["document"], table)
         profile = Profile(id=obj["id"], entries=tuple(pairs))
@@ -257,8 +278,8 @@ def _parse_record(obj: dict, line: int, table: _TokenTable) -> tuple[AlignedReco
 def load_corpus(path: str | Path) -> Corpus:
     """Load a JSONL corpus file.
 
-    Every line must parse and every profile id must be unique; errors name
-    the offending line.
+    Every line must parse, every profile key and value must hold a token and
+    every profile id must be unique; errors name the offending line.
     """
     records: list[AlignedRecord] = []
     profiles: list[Profile] = []
@@ -276,7 +297,7 @@ def load_corpus(path: str | Path) -> Corpus:
         profiles.append(profile)
     if not records:
         raise CorpusError(f"no records in {path}")
-    return Corpus(records=records, store=ProfileStore(profiles))
+    return Corpus(records=records, store=ProfileStore(profiles, table))
 
 
 def load_redacted(path: str | Path) -> list[dict]:
@@ -319,20 +340,14 @@ class IdfTable:
     @classmethod
     def from_token_documents(cls, docs: Iterable[Sequence[str]]) -> "IdfTable":
         """Build from an iterable of normalized-term sequences."""
-        df: dict[str, int] = {}
-        count = 0
-        for doc in docs:
-            count += 1
-            for term in set(doc):
-                df[term] = df.get(term, 0) + 1
-        return cls(doc_count=count, df=df)
+        docs = list(docs)
+        return cls(doc_count=len(docs), df=Counter(chain.from_iterable(map(set, docs))))
 
 
 def compute_idf(corpus: Corpus) -> IdfTable:
     """IDF over the union of documents and linearized profiles."""
-    docs: list[list[str]] = [rec.document.normalized() for rec in corpus.records]
-    docs.extend(d.normalized() for d in corpus.store.linearized)
-    return IdfTable.from_token_documents(docs)
+    docs = chain((rec.document for rec in corpus.records), corpus.store.linearized)
+    return IdfTable.from_token_documents([d.normalized() for d in docs])
 
 
 def check_mask(mask: np.ndarray | Sequence[int], n: int) -> np.ndarray:
@@ -434,9 +449,5 @@ class Vocabulary:
 
     @classmethod
     def from_corpus(cls, corpus: Corpus) -> "Vocabulary":
-        terms: set[str] = set()
-        for rec in corpus.records:
-            terms.update(rec.document.normalized())
-        for linearized in corpus.store.linearized:
-            terms.update(linearized.normalized())
-        return cls(sorted(terms))
+        docs = chain((rec.document for rec in corpus.records), corpus.store.linearized)
+        return cls(sorted({t.normalized for doc in docs for t in doc}))

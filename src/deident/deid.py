@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import CorpusError, Document, IdfTable, Profile, _jsonl_rows, tokenize
+from .corpus import CorpusError, Document, IdfTable, Profile, _jsonl_rows, _tokenize, _TokenTable
 from .encoder import document_row_indices, rank_of, softmax
 from .stopwords import DEFAULT_STOPWORDS
 
@@ -188,17 +188,11 @@ def _search(model, document, true_index, k, width, stopwords, method) -> Redacti
         states = [picked for _, picked in sorted(children.values())[:width]]
 
 
-def _profile_term_set(profile: Profile) -> set[str]:
-    terms: set[str] = set()
-    for key, value in profile.entries:
-        terms.update(tokenize(key).normalized())
-        terms.update(tokenize(str(value)).normalized())
-    return terms
-
-
 def lexical_baseline(document: Document, profile: Profile) -> RedactionResult:
     """Mask every non-punctuation word that also occurs in the profile."""
-    terms = _profile_term_set(profile)
+    table = _TokenTable()
+    texts = (text for key, value in profile.entries for text in (key, str(value)))
+    terms = {t.normalized for text in texts for t in _tokenize(text, table)}
     order = [
         j for j, token in enumerate(document.tokens)
         if not token.is_punctuation and token.normalized in terms
@@ -248,9 +242,8 @@ def idf_table_aware_baseline(
     document: Document, profile: Profile, table: IdfTable, threshold: float
 ) -> RedactionResult:
     """Profile-overlap mask, then rarest-first IDF masking down to the threshold."""
-    lexical = lexical_baseline(document, profile)
-    order = list(lexical.order)
-    order.extend(_idf_at_least(document, table, threshold, set(order)))
+    order = lexical_baseline(document, profile).order
+    order += _idf_at_least(document, table, threshold, set(order))
     return _result("idf_table", document, order)
 
 

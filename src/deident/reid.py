@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -84,8 +85,9 @@ class Bm25Reidentifier:
         docs = [d.normalized() for d in linearize_profiles(store)]
         n = len(docs)
         lengths = np.array([len(d) for d in docs], dtype=np.float64)
-        ids: dict[str, int] = {}
-        term_ids = np.fromiter((ids.setdefault(t, len(ids)) for d in docs for t in d), dtype=np.int64)
+        terms = list(chain.from_iterable(docs))
+        ids = {t: i for i, t in enumerate(dict.fromkeys(terms))}
+        term_ids = np.fromiter(map(ids.__getitem__, terms), dtype=np.int64, count=len(terms))
         # one key per distinct (term, profile) pair, sorted by term, then profile
         profile_ids = np.repeat(np.arange(n), lengths.astype(np.int64))
         keys, tf = np.unique(term_ids * n + profile_ids, return_counts=True)

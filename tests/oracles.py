@@ -3,8 +3,9 @@
 Each is a plain, per-item composition of what the library computes in
 batched or fused form: one document's softmax over profile scores, a
 smoothed target vector and its cross entropy, a dense embedding gradient,
-a one-batch SGD driver over per-document row arrays and a per-document
-token mean. They live here, apart from the code under test, so that a
+a one-batch SGD driver over per-document row arrays, a per-document
+token mean, a profile linearized entry by entry and a term-by-term
+document-frequency count. They live here, apart from the code under test, so that a
 change to the library cannot change its oracle with it.
 """
 
@@ -15,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from deident.corpus import Document
+from deident.corpus import MAX_PROFILE_TOKENS, CorpusError, Document, Profile, Token, _tokenize, _TokenTable
 from deident.encoder import Bags, DenseBags, ModelParams, document_row_indices, profile_bags, softmax
 from deident.training import Gradients, TrainConfig, _step
 
@@ -100,3 +101,39 @@ def mean_rows(embeddings: np.ndarray, rows: np.ndarray) -> np.ndarray:
     unique, counts = np.unique(rows, return_counts=True)
     weights = counts.astype(np.float64) / len(rows)
     return weights @ embeddings[unique].astype(np.float64)
+
+
+def linearize(profile: Profile, max_tokens: int = MAX_PROFILE_TOKENS) -> Document:
+    """`linearize_profile` built from one Document per key and value, then cut to max_tokens."""
+    table = _TokenTable()
+    if not profile.entries:
+        raise CorpusError(f"profile {profile.id!r} has no entries")
+    colon = _tokenize(":", table).tokens
+    chunks: list[list[Token]] = []
+    for key, value in profile.entries:
+        chunk = list(_tokenize(key, table).tokens)
+        chunk.extend(colon)
+        chunk.extend(_tokenize(str(value), table).tokens)
+        chunks.append(chunk)
+
+    kept: list[Token] = list(chunks[0])
+    separator = _tokenize("|", table).tokens[0]
+    for chunk in chunks[1:]:
+        if len(kept) + 1 + len(chunk) > max_tokens:
+            break
+        kept.append(separator)
+        kept.extend(chunk)
+    if len(kept) > max_tokens:
+        kept = kept[:max_tokens]
+    return Document(tokens=tuple(kept))
+
+
+def document_frequencies(docs: Sequence[Sequence[str]]) -> tuple[int, dict[str, int]]:
+    """(document count, df) counted term by term, each term once per document."""
+    df: dict[str, int] = {}
+    count = 0
+    for doc in docs:
+        count += 1
+        for term in set(doc):
+            df[term] = df.get(term, 0) + 1
+    return count, df

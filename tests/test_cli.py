@@ -207,6 +207,19 @@ def test_malformed_corpus_exit_code(tmp_path, capsys):
     assert "line 1" in err["message"]
 
 
+@pytest.mark.parametrize("argv", [["stats"], ["baseline", "--method", "ner", "--out", "ner.jsonl"]])
+def test_a_profile_value_without_tokens_is_a_corpus_error(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    rows = make_corpus_rows(4, seed=13)
+    rows[2]["profile"].append(["city", "  "])
+    code = main([*argv, "--corpus", str(write_jsonl(tmp_path / "c.jsonl", rows))])
+    assert code == 4
+    err = _one_error_line(capsys)
+    assert err["error"] == "corpus-format"
+    assert err["message"] == "line 3: profile entry 'city' has no tokens in its value"
+    assert not (tmp_path / "ner.jsonl").exists()
+
+
 def test_checkpoint_version_mismatch_exit_code(tmp_path, cli_corpus, cli_checkpoint, capsys):
     # version 1 is the layout with hash-bucket rows; it loads through no compatibility path
     header_line, payload = cli_checkpoint.read_bytes().split(b"\n", 1)

@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deident.corpus import (
     CorpusError,
     IdfTable,
     MASK_TOKEN,
+    MAX_PROFILE_TOKENS,
     Profile,
+    ProfileStore,
     Vocabulary,
     apply_mask,
     _TokenTable,
@@ -23,6 +25,7 @@ from deident.corpus import (
 )
 
 from conftest import write_jsonl
+from oracles import document_frequencies, linearize
 from synthdata import make_corpus_rows
 
 
@@ -182,6 +185,85 @@ def test_linearize_empty_profile_raises():
         linearize_profile(Profile(id="x", entries=()))
 
 
+# Profile key and value texts: words in mixed case, punctuation-only runs
+# and Unicode whitespace (pieces may join into text with no tokens at all),
+# or long runs of words that carry a profile past 128 tokens.
+_FIELD_PIECES = st.sampled_from([
+    "Ann", "ann", "LEE", "writer", "1984", "a_b", "Straße", "é",
+    ",", ".", "--", "!?", "|", ":", " ", "\t", "\n", "\u00a0", "\u2003", "\u3000",
+])
+_FIELD_TEXT = st.one_of(
+    st.lists(_FIELD_PIECES, max_size=10).map("".join),
+    st.integers(0, 200).map(lambda n: " ".join(f"w{i}" for i in range(n))),
+)
+_PROFILE_ENTRIES = st.lists(st.tuples(_FIELD_TEXT, _FIELD_TEXT), max_size=6, unique_by=lambda e: e[0])
+
+
+def _outcome(linearize_fn, *args):
+    """The Document made, or the CorpusError message raised."""
+    try:
+        return linearize_fn(*args)
+    except CorpusError as exc:
+        return f"CorpusError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=_PROFILE_ENTRIES, max_tokens=st.one_of(st.just(MAX_PROFILE_TOKENS), st.integers(1, 24)))
+@example(entries=[("a", "b"), ("c", "d")], max_tokens=6)  # the second entry misses by one token
+@example(entries=[("a", "b"), ("c", "d")], max_tokens=7)  # the second entry fits exactly
+def test_linearize_profile_matches_the_per_entry_oracle(entries, max_tokens):
+    profile = Profile(id="x", entries=tuple(entries))
+    got, want = _outcome(linearize_profile, profile, max_tokens), _outcome(linearize, profile, max_tokens)
+    assert got == want
+    if isinstance(want, str):
+        return
+    assert got.surfaces() == want.surfaces()
+    assert got.normalized() == want.normalized()
+    assert len(got) <= max_tokens
+
+
+@settings(max_examples=150, deadline=None)
+@given(profiles=st.lists(_PROFILE_ENTRIES, min_size=1, max_size=5), warm=st.booleans())
+def test_store_linearized_matches_the_per_entry_oracle(profiles, warm):
+    profiles = [Profile(id=f"p{i}", entries=tuple(entries)) for i, entries in enumerate(profiles)]
+    table = _TokenTable()
+    if warm:  # as a load leaves it: every key and value already split
+        for profile in profiles:
+            for key, value in profile.entries:
+                table[key], table[value]
+    store = ProfileStore(profiles, table)
+    want = [_outcome(linearize, p) for p in profiles]
+    errors = [w for w in want if isinstance(w, str)]
+    if errors:
+        with pytest.raises(CorpusError) as info:
+            store.linearized
+        assert f"CorpusError: {info.value}" == errors[0]
+        return
+    assert store.linearized == tuple(want)
+    assert [d.normalized() for d in store.linearized] == [d.normalized() for d in want]
+
+
+def test_a_loaded_store_drops_its_table_once_linearized(tmp_path):
+    corpus = load_corpus(write_jsonl(tmp_path / "t.jsonl", make_corpus_rows(5, seed=4)))
+    assert corpus.store._table
+    corpus.store.linearized
+    assert corpus.store._table is None
+
+
+@pytest.mark.parametrize("entry, part", [
+    (["city", "  "], "value"),
+    (["city", "\u3000\n"], "value"),
+    (["\u00a0", "Paris"], "key"),
+])
+def test_load_corpus_rejects_a_profile_field_without_tokens(tmp_path, entry, part):
+    rows = make_corpus_rows(3, seed=4)
+    rows[1]["profile"].append(entry)
+    with pytest.raises(CorpusError) as info:
+        load_corpus(write_jsonl(tmp_path / "t.jsonl", rows))
+    assert info.value.line == 2
+    assert str(info.value) == f"line 2: profile entry {entry[0]!r} has no tokens in its {part}"
+
+
 def test_profile_duplicate_keys_rejected():
     with pytest.raises(CorpusError):
         Profile(id="x", entries=(("k", "1"), ("k", "2")))
@@ -199,6 +281,16 @@ def test_idf_rare_term_value():
     table = IdfTable.from_token_documents(docs)
     assert table.doc_count == 99
     assert table.idf("rare") == pytest.approx(3.912023005428146, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(["a", "b", "c", "d", "e", "f", "g"]), max_size=8), max_size=12))
+def test_idf_counting_matches_the_term_by_term_loop(docs):
+    table = IdfTable.from_token_documents(iter(docs))
+    count, df = document_frequencies(docs)
+    assert table.doc_count == count
+    assert table.df == df
+    assert list(table.df) == list(df)
 
 
 def test_idf_rarest_term_is_maximal(tmp_path):
