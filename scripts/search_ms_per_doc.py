@@ -1,15 +1,16 @@
 """Search-only timing: milliseconds per document of greedy or beam search.
 
-Times `greedy_deidentify`/`beam_deidentify` over the first records of a
-corpus, after the corpus, the guide and its profile matrix are loaded, so
-the figure excludes everything but the search. The guide is a checkpoint,
-or an untrained `init_params` model over the corpus vocabulary; an
-untrained guide ranks most true profiles low, so most searches stop at the
-depth-0 audit. The records are searched REPEATS times; prints one JSON
+Times one search per document over all the given Ks, as a K sweep runs it,
+over the first records of a corpus, after the corpus, the guide and its
+profile matrix are loaded, so the figure excludes everything but the
+search. A single K times the search `deidentify --k K` runs. The guide is
+a checkpoint, or an untrained `init_params` model over the corpus
+vocabulary; an untrained guide ranks most true profiles low, so most
+searches stop at the depth-0 audit. The records are searched REPEATS times; prints one JSON
 line with each pass's ms/doc and their median. BLAS runs on one thread.
 
     PYTHONPATH=src python3 scripts/search_ms_per_doc.py --corpus big.jsonl \\
-        --model guide.ckpt --records 100 --k 64
+        --model guide.ckpt --records 100 --k 1 2 4 8 16 32 64
     PYTHONPATH=src python3 scripts/search_ms_per_doc.py --corpus big.jsonl \\
         --untrained-dim 128 --records 60 --k 64
 """
@@ -24,9 +25,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 from deident.corpus import Vocabulary, load_corpus  # noqa: E402  (imports numpy)
-from deident.deid import beam_deidentify, greedy_deidentify  # noqa: E402
+from deident.deid import _search  # noqa: E402
 from deident.encoder import init_params, load_checkpoint  # noqa: E402
 from deident.reid import NeuralReidentifier  # noqa: E402
+from deident.stopwords import DEFAULT_STOPWORDS  # noqa: E402
 
 REPEATS = 3
 
@@ -38,7 +40,7 @@ def main() -> None:
     guide.add_argument("--model", help="guide checkpoint")
     guide.add_argument("--untrained-dim", type=int, help="width of an untrained guide (seed 0)")
     parser.add_argument("--records", type=int, default=100)
-    parser.add_argument("--k", type=int, default=64)
+    parser.add_argument("--k", type=int, nargs="+", default=[64], help="one or more Ks, searched at once")
     parser.add_argument("--beam-width", type=int, default=1, help="1 = greedy")
     args = parser.parse_args()
 
@@ -49,14 +51,12 @@ def main() -> None:
         params = init_params(Vocabulary.from_corpus(corpus), dim=args.untrained_dim, seed=0)
     model = NeuralReidentifier(params, corpus.store)
     records = [(r.document, corpus.store.index_of(r.profile_id)) for r in corpus.records[: args.records]]
+    method = "greedy" if args.beam_width == 1 else "beam"
     ms_per_doc = []
     for _ in range(REPEATS):
         start = time.perf_counter()
         for document, true_index in records:
-            if args.beam_width == 1:
-                greedy_deidentify(model, document, true_index, args.k)
-            else:
-                beam_deidentify(model, document, true_index, args.k, beam_width=args.beam_width)
+            _search(model, document, true_index, args.k, args.beam_width, DEFAULT_STOPWORDS, method)
         ms_per_doc.append(1e3 * (time.perf_counter() - start) / len(records))
     print(json.dumps({
         "records": len(records),

@@ -30,6 +30,7 @@ from .corpus import (
 )
 from .deid import (
     RedactionResult,
+    _search,
     beam_deidentify,
     greedy_deidentify,
     idf_baseline,
@@ -220,13 +221,9 @@ def cmd_deidentify(args) -> int:
     for record in selected:
         true_index = corpus.store.index_of(record.profile_id)
         if args.beam_width != 1:  # beam_deidentify rejects widths below 1
-            result = beam_deidentify(
-                model, record.document, true_index, args.k,
-                beam_width=args.beam_width, stopwords=stopwords,
-            )
+            results.append(beam_deidentify(model, record.document, true_index, args.k, args.beam_width, stopwords))
         else:
-            result = greedy_deidentify(model, record.document, true_index, args.k, stopwords=stopwords)
-        results.append(result)
+            results.append(greedy_deidentify(model, record.document, true_index, args.k, stopwords))
     _write_redacted(args.out, corpus, selected, results, args.mask_mode)
     if args.sidecar:
         _write_sidecar(args.sidecar, selected, results)
@@ -280,7 +277,7 @@ def cmd_evaluate(args) -> int:
     utility = utility_report([r[1] for r in records], [r[2] for r in records]).to_json() if records else None
     if args.report:
         report.save(args.report)
-    if args.utility and utility is not None:
+    if args.utility:
         with open(args.utility, "w", encoding="utf-8") as fh:
             json.dump(utility, fh, sort_keys=True)
             fh.write("\n")
@@ -302,7 +299,7 @@ def cmd_sweep(args) -> int:
     selected = _records_slice(corpus, args.limit)
     members = _build_members(args, corpus.store)
     stopwords = _stopword_set(args)
-    table = guide = None
+    records = [(rec.profile_id, rec.document, corpus.store.index_of(rec.profile_id)) for rec in selected]
     if args.method in ("greedy", "beam"):
         if not args.model:
             raise ValueError(f"--model is required for method {args.method!r}")
@@ -310,28 +307,21 @@ def cmd_sweep(args) -> int:
         if bad:
             raise ValueError(f"--controls for method {args.method!r} must be integers K >= 1, got {bad}")
         guide = NeuralReidentifier.from_checkpoint(args.model, corpus.store)
-    elif args.method in ("idf", "idf-table"):
+        ks = [int(c) for c in args.controls]
+        width = args.beam_width if args.method == "beam" else 1
+        results = [
+            _search(guide, document, true_index, ks, width, stopwords, args.method)
+            for _, document, true_index in records
+        ]
+    else:
         if any(math.isnan(c) for c in args.controls):
             raise ValueError(f"--controls for method {args.method!r} must not be NaN")
-        table = compute_idf(corpus)
-
-    records = [
-        (rec.profile_id, rec.document, corpus.store.index_of(rec.profile_id)) for rec in selected
-    ]
-
-    def redact(i: int, control: float) -> RedactionResult:
-        record = selected[i]
-        true_index = records[i][2]
-        if args.method == "greedy":
-            return greedy_deidentify(guide, record.document, true_index, int(control), stopwords=stopwords)
-        if args.method == "beam":
-            return beam_deidentify(
-                guide, record.document, true_index, int(control),
-                beam_width=args.beam_width, stopwords=stopwords,
-            )
-        return _baseline(args.method, record.document, corpus.store.get(record.profile_id), table, control)
-
-    points = pareto_sweep(args.method, redact, args.controls, records, members)
+        table = compute_idf(corpus) if args.method in ("idf", "idf-table") else None
+        results = [
+            [_baseline(args.method, document, corpus.store.get(doc_id), table, c) for c in args.controls]
+            for doc_id, document, _ in records
+        ]
+    points = pareto_sweep(args.method, args.controls, records, results, members)
     write_pareto_csv(points, args.out)
     print(json.dumps({"points": len(points), "out": args.out}))
     return 0

@@ -5,7 +5,8 @@ minimizes the true profile's probability, stopping once the true profile
 drops out of the top K. Stopwords and pure punctuation are not candidates.
 Greedy and beam run one search loop: the beam search keeps several
 lowest-probability mask states per depth, and greedy is the beam search at
-width 1. The guide model must provide `store`, `params`, `score_rows` and
+width 1. One search answers a list of Ks, as a sweep over K needs. The
+guide model must provide `store`, `params`, `score_rows` and
 `candidate_scores`, as `NeuralReidentifier` does; `Bm25Reidentifier` has no
 candidate table, so it cannot guide a search.
 
@@ -115,7 +116,7 @@ def greedy_deidentify(
     gets an empty mask. Runs out of candidates -> success is False. This is
     the beam search at width 1.
     """
-    return _search(model, document, true_index, k, 1, stopwords, "greedy")
+    return _search(model, document, true_index, [k], 1, stopwords, "greedy")[0]
 
 
 def beam_deidentify(
@@ -132,32 +133,35 @@ def beam_deidentify(
     each depth; candidate ties break toward the lower position index, which
     makes width 1 reproduce greedy mask-for-mask.
     """
-    if beam_width < 1:
-        raise ValueError("beam_width must be >= 1")
-    return _search(model, document, true_index, k, beam_width, stopwords, "beam")
+    return _search(model, document, true_index, [k], beam_width, stopwords, "beam")[0]
 
 
-def _search(model, document, true_index, k, width, stopwords, method) -> RedactionResult:
-    """The search behind greedy and beam: masks grow one candidate per depth.
+def _search(model, document, true_index, ks, width, stopwords, method) -> list[RedactionResult]:
+    """The search behind greedy and beam: one result per K of `ks`, in its order.
 
     A state is the order in which its positions were masked. Depth 0 holds
     the empty mask, so the precheck is the same audit as every later stop
-    check. Each depth audits its states in order and returns the first whose
-    true profile ranks below K. Otherwise every state is expanded by each of
-    its remaining candidates, and the `width` children with the lowest
-    (probability, order) are kept; children with the same mask set keep
-    their best entry. A child scores as its state's audited scores plus its
-    candidate's row of the document's `candidate_scores` table, built at the
-    first expansion. The last depth holds the single all-candidates state,
-    which is reported as a failure when it does not pass the audit either.
+    check. Each depth audits its states in order; a K is settled by the first
+    state whose true profile ranks below K, and the search returns once all
+    are. Otherwise every state is expanded by each of its remaining
+    candidates, and the `width` children with the lowest (probability,
+    order) are kept; children with the same mask set keep their best entry.
+    A child scores as its state's audited scores plus its candidate's row of
+    the document's `candidate_scores` table, built at the first expansion.
+    The last depth holds the single all-candidates state, which settles the
+    Ks left, failing those it does not pass. No state depends on K, so each
+    result equals a lone search at its K (a repeated K shares one object).
     """
-    if k < 1:
+    if width < 1:
+        raise ValueError("beam_width must be >= 1")
+    if min(ks, default=0) < 1:
         raise ValueError("k must be >= 1")
     if not 0 <= true_index < len(model.store):
         raise ValueError(f"profile index {true_index} not in store")
     candidates = candidate_positions(document, np.zeros(len(document), dtype=np.int8), stopwords)
     vocab, table = model.params.vocab, None
     rows = document_row_indices(vocab, document)
+    unsettled, settled = sorted(set(ks), reverse=True), {}  # the smallest unsettled K last
     states: list[tuple[int, ...]] = [()]
     for depth in count():
         audited = []
@@ -167,9 +171,11 @@ def _search(model, document, true_index, k, width, stopwords, method) -> Redacti
             scores = model.score_rows(state_rows)
             dist = softmax(scores)
             rank = rank_of(dist, true_index)
-            if rank > k or depth == len(candidates):
-                prob = float(dist[true_index])
-                return _result(method, document, list(picked), k, final_rank=rank, final_prob=prob, success=rank > k)
+            while unsettled and (unsettled[-1] < rank or depth == len(candidates)):
+                k = unsettled.pop()
+                settled[k] = _result(method, document, list(picked), k, rank, float(dist[true_index]), rank > k)
+            if not unsettled:
+                return [settled[k] for k in ks]
             audited.append((picked, scores))
         if table is None:
             table = model.candidate_scores(document, candidates)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -69,30 +69,32 @@ def utility_report(documents: Sequence[Document], masks: Sequence) -> UtilityRep
 
 def pareto_sweep(
     method: str,
-    redact: Callable[[int, float], RedactionResult],
     controls: Sequence[float],
     records: Sequence[tuple[str, Document, int]],
+    results: Sequence[Sequence[RedactionResult]],
     members: Mapping[str, object],
 ) -> list[ParetoPoint]:
-    """One privacy/utility point per control value.
+    """One privacy/utility point per control value, in the order of `controls`.
 
-    `redact(record_position, control)` produces the mask for one record;
-    records are (doc_id, document, true_index) triples. Reidentification is
-    measured by the ensemble over all redacted records; utility means are
-    taken over all records, with search success rate reported separately.
+    Records are (doc_id, document, true_index) triples, and `results[i][c]`
+    is record i's redaction at `controls[c]`. Reidentification is measured
+    by the ensemble over all redacted records; utility means are taken over
+    all records, with search success rate reported separately.
     """
     if not controls:
         raise ValueError("need at least one control value")
+    if len(results) != len(records) or any(len(row) != len(controls) for row in results):
+        raise ValueError("results need one row per record and one entry per control")
     points = []
-    for control in controls:
-        results = [redact(i, control) for i in range(len(records))]
+    for c, control in enumerate(controls):
+        column = [row[c] for row in results]
         eval_records = [
-            (doc_id, document, results[i].mask, true_index)
-            for i, (doc_id, document, true_index) in enumerate(records)
+            (doc_id, document, result.mask, true_index)
+            for (doc_id, document, true_index), result in zip(records, column)
         ]
         report = ensemble_evaluate(members, eval_records)
-        utility = utility_report([document for _, document, _ in records], [r.mask for r in results])
-        success = 100.0 * float(np.mean([r.success for r in results]))
+        utility = utility_report([document for _, document, _ in records], [r.mask for r in column])
+        success = 100.0 * float(np.mean([r.success for r in column]))
         points.append(
             ParetoPoint(
                 method=method,

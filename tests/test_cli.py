@@ -510,8 +510,7 @@ def test_sweep_rejects_a_control_that_is_not_a_k(
     def no_search(*args, **kwargs):
         raise AssertionError("a search ran")
 
-    monkeypatch.setattr(cli, "greedy_deidentify", no_search)
-    monkeypatch.setattr(cli, "beam_deidentify", no_search)
+    monkeypatch.setattr(cli, "_search", no_search)
     out = tmp_path / "pareto.csv"
     code = main([
         "sweep", "--corpus", str(cli_corpus), "--method", method, "--controls", "2", control,
@@ -524,7 +523,7 @@ def test_sweep_rejects_a_control_that_is_not_a_k(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("method", ["idf", "idf-table"])
+@pytest.mark.parametrize("method", ["idf", "idf-table", "lexical", "ner"])
 def test_sweep_rejects_a_nan_idf_threshold_up_front(tmp_path, cli_corpus, capsys, monkeypatch, method):
     def no_baseline(*args, **kwargs):
         raise AssertionError("a baseline ran")
@@ -540,6 +539,54 @@ def test_sweep_rejects_a_nan_idf_threshold_up_front(tmp_path, cli_corpus, capsys
     assert err["error"] == "error"
     assert "--controls" in err["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["greedy", "beam"])
+def test_a_search_sweep_searches_each_record_once_and_each_row_matches_a_one_control_sweep(
+    tmp_path, cli_corpus, cli_checkpoint, monkeypatch, method
+):
+    calls = []
+    search = cli._search
+
+    def counting(*args):
+        calls.append(args[3])
+        return search(*args)
+
+    monkeypatch.setattr(cli, "_search", counting)
+    argv = [
+        "sweep", "--corpus", str(cli_corpus), "--method", method, "--model", str(cli_checkpoint),
+        "--bm25", "--limit", "6",
+    ]
+    controls = ["64", "1", "8", "8"]
+    out = tmp_path / "all.csv"
+    assert main([*argv, "--controls", *controls, "--out", str(out)]) == 0
+    assert calls == [[64, 1, 8, 8]] * 6
+    header, *rows = out.read_text().splitlines()
+    assert [row.split(",")[1] for row in rows] == ["64.0", "1.0", "8.0", "8.0"]
+    for k, row in zip(controls, rows):
+        single = tmp_path / f"k{k}.csv"
+        assert main([*argv, "--controls", k, "--out", str(single)]) == 0
+        assert single.read_text().splitlines() == [header, row]
+
+
+def test_evaluate_writes_a_null_utility_when_no_record_is_left(tmp_path, cli_corpus, cli_checkpoint, capsys):
+    # no profile can rank below K = 999 in a 40-profile store, so every search fails
+    redacted, sidecar = tmp_path / "redacted.jsonl", tmp_path / "sidecar.jsonl"
+    assert main([
+        "deidentify", "--corpus", str(cli_corpus), "--model", str(cli_checkpoint), "--k", "999",
+        "--limit", "3", "--out", str(redacted), "--sidecar", str(sidecar),
+    ]) == 0
+    assert not any(json.loads(line)["success"] for line in sidecar.read_text().splitlines())
+    capsys.readouterr()
+    report, utility = tmp_path / "report.json", tmp_path / "utility.json"
+    code = main([
+        "evaluate", "--corpus", str(cli_corpus), "--redacted", str(redacted), "--bm25",
+        "--sidecar", str(sidecar), "--success-only", "--report", str(report), "--utility", str(utility),
+    ])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["documents"] == 0
+    assert report.exists()
+    assert utility.read_text() == "null\n"
 
 
 @pytest.mark.parametrize("method", ["idf", "idf-table"])

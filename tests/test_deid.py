@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from deident.corpus import CorpusError, Profile, ProfileStore, Vocabulary, compute_idf, tokenize
 from deident.deid import (
+    _search,
     beam_deidentify,
     candidate_positions,
     greedy_deidentify,
@@ -263,10 +264,10 @@ def test_candidate_table_rows_add_up_to_each_childs_scores(seed, n_profiles, n_w
 
 
 class CountingGuide:
-    """A guide that counts its candidate-table builds and otherwise defers to the model."""
+    """A guide that counts its candidate-table builds and audits and otherwise defers to the model."""
 
     def __init__(self, model):
-        self.model, self.builds = model, 0
+        self.model, self.builds, self.audits = model, 0, 0
 
     def __getattr__(self, name):
         return getattr(self.model, name)
@@ -274,6 +275,10 @@ class CountingGuide:
     def candidate_scores(self, document, candidates):
         self.builds += 1
         return self.model.candidate_scores(document, candidates)
+
+    def score_rows(self, rows):
+        self.audits += 1
+        return self.model.score_rows(rows)
 
 
 @settings(max_examples=100, deadline=None)
@@ -291,6 +296,34 @@ def test_a_search_builds_its_candidate_table_once_and_only_past_depth_zero(seed,
         assert guide.builds == (result.steps > 0)
         same = search(model, doc, true_index, k, **extra)
         assert result.order == same.order and result.final_prob == same.final_prob
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n_words=st.integers(1, 8),
+    width=st.integers(1, 4),
+    ks=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+)
+def test_one_search_over_many_ks_equals_a_lone_search_at_each(seed, n_words, width, ks):
+    # a repeated K at the end; hypothesis supplies the unsorted orders, and
+    # Ks above the 10 profiles exhaust the candidates
+    ks = ks + ks[:1]
+    model, doc, true_index = random_instance(seed, n_words=n_words)
+    lone_searches = {
+        "greedy": (1, lambda guide, k: greedy_deidentify(guide, doc, true_index, k)),
+        "beam": (width, lambda guide, k: beam_deidentify(guide, doc, true_index, k, beam_width=width)),
+    }
+    for method, (search_width, lone) in lone_searches.items():
+        guide = CountingGuide(model)
+        results = _search(guide, doc, true_index, ks, search_width, DEFAULT_STOPWORDS, method)
+        assert len(results) == len(ks)
+        for k, result in zip(ks, results):
+            assert result.to_json() == lone(model, k).to_json(), (method, k)
+        # the search stops once the largest K is settled, as a lone search at it does
+        lone_guide = CountingGuide(model)
+        lone(lone_guide, max(ks))
+        assert (guide.audits, guide.builds) == (lone_guide.audits, lone_guide.builds)
 
 
 def test_beam_depth_one_when_single_mask_suffices(toy_corpus, toy_model):

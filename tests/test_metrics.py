@@ -101,25 +101,26 @@ class ConstantRanker:
         return np.linspace(1.0, 0.0, len(self.store))
 
 
-def _sweep_inputs(corpus, n=6):
+def _redact(corpus, i, control):
+    rec = corpus.records[i]
+    profile = corpus.store.get(rec.profile_id)
+    return idf_table_aware_baseline(rec.document, profile, compute_idf(corpus), control)
+
+
+def _sweep_inputs(corpus, controls, n=6):
+    """Records and their results[i][c] at each of controls, as pareto_sweep takes them."""
     records = [
         (rec.profile_id, rec.document, corpus.store.index_of(rec.profile_id))
         for rec in corpus.records[:n]
     ]
-    table = compute_idf(corpus)
-
-    def redact(i, control):
-        rec = corpus.records[i]
-        profile = corpus.store.get(rec.profile_id)
-        return idf_table_aware_baseline(rec.document, profile, table, control)
-
-    return records, redact
+    results = [[_redact(corpus, i, control) for control in controls] for i in range(len(records))]
+    return records, results
 
 
 def test_pareto_sweep_single_point(toy_corpus):
-    records, redact = _sweep_inputs(toy_corpus)
+    records, results = _sweep_inputs(toy_corpus, [2.0])
     members = {"const": ConstantRanker(toy_corpus.store)}
-    points = pareto_sweep("idf_table", redact, [2.0], records, members)
+    points = pareto_sweep("idf_table", [2.0], records, results, members)
     assert len(points) == 1
     assert points[0].method == "idf_table"
     assert points[0].control == 2.0
@@ -127,32 +128,32 @@ def test_pareto_sweep_single_point(toy_corpus):
 
 
 def test_pareto_sweep_threshold_monotonicity(toy_corpus):
-    records, redact = _sweep_inputs(toy_corpus)
+    records, results = _sweep_inputs(toy_corpus, [6.0, 3.0, 1.0])
     members = {"const": ConstantRanker(toy_corpus.store)}
-    points = pareto_sweep("idf_table", redact, [6.0, 3.0, 1.0], records, members)
+    points = pareto_sweep("idf_table", [6.0, 3.0, 1.0], records, results, members)
     assert points[0].pct_masked <= points[1].pct_masked <= points[2].pct_masked
 
 
 def test_pareto_sweep_rates_match_recomputation(toy_corpus, toy_model):
     from deident.reid import ensemble_evaluate
 
-    records, redact = _sweep_inputs(toy_corpus, n=10)
+    records, results = _sweep_inputs(toy_corpus, [5.0, 1.0], n=10)
     members = {"toy": toy_model}
-    points = pareto_sweep("idf_table", redact, [5.0, 1.0], records, members)
+    points = pareto_sweep("idf_table", [5.0, 1.0], records, results, members)
     for point in points:
-        results = [redact(i, point.control) for i in range(len(records))]
+        redone = [_redact(toy_corpus, i, point.control) for i in range(len(records))]
         eval_records = [
-            (doc_id, doc, results[i].mask, true) for i, (doc_id, doc, true) in enumerate(records)
+            (doc_id, doc, redone[i].mask, true) for i, (doc_id, doc, true) in enumerate(records)
         ]
         report = ensemble_evaluate(members, eval_records)
         assert point.reid_rate == pytest.approx(report.rate)
 
 
 def test_pareto_sweep_deterministic(toy_corpus, toy_model):
-    records, redact = _sweep_inputs(toy_corpus, n=8)
+    records, results = _sweep_inputs(toy_corpus, [4.0, 2.0], n=8)
     members = {"toy": toy_model}
-    first = pareto_sweep("idf_table", redact, [4.0, 2.0], records, members)
-    second = pareto_sweep("idf_table", redact, [4.0, 2.0], records, members)
+    first = pareto_sweep("idf_table", [4.0, 2.0], records, results, members)
+    second = pareto_sweep("idf_table", [4.0, 2.0], records, results, members)
     assert [vars(p) for p in first] == [vars(p) for p in second]
 
 
@@ -170,6 +171,14 @@ def test_pareto_csv_round_trip(tmp_path):
 
 
 def test_pareto_sweep_requires_controls(toy_corpus):
-    records, redact = _sweep_inputs(toy_corpus)
+    records, results = _sweep_inputs(toy_corpus, [])
     with pytest.raises(ValueError):
-        pareto_sweep("idf_table", redact, [], records, {"c": ConstantRanker(toy_corpus.store)})
+        pareto_sweep("idf_table", [], records, results, {"c": ConstantRanker(toy_corpus.store)})
+
+
+def test_pareto_sweep_rejects_results_that_do_not_match_records_and_controls(toy_corpus):
+    records, results = _sweep_inputs(toy_corpus, [4.0, 2.0])
+    members = {"c": ConstantRanker(toy_corpus.store)}
+    for bad in (results[:-1], [row[:1] for row in results]):
+        with pytest.raises(ValueError):
+            pareto_sweep("idf_table", [4.0, 2.0], records, bad, members)
