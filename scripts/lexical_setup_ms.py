@@ -5,7 +5,8 @@ documents and profiles and builds the BM25 ranker, timing each stage on its
 own: `load_corpus`, `store.linearized`, `compute_idf` (after the
 linearization, so it counts only the IDF pass) and `Bm25Reidentifier`. Each
 repeat starts from a fresh load. Prints one JSON line with every repeat's
-milliseconds per stage and their medians. BLAS runs on one thread.
+milliseconds per stage, their medians and the process's peak RSS in MB
+(`ru_maxrss`), so both come from the same run. BLAS runs on one thread.
 
     PYTHONPATH=src python3 scripts/lexical_setup_ms.py --corpus big.jsonl --repeats 7
 """
@@ -13,6 +14,7 @@ milliseconds per stage and their medians. BLAS runs on one thread.
 import argparse
 import json
 import os
+import resource
 import statistics
 import time
 
@@ -54,6 +56,7 @@ def main() -> None:
         "ms": {stage: [round(p[stage], 2) for p in passes] for stage in STAGES},
         "median_ms": {stage: round(statistics.median(p[stage] for p in passes), 2) for stage in STAGES},
         "median_total_ms": round(statistics.median(sum(p.values()) for p in passes), 2),
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }))
 
 

@@ -11,9 +11,12 @@ linearized into a token sequence for encoding and lexical matching.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import json
 import math
 import re
+import sys
 import zlib
 from collections import Counter
 from dataclasses import dataclass
@@ -42,7 +45,24 @@ class CorpusError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
+@contextlib.contextmanager
+def _gc_paused():
+    """Pause the cyclic collector for one lexical set-up stage, then restore the caller's state.
+
+    The stages build large graphs of acyclic objects, over which the collector's passes
+    find nothing. The pause is scoped to a stage, not a process: the collection it
+    defers is paid by the caller right after, and a caller's disabled collector stays so.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@dataclass(frozen=True, slots=True)
 class Token:
     """A single word or punctuation run from a document."""
 
@@ -51,7 +71,7 @@ class Token:
     is_punctuation: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Document:
     """An ordered token sequence."""
 
@@ -70,7 +90,7 @@ class Document:
         return [t.normalized for t in self.tokens]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Profile:
     """A key/value table describing one person."""
 
@@ -78,12 +98,11 @@ class Profile:
     entries: tuple[tuple[str, str], ...]
 
     def __post_init__(self) -> None:
-        keys = [k for k, _ in self.entries]
-        if len(set(keys)) != len(keys):
+        if len({k for k, _ in self.entries}) != len(self.entries):
             raise CorpusError(f"profile {self.id!r} has duplicate keys")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlignedRecord:
     """A document paired with the id of its true profile."""
 
@@ -129,7 +148,8 @@ class ProfileStore:
         """Each profile's `linearize_profile` Document, in store order, computed once."""
         if self._linearized is None:
             table, self._table = self._table or _TokenTable(), None
-            self._linearized = tuple(_linearize(p, table) for p in self.profiles)
+            with _gc_paused():
+                self._linearized = tuple(_linearize(p, table) for p in self.profiles)
         return self._linearized
 
 
@@ -161,10 +181,12 @@ class _Surfaces(dict):
 
 
 class _TokenTable(dict):
-    """The Tokens of each distinct profile key or value text, split once; () for a text with none.
+    """The Tokens of each distinct text, split once; () for a text with none.
 
-    Documents are split through its `surfaces` without being kept. A table lives through one
-    corpus load and that load's store linearization, or through one call; never across calls.
+    Its texts are profile keys and values and the whitespace-separated chunks of documents;
+    only a chunk is split by the pattern, a longer text is the run of its chunks' Tokens.
+    A table lives through one corpus load and that load's store linearization, or through
+    one call; never across calls.
     """
 
     def __init__(self) -> None:
@@ -172,15 +194,42 @@ class _TokenTable(dict):
         self.surfaces = _Surfaces()
 
     def __missing__(self, text: str) -> tuple[Token, ...]:
-        tokens = self[text] = tuple(map(self.surfaces.__getitem__, _TOKEN_RE.findall(text)))
+        chunks = text.split()
+        if chunks == [text]:
+            tokens = tuple(map(self.surfaces.__getitem__, _TOKEN_RE.findall(text)))
+        else:
+            tokens = tuple(chain.from_iterable(map(self.__getitem__, chunks)))
+        self[text] = tokens
         return tokens
 
 
+class _Entries(dict):
+    """One shared (key, value) pair per distinct profile entry of a load, its key and value checked once for tokens.
+
+    It refers to its table and the table not to it, so neither outlives the load by a reference cycle.
+    """
+
+    def __init__(self, table: _TokenTable) -> None:
+        super().__init__()
+        self.table = table
+
+    def __missing__(self, entry: tuple[str, str]) -> tuple[str, str]:
+        key, value = entry
+        if not (self.table[key] and self.table[value]):
+            part = "value" if self.table[key] else "key"
+            raise CorpusError(f"profile entry {key!r} has no tokens in its {part}")
+        entry = sys.intern(key), value
+        self[entry] = entry
+        return entry
+
+
 def _tokenize(text: str, table: _TokenTable) -> Document:
-    tokens = tuple(map(table.surfaces.__getitem__, _TOKEN_RE.findall(text)))
+    # no token spans whitespace, and str.split's whitespace is the pattern's \s, so the
+    # tokens of a text are those of its chunks, each of which the table splits once
+    tokens = tuple(chain.from_iterable(map(table.__getitem__, text.split())))
     if not tokens:
         raise CorpusError("no tokens in input text")
-    return Document(tokens=tokens)
+    return Document(tokens)
 
 
 def tokenize(text: str) -> Document:
@@ -221,7 +270,7 @@ def _linearize(profile: Profile, table: _TokenTable, max_tokens: int = MAX_PROFI
         tokens += key_tokens
         tokens += colon
         tokens += value_tokens
-    return Document(tokens=tuple(tokens[:max_tokens]))
+    return Document(tuple(tokens[:max_tokens]))
 
 
 def _jsonl_rows(path: str | Path) -> Iterator[tuple[int, dict]]:
@@ -247,34 +296,31 @@ def _jsonl_rows(path: str | Path) -> Iterator[tuple[int, dict]]:
             yield line_no, obj
 
 
-def _parse_record(obj: dict, line: int, table: _TokenTable) -> tuple[AlignedRecord, Profile]:
+def _parse_record(obj: dict, line: int, memo: _Entries) -> tuple[AlignedRecord, Profile]:
     for key in ("id", "document", "profile"):
         if key not in obj:
             raise CorpusError(f"missing field {key!r}", line)
-    if not isinstance(obj["id"], str) or not obj["id"]:
+    record_id, text, entries = obj["id"], obj["document"], obj["profile"]
+    if not isinstance(record_id, str) or not record_id:
         raise CorpusError("field 'id' must be a nonempty string", line)
-    if not isinstance(obj["document"], str):
+    if not isinstance(text, str):
         raise CorpusError("field 'document' must be a string", line)
-    entries = obj["profile"]
     if not isinstance(entries, list) or not entries:
         raise CorpusError("field 'profile' must be a nonempty list", line)
     pairs = []
-    for pair in entries:
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise CorpusError("profile entries must be [key, value] pairs", line)
-        key, value = str(pair[0]), str(pair[1])
-        if not (table[key] and table[value]):
-            part = "value" if table[key] else "key"
-            raise CorpusError(f"profile entry {key!r} has no tokens in its {part}", line)
-        pairs.append((key, value))
     try:
-        document = _tokenize(obj["document"], table)
-        profile = Profile(id=obj["id"], entries=tuple(pairs))
+        for pair in entries:
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise CorpusError("profile entries must be [key, value] pairs")
+            pairs.append(memo[str(pair[0]), str(pair[1])])
+        document = _tokenize(text, memo.table)
+        profile = Profile(record_id, tuple(pairs))
     except CorpusError as exc:
         raise CorpusError(str(exc), line) from exc
-    return AlignedRecord(document=document, profile_id=obj["id"]), profile
+    return AlignedRecord(document, record_id), profile
 
 
+@_gc_paused()
 def load_corpus(path: str | Path) -> Corpus:
     """Load a JSONL corpus file.
 
@@ -284,9 +330,9 @@ def load_corpus(path: str | Path) -> Corpus:
     records: list[AlignedRecord] = []
     profiles: list[Profile] = []
     seen: dict[str, int] = {}
-    table = _TokenTable()
+    memo = _Entries(_TokenTable())
     for line_no, obj in _jsonl_rows(path):
-        record, profile = _parse_record(obj, line_no, table)
+        record, profile = _parse_record(obj, line_no, memo)
         if profile.id in seen:
             raise CorpusError(
                 f"duplicate profile id {profile.id!r} (first seen on line {seen[profile.id]})",
@@ -297,7 +343,7 @@ def load_corpus(path: str | Path) -> Corpus:
         profiles.append(profile)
     if not records:
         raise CorpusError(f"no records in {path}")
-    return Corpus(records=records, store=ProfileStore(profiles, table))
+    return Corpus(records=records, store=ProfileStore(profiles, memo.table))
 
 
 def load_redacted(path: str | Path) -> list[dict]:
@@ -344,6 +390,7 @@ class IdfTable:
         return cls(doc_count=len(docs), df=Counter(chain.from_iterable(map(set, docs))))
 
 
+@_gc_paused()
 def compute_idf(corpus: Corpus) -> IdfTable:
     """IDF over the union of documents and linearized profiles."""
     docs = chain((rec.document for rec in corpus.records), corpus.store.linearized)

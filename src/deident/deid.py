@@ -149,7 +149,10 @@ def _search(model, document, true_index, ks, width, stopwords, method) -> list[R
     A child scores as its state's audited scores plus its candidate's row of
     the document's `candidate_scores` table, built at the first expansion.
     The last depth holds the single all-candidates state, which settles the
-    Ks left, failing those it does not pass. No state depends on K, so each
+    Ks left, failing those it does not pass. No rank exceeds the store size,
+    so a K at or above it fails there whatever the path: one audit of that
+    state settles all such Ks first, with the candidates as the order, and
+    the search runs only for the Ks below. No state depends on K, so each
     result equals a lone search at its K (a repeated K shares one object).
     """
     if width < 1:
@@ -161,19 +164,30 @@ def _search(model, document, true_index, ks, width, stopwords, method) -> list[R
     candidates = candidate_positions(document, np.zeros(len(document), dtype=np.int8), stopwords)
     vocab, table = model.params.vocab, None
     rows = document_row_indices(vocab, document)
-    unsettled, settled = sorted(set(ks), reverse=True), {}  # the smallest unsettled K last
+
+    def audit(picked):
+        state_rows = rows.copy()
+        state_rows[list(picked)] = vocab.mask_index
+        scores = model.score_rows(state_rows)
+        dist = softmax(scores)
+        return scores, rank_of(dist, true_index), float(dist[true_index])
+
+    unsettled = sorted({k for k in ks if k < len(model.store)}, reverse=True)  # the smallest unsettled K last
+    settled = {}
+    if len(unsettled) < len(set(ks)):  # no rank passes a K at or above the store size
+        _, rank, prob = audit(candidates)
+        for k in set(ks).difference(unsettled):
+            settled[k] = _result(method, document, list(candidates), k, rank, prob, False)
+        if not unsettled:
+            return [settled[k] for k in ks]
     states: list[tuple[int, ...]] = [()]
     for depth in count():
         audited = []
         for picked in states:
-            state_rows = rows.copy()
-            state_rows[list(picked)] = vocab.mask_index
-            scores = model.score_rows(state_rows)
-            dist = softmax(scores)
-            rank = rank_of(dist, true_index)
+            scores, rank, prob = audit(picked)
             while unsettled and (unsettled[-1] < rank or depth == len(candidates)):
                 k = unsettled.pop()
-                settled[k] = _result(method, document, list(picked), k, rank, float(dist[true_index]), rank > k)
+                settled[k] = _result(method, document, list(picked), k, rank, prob, rank > k)
             if not unsettled:
                 return [settled[k] for k in ks]
             audited.append((picked, scores))

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Document, IdfTable, ProfileStore, check_mask, linearize_profiles
+from .corpus import Document, IdfTable, ProfileStore, _gc_paused, check_mask, linearize_profiles
 from .encoder import (
     ModelParams,
     build_profile_matrix,
@@ -73,6 +73,7 @@ class Bm25Reidentifier:
     score contribution to each, so scoring touches only matching profiles.
     """
 
+    @_gc_paused()
     def __init__(self, store: ProfileStore, k1: float = 1.5, b: float = 0.75, name: str = "bm25"):
         if not (math.isfinite(k1) and k1 > 0):
             raise ValueError("k1 must be finite and > 0")
@@ -123,11 +124,11 @@ class Bm25Reidentifier:
 
 @dataclass
 class EnsembleReport:
-    """Reidentification outcome of an ensemble over a record set."""
+    """Reidentification outcome of an ensemble over a record set; rates over no records are None."""
 
-    rate: float
+    rate: float | None
     per_doc: list[dict]
-    per_member: dict[str, float]
+    per_member: dict[str, float | None]
 
     def to_json(self) -> dict:
         return {"rate": self.rate, "per_member": self.per_member, "per_doc": self.per_doc}
@@ -146,6 +147,7 @@ def ensemble_evaluate(
 
     A document counts as reidentified when at least one member puts its
     true profile at rank 1. Per-member ranks are kept for every document.
+    Over no records there is no rate: `rate` and each member's rate are None.
     """
     if not members:
         raise ValueError("ensemble needs at least one member")
@@ -162,7 +164,9 @@ def ensemble_evaluate(
         flag = any(r == 1 for r in ranks.values())
         reidentified_count += int(flag)
         per_doc.append({"id": doc_id, "ranks": ranks, "reidentified": flag})
-    total = max(1, len(per_doc))
-    rate = 100.0 * reidentified_count / total
-    per_member = {name: 100.0 * hits / total for name, hits in member_hits.items()}
-    return EnsembleReport(rate=rate, per_doc=per_doc, per_member=per_member)
+
+    def percent(count: int) -> float | None:
+        return 100.0 * count / len(per_doc) if per_doc else None
+
+    per_member = {name: percent(hits) for name, hits in member_hits.items()}
+    return EnsembleReport(rate=percent(reidentified_count), per_doc=per_doc, per_member=per_member)

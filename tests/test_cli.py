@@ -589,6 +589,27 @@ def test_evaluate_writes_a_null_utility_when_no_record_is_left(tmp_path, cli_cor
     assert utility.read_text() == "null\n"
 
 
+def test_evaluate_reports_a_null_rate_when_no_record_is_certified(tmp_path, cli_corpus, capsys):
+    # an untrained guide at K = 999 certifies nothing, so --success-only keeps no record
+    guide = tmp_path / "untrained.ckpt"
+    save_checkpoint(init_params(Vocabulary.from_corpus(load_corpus(cli_corpus)), dim=8, seed=0), guide)
+    redacted, sidecar = tmp_path / "redacted.jsonl", tmp_path / "sidecar.jsonl"
+    assert main([
+        "deidentify", "--corpus", str(cli_corpus), "--model", str(guide), "--k", "999",
+        "--limit", "3", "--out", str(redacted), "--sidecar", str(sidecar),
+    ]) == 0
+    capsys.readouterr()
+    report = tmp_path / "report.json"
+    assert main([
+        "evaluate", "--corpus", str(cli_corpus), "--redacted", str(redacted), "--models", str(guide), "--bm25",
+        "--sidecar", str(sidecar), "--success-only", "--report", str(report),
+    ]) == 0
+    assert json.loads(capsys.readouterr().out) == {"documents": 0, "rate": None}
+    saved = json.loads(report.read_text())
+    assert saved["rate"] is None and saved["per_doc"] == []
+    assert saved["per_member"] == {"untrained": None, "bm25": None}
+
+
 @pytest.mark.parametrize("method", ["idf", "idf-table"])
 def test_baseline_rejects_a_nan_idf_threshold(tmp_path, cli_corpus, capsys, method):
     out = tmp_path / "out.jsonl"

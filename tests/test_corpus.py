@@ -1,4 +1,6 @@
+import gc
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +16,9 @@ from deident.corpus import (
     ProfileStore,
     Vocabulary,
     apply_mask,
+    _TOKEN_RE,
     _TokenTable,
+    _parse_record,
     _tokenize,
     compute_idf,
     corpus_stats,
@@ -23,6 +27,8 @@ from deident.corpus import (
     load_redacted,
     tokenize,
 )
+from deident.encoder import profile_bags
+from deident.reid import Bm25Reidentifier
 
 from conftest import write_jsonl
 from oracles import document_frequencies, linearize
@@ -82,6 +88,87 @@ def test_tokenize_shared_table_gives_equal_documents():
     # each distinct surface is built once per table
     assert again.tokens[0] is shared.tokens[3]
     assert again.tokens[1] is shared.tokens[1] is shared.tokens[7]
+
+
+# Text around the chunk boundaries: the ASCII separators \x1c-\x1f, NEL and Unicode
+# spaces are whitespace to str.split and to the pattern's \s; \u200b and \u00ad are not.
+_SPLIT_PIECES = st.sampled_from([
+    "\x1c", "\x1d", "\x1e", "\x1f", " ", "\u3000", "\x85", "\u2028", "\t", "\n", "\u00a0",
+    "\u200b", "\u00ad", "Ann", "é", "a_b", "1984", ",", "--", "«»",
+])
+_SPLIT_TEXT = st.one_of(st.text(), st.lists(st.one_of(_SPLIT_PIECES, st.text(max_size=3)), max_size=12).map("".join))
+
+
+@settings(max_examples=400, deadline=None)
+@given(texts=st.lists(_SPLIT_TEXT, min_size=1, max_size=4))
+def test_tokenize_through_the_chunk_memo_matches_the_pattern(texts):
+    table = _TokenTable()  # shared by the texts, as one corpus load shares it
+    for text in texts:
+        want = _TOKEN_RE.findall(text)
+        assert [t.surface for t in table[text]] == want
+        if want:
+            assert _tokenize(text, table).surfaces() == want
+        else:
+            with pytest.raises(CorpusError):
+                _tokenize(text, table)
+
+
+def test_str_isspace_is_the_patterns_whitespace_on_every_code_point():
+    text = "".join(map(chr, range(0x110000)))
+    assert re.findall(r"\s", text) == [c for c in text if c.isspace()]
+
+
+@pytest.fixture
+def restores_gc():
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_lexical_set_up_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, restores_gc, enabled):
+    rows = make_corpus_rows(20, seed=4)
+    path = write_jsonl(tmp_path / "t.jsonl", rows)
+    seen, parse = [], _parse_record
+
+    def watched(*args):
+        seen.append(gc.isenabled())
+        return parse(*args)
+
+    monkeypatch.setattr("deident.corpus._parse_record", watched)
+    (gc.enable if enabled else gc.disable)()
+    corpus = load_corpus(path)
+    assert seen == [False] * 20  # paused for the whole load
+    assert gc.isenabled() is enabled
+    stages = [
+        lambda: corpus.store.linearized,
+        lambda: compute_idf(corpus),
+        lambda: Bm25Reidentifier(corpus.store),
+        lambda: profile_bags(Vocabulary.from_corpus(corpus), corpus.store),
+    ]
+    for stage in stages:
+        stage()
+        assert gc.isenabled() is enabled
+    rows[10]["profile"] = [["city", " "]]
+    with pytest.raises(CorpusError, match="line 11"):
+        load_corpus(write_jsonl(tmp_path / "bad.jsonl", rows))
+    assert gc.isenabled() is enabled
+    with pytest.raises(ValueError):
+        Bm25Reidentifier(corpus.store, k1=0.0)
+    assert gc.isenabled() is enabled
+
+
+def test_lexical_set_up_leaves_nothing_to_the_collector(tmp_path, restores_gc):
+    # the pause defers collection, so a cycle made in a stage would hold its memory until a later pass
+    path = write_jsonl(tmp_path / "t.jsonl", make_corpus_rows(20, seed=4))
+    gc.collect()
+    gc.disable()
+    corpus = load_corpus(path)
+    compute_idf(corpus)
+    Bm25Reidentifier(corpus.store)
+    profile_bags(Vocabulary.from_corpus(corpus), corpus.store)
+    del corpus
+    assert gc.collect() == 0
 
 
 def test_load_corpus_matches_per_call_tokenization(tmp_path):

@@ -93,8 +93,12 @@ def test_greedy_precheck_returns_empty_mask():
 
 
 def test_greedy_first_step_matches_bruteforce_argmin():
-    model, doc, true_index = random_instance(1)
-    result = greedy_deidentify(model, doc, true_index, k=len(model.store))  # forces full run
+    model, doc, _ = random_instance(1)
+    # the top-ranked profile must mask at least one word to rank below K = |store| - 1; a K
+    # at or above the store size fails with one audit and takes no greedy step
+    true_index = int(np.argmax(model.distribution(doc)))
+    result = greedy_deidentify(model, doc, true_index, k=len(model.store) - 1)
+    assert result.steps >= 1
     candidates = candidate_positions(doc, np.zeros(len(doc), dtype=np.int8), DEFAULT_STOPWORDS)
     probs = [
         float(oracle_distribution(model, doc, _with(np.zeros(len(doc), dtype=np.int8), j))[true_index])
@@ -307,7 +311,7 @@ def test_a_search_builds_its_candidate_table_once_and_only_past_depth_zero(seed,
 )
 def test_one_search_over_many_ks_equals_a_lone_search_at_each(seed, n_words, width, ks):
     # a repeated K at the end; hypothesis supplies the unsorted orders, and
-    # Ks above the 10 profiles exhaust the candidates
+    # Ks from the 10 profiles up fail at the all-candidates state
     ks = ks + ks[:1]
     model, doc, true_index = random_instance(seed, n_words=n_words)
     lone_searches = {
@@ -320,10 +324,28 @@ def test_one_search_over_many_ks_equals_a_lone_search_at_each(seed, n_words, wid
         assert len(results) == len(ks)
         for k, result in zip(ks, results):
             assert result.to_json() == lone(model, k).to_json(), (method, k)
-        # the search stops once the largest K is settled, as a lone search at it does
+        # the search stops once the largest K below the store size is settled, as a lone
+        # search at it does; the Ks at or above it share one audit of their own
+        below = [k for k in ks if k < len(model.store)]
         lone_guide = CountingGuide(model)
-        lone(lone_guide, max(ks))
-        assert (guide.audits, guide.builds) == (lone_guide.audits, lone_guide.builds)
+        if below:
+            lone(lone_guide, max(below))
+        above = len(below) < len(ks)
+        assert (guide.audits, guide.builds) == (lone_guide.audits + above, lone_guide.builds)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_k_at_or_above_the_store_size_fails_with_one_audit(seed):
+    model, doc, true_index = random_instance(seed, n_profiles=40)
+    candidates = candidate_positions(doc, np.zeros(len(doc), dtype=np.int8), DEFAULT_STOPWORDS)
+    for search, extra in ((greedy_deidentify, {}), (beam_deidentify, {"beam_width": 3})):
+        guide = CountingGuide(model)
+        result = search(guide, doc, true_index, 64, **extra)
+        assert (guide.audits, guide.builds) == (1, 0)
+        assert not result.success and result.k == 64
+        assert result.order == candidates and result.steps == len(candidates)
+        dist = model.distribution(doc, result.mask)
+        assert (result.final_rank, result.final_prob) == (rank_of(dist, true_index), float(dist[true_index]))
 
 
 def test_beam_depth_one_when_single_mask_suffices(toy_corpus, toy_model):

@@ -309,6 +309,12 @@ def test_ensemble_report_rate_definition(hand_store):
     assert report.rate == pytest.approx(100.0 * flagged / len(records))
 
 
+def test_ensemble_over_no_records_has_no_rates(hand_store):
+    members = {name: FixedRanker(hand_store, {}) for name in ("a", "b")}
+    report = ensemble_evaluate(members, [])
+    assert report.to_json() == {"rate": None, "per_member": {"a": None, "b": None}, "per_doc": []}
+
+
 def test_ensemble_report_json_round_trip(tmp_path, hand_store):
     records = make_eval_records(hand_store, ["doc one"])
     report = ensemble_evaluate(
