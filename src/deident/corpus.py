@@ -206,7 +206,9 @@ class _TokenTable(dict):
 class _Entries(dict):
     """One shared (key, value) pair per distinct profile entry of a load, its key and value checked once for tokens.
 
-    It refers to its table and the table not to it, so neither outlives the load by a reference cycle.
+    Profiles repeat most of their entries (occupations, countries, teams), and each repeat then
+    holds the shared tuple and strings, not copies of its own. It refers to its table and the
+    table not to it, so neither outlives the load by a reference cycle.
     """
 
     def __init__(self, table: _TokenTable) -> None:

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Document, Profile, ProfileStore, Vocabulary, _gc_paused, check_mask, linearize_profiles
+from .corpus import Document, Profile, ProfileStore, Vocabulary, check_mask, linearize_profiles
 
 CHECKPOINT_VERSION = 2
 CHECKPOINT_ARRAYS = ("embeddings", "doc_proj", "profile_proj")
@@ -201,7 +201,6 @@ class DenseBags:
         return self.weights @ embeddings[self.rows].astype(np.float64)
 
 
-@_gc_paused()
 def profile_bags(vocab: Vocabulary, store: ProfileStore | Sequence[Profile]) -> Bags:
     """Bags of the linearized profiles, one per profile in store order."""
     return Bags([vocab.indices(d.normalized()) for d in linearize_profiles(store)])

@@ -27,7 +27,6 @@ from deident.corpus import (
     load_redacted,
     tokenize,
 )
-from deident.encoder import profile_bags
 from deident.reid import Bm25Reidentifier
 
 from conftest import write_jsonl
@@ -144,7 +143,6 @@ def test_lexical_set_up_leaves_the_collector_as_it_found_it(tmp_path, monkeypatc
         lambda: corpus.store.linearized,
         lambda: compute_idf(corpus),
         lambda: Bm25Reidentifier(corpus.store),
-        lambda: profile_bags(Vocabulary.from_corpus(corpus), corpus.store),
     ]
     for stage in stages:
         stage()
@@ -166,7 +164,6 @@ def test_lexical_set_up_leaves_nothing_to_the_collector(tmp_path, restores_gc):
     corpus = load_corpus(path)
     compute_idf(corpus)
     Bm25Reidentifier(corpus.store)
-    profile_bags(Vocabulary.from_corpus(corpus), corpus.store)
     del corpus
     assert gc.collect() == 0
 

@@ -62,14 +62,19 @@ def replay_greedy_with_oracle(model, doc, true_index, k, result):
     dist = oracle_distribution(model, doc, mask)
     assert rank_of(dist, true_index) <= k or result.steps == 0
     for step, chosen in enumerate(result.order):
-        candidates = candidate_positions(doc, mask, DEFAULT_STOPWORDS)
-        probs = [float(oracle_distribution(model, doc, _with(mask, j))[true_index]) for j in candidates]
-        best = min(range(len(candidates)), key=lambda c: (probs[c], candidates[c]))
-        assert candidates[best] == chosen, f"step {step}: oracle {candidates[best]} != {chosen}"
+        best = oracle_greedy_pick(model, doc, true_index, mask)
+        assert best == chosen, f"step {step}: oracle {best} != {chosen}"
         mask[chosen] = 1
     final = oracle_distribution(model, doc, mask)
     if result.success:
         assert rank_of(final, true_index) > k
+
+
+def oracle_greedy_pick(model, doc, true_index, mask):
+    """The candidate whose masking leaves the true profile least probable, by exhaustive rescoring."""
+    candidates = candidate_positions(doc, mask, DEFAULT_STOPWORDS)
+    probs = [float(oracle_distribution(model, doc, _with(mask, j))[true_index]) for j in candidates]
+    return candidates[min(range(len(candidates)), key=lambda c: (probs[c], candidates[c]))]
 
 
 def _with(mask, j):
@@ -99,23 +104,28 @@ def test_greedy_first_step_matches_bruteforce_argmin():
     true_index = int(np.argmax(model.distribution(doc)))
     result = greedy_deidentify(model, doc, true_index, k=len(model.store) - 1)
     assert result.steps >= 1
-    candidates = candidate_positions(doc, np.zeros(len(doc), dtype=np.int8), DEFAULT_STOPWORDS)
-    probs = [
-        float(oracle_distribution(model, doc, _with(np.zeros(len(doc), dtype=np.int8), j))[true_index])
-        for j in candidates
-    ]
-    best = min(range(len(candidates)), key=lambda c: (probs[c], candidates[c]))
-    assert result.order[0] == candidates[best]
+    assert result.order[0] == oracle_greedy_pick(model, doc, true_index, np.zeros(len(doc), dtype=np.int8))
 
 
 def test_greedy_exhaustion_reports_failure():
-    model, doc, true_index = random_instance(2)
-    # rank can never exceed the store size, so k = |store| forces exhaustion
-    result = greedy_deidentify(model, doc, true_index, k=len(model.store))
+    model, doc, true_index = random_instance(3)
+    # walk greedy's whole path with the oracle: at K = the highest rank on it, which is
+    # below the store size, no state passes, so the search masks every candidate and fails
+    mask = np.zeros(len(doc), dtype=np.int8)
+    candidates = candidate_positions(doc, mask, DEFAULT_STOPWORDS)
+    path, ranks = [], [rank_of(oracle_distribution(model, doc, mask), true_index)]
+    for _ in candidates:
+        path.append(oracle_greedy_pick(model, doc, true_index, mask))
+        mask[path[-1]] = 1
+        ranks.append(rank_of(oracle_distribution(model, doc, mask), true_index))
+    k = max(ranks)
+    assert k < len(model.store)
+    guide = CountingGuide(model)
+    result = greedy_deidentify(guide, doc, true_index, k)
     assert not result.success
-    candidates = candidate_positions(doc, np.zeros(len(doc), dtype=np.int8), DEFAULT_STOPWORDS)
-    assert result.steps == len(candidates)
+    assert result.order == path and result.steps == len(candidates)
     assert result.mask.sum() == len(candidates)
+    assert guide.audits == len(candidates) + 1  # one state per depth, down to all candidates
 
 
 def test_greedy_step_optimality_random_instances():
@@ -130,7 +140,7 @@ def test_unseen_words_read_as_the_mask_row():
     # swapping one unseen word for another moves nothing, and an unseen word
     # encodes exactly like a masked position
     for seed in range(5):
-        model, doc, true_index = random_instance(seed)
+        model, doc, _ = random_instance(seed)
         words, at = doc.surfaces(), 2
         doc_a = tokenize(" ".join([*words[:at], "zebra", *words[at:]]))
         doc_b = tokenize(" ".join([*words[:at], "quokka", *words[at:]]))
@@ -140,11 +150,15 @@ def test_unseen_words_read_as_the_mask_row():
         assert model.scores(doc_a, unmasked).tobytes() == model.scores(doc_b, unmasked).tobytes()
         unseen = encode_document(model.params, doc_a)
         assert unseen.tobytes() == encode_document(model.params, doc_a, masked).tobytes()
-        for k in (2, len(model.store)):
+        # the top-ranked profile stays at or above K = |store| - 1 down greedy's whole path
+        true_index = int(np.argmax(model.distribution(doc_a)))
+        for k in (2, len(model.store) - 1):
             result_a = greedy_deidentify(model, doc_a, true_index, k)
             result_b = greedy_deidentify(model, doc_b, true_index, k)
             assert np.array_equal(result_a.mask, result_b.mask)
             assert result_a.order == result_b.order
+        candidates = candidate_positions(doc_a, unmasked, DEFAULT_STOPWORDS)
+        assert not result_a.success and result_a.steps == len(candidates)
 
 
 def test_greedy_masks_only_grow_and_steps_match():
@@ -356,7 +370,10 @@ def test_beam_depth_one_when_single_mask_suffices(toy_corpus, toy_model):
         true_index = toy_corpus.store.index_of(rec.profile_id)
         doc = rec.document
         start = rank_of(toy_model.distribution(doc, np.zeros(len(doc), dtype=np.int8)), true_index)
-        first = greedy_deidentify(toy_model, doc, true_index, k=len(toy_corpus.store)).order[0]
+        path = greedy_deidentify(toy_model, doc, true_index, k=len(toy_corpus.store) - 1).order
+        if not path:  # already ranked last: no K below the store size needs a mask
+            continue
+        first = path[0]
         k = rank_of(toy_model.distribution(doc, _with(np.zeros(len(doc), dtype=np.int8), first)), true_index) - 1
         if k < start:
             continue
