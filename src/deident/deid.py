@@ -6,9 +6,9 @@ drops out of the top K. Stopwords and pure punctuation are not candidates.
 Greedy and beam run one search loop: the beam search keeps several
 lowest-probability mask states per depth, and greedy is the beam search at
 width 1. One search answers a list of Ks, as a sweep over K needs. The
-guide model must provide `store`, `params`, `score_rows` and
-`candidate_scores`, as `NeuralReidentifier` does; `Bm25Reidentifier` has no
-candidate table, so it cannot guide a search.
+guide model must provide `store` and `document_scorer` (a per-document
+state that audits mask sets and builds the candidate table), as
+`NeuralReidentifier` does; `Bm25Reidentifier` cannot guide a search.
 
 Baselines mask by profile overlap (lexical), rarity (IDF threshold), their
 combination (table-aware IDF), or entity tags (file-provided or a built-in
@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import CorpusError, Document, IdfTable, Profile, _jsonl_rows, _tokenize, _TokenTable
-from .encoder import document_row_indices, rank_of, softmax
+from .encoder import rank_of, softmax
 from .stopwords import DEFAULT_STOPWORDS
 
 ENTITY_TAGS = frozenset({"PER", "ORG", "LOC", "MISC"})
@@ -147,7 +147,7 @@ def _search(model, document, true_index, ks, width, stopwords, method) -> list[R
     candidates, and the `width` children with the lowest (probability,
     order) are kept; children with the same mask set keep their best entry.
     A child scores as its state's audited scores plus its candidate's row of
-    the document's `candidate_scores` table, built at the first expansion.
+    the table of the guide's `document_scorer`, built at the first expansion.
     The last depth holds the single all-candidates state, which settles the
     Ks left, failing those it does not pass. No rank exceeds the store size,
     so a K at or above it fails there whatever the path: one audit of that
@@ -162,13 +162,10 @@ def _search(model, document, true_index, ks, width, stopwords, method) -> list[R
     if not 0 <= true_index < len(model.store):
         raise ValueError(f"profile index {true_index} not in store")
     candidates = candidate_positions(document, np.zeros(len(document), dtype=np.int8), stopwords)
-    vocab, table = model.params.vocab, None
-    rows = document_row_indices(vocab, document)
+    scorer, table = model.document_scorer(document), None
 
     def audit(picked):
-        state_rows = rows.copy()
-        state_rows[list(picked)] = vocab.mask_index
-        scores = model.score_rows(state_rows)
+        scores = scorer.audit(picked)
         dist = softmax(scores)
         return scores, rank_of(dist, true_index), float(dist[true_index])
 
@@ -192,13 +189,15 @@ def _search(model, document, true_index, ks, width, stopwords, method) -> list[R
                 return [settled[k] for k in ks]
             audited.append((picked, scores))
         if table is None:
-            table = model.candidate_scores(document, candidates)
+            table = scorer.table(candidates)
         # children keyed by their mask set as a bit set of positions
         children: dict[int, tuple[float, tuple[int, ...]]] = {}
         for picked, scores in audited:
             key = sum(1 << j for j in picked)
             left = [c for c, j in enumerate(candidates) if not key >> j & 1]
-            probs = softmax(scores + table[left])[:, true_index]
+            exp = table[left] + scores
+            exp -= exp.max(axis=1, keepdims=True)
+            probs = np.exp(exp, out=exp)[:, true_index] / exp.sum(axis=1)  # the true column of their softmax
             # a child outside its state's `width` lowest cannot be among the `width` lowest overall
             for c in np.argsort(probs, kind="stable")[:width]:
                 j = candidates[left[c]]

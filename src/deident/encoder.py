@@ -10,12 +10,13 @@ softmax.
 
 Each token mean has one product. Documents go through `DenseBags`, a dense
 (bag x touched rows) weight matrix: a training batch is one GEMM, and
-`encode_document` is the same product over one bag. Profile stores, and
-other sets encoded whole, go through `Bags`, a sparse bags-of-rows matrix
-whose rows do not depend on each other; `profile_matrix` projects its
-means. Each operator's adjoint maps mean gradients back onto embedding rows:
-`DenseBags`' is one more GEMM, and `Bags`' is one `np.bincount` per column
-over its (bag, row, weight) triples, which adds each row's terms in bag order.
+`encode_document`, like each audit of the search's per-document state
+(`reid.DocumentScorer`), is the same product over one bag. Profile stores,
+and other sets encoded whole, go through `Bags`, a sparse bags-of-rows
+matrix whose rows do not depend on each other; `profile_matrix` projects
+its means. Each operator's adjoint maps mean gradients back onto embedding
+rows: `DenseBags`' is one more GEMM, and `Bags`' is one `np.bincount` per
+column over its (bag, row, weight) triples, adding each row's in bag order.
 """
 
 from __future__ import annotations
@@ -207,12 +208,8 @@ def profile_bags(vocab: Vocabulary, store: ProfileStore | Sequence[Profile]) -> 
 
 
 def encode_document(params: ModelParams, document: Document, mask=None) -> np.ndarray:
-    """Embed a (possibly masked) document: `encode_rows` of its embedding rows."""
-    return encode_rows(params, document_row_indices(params.vocab, document, mask))
-
-
-def encode_rows(params: ModelParams, rows: np.ndarray) -> np.ndarray:
-    """Embed one document's embedding rows: their `DenseBags` mean times the document projection."""
+    """Embed a (possibly masked) document: its `DenseBags` mean times the document projection."""
+    rows = document_row_indices(params.vocab, document, mask)
     return DenseBags(rows, [len(rows)]).mean(params.embeddings)[0] @ params.doc_proj.astype(np.float64)
 
 
@@ -245,7 +242,7 @@ def rank_of(values: np.ndarray, index: int) -> int:
     if index < 0 or index >= len(values):
         raise IndexError(f"index {index} out of range for {len(values)} values")
     target = values[index]
-    return int(1 + np.sum(values > target) + np.sum(values[:index] == target))
+    return int(1 + np.count_nonzero(values > target) + np.count_nonzero(values[:index] == target))
 
 
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:

@@ -22,7 +22,7 @@ from .encoder import (
     ModelParams,
     build_profile_matrix,
     document_row_indices,
-    encode_rows,
+    encode_document,
     load_checkpoint,
     rank_of,
     softmax,
@@ -33,10 +33,8 @@ class NeuralReidentifier:
     """Ranks profiles by dot product with the encoded document."""
 
     def __init__(self, params: ModelParams, store: ProfileStore, name: str = "neural"):
-        self.params = params
-        self.store = store
-        self.name = name
-        self.matrix = build_profile_matrix(params, store)
+        self.params, self.store, self.name = params, store, name
+        self.matrix, self.doc_proj = build_profile_matrix(params, store), params.doc_proj.astype(np.float64)
 
     @classmethod
     def from_checkpoint(cls, path: str | Path, store: ProfileStore, name: str | None = None):
@@ -44,24 +42,44 @@ class NeuralReidentifier:
         return cls(params, store, name=name or Path(path).stem)
 
     def scores(self, document: Document, mask=None) -> np.ndarray:
-        return self.score_rows(document_row_indices(self.params.vocab, document, mask))
+        return self.matrix @ encode_document(self.params, document, mask)
 
     def distribution(self, document: Document, mask=None) -> np.ndarray:
         return softmax(self.scores(document, mask))
 
-    def score_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Profile scores of one document given as embedding rows, masked positions at the mask row."""
-        return self.matrix @ encode_rows(self.params, rows)
+    def document_scorer(self, document: Document) -> "DocumentScorer":
+        return DocumentScorer(self, document)
 
-    def candidate_scores(self, document: Document, candidates: Sequence[int]) -> np.ndarray:
-        """(candidates x profiles) table: what masking each candidate adds to `scores`, whatever else is masked."""
-        candidates = np.asarray(candidates, dtype=np.int64)
-        if ((candidates < 0) | (candidates >= len(document))).any():
-            raise ValueError(f"candidate positions must lie in [0, {len(document)})")
-        rows = document_row_indices(self.params.vocab, document)
-        emb = self.params.embeddings
-        deltas = emb[self.params.vocab.mask_index].astype(np.float64) - emb[rows[candidates]].astype(np.float64)
-        return deltas / len(rows) @ self.params.doc_proj.astype(np.float64) @ self.matrix.T
+
+class DocumentScorer:
+    """One document's search state: its distinct embedding rows, ascending (the mask row, the largest, last),
+    their counts, each position's slot, and the rows in float64. `audit` runs `encode_document`'s product
+    on counts derived by moving the picked positions to the mask row, so its scores are `scores`' bit for bit.
+    """
+
+    def __init__(self, model: NeuralReidentifier, document: Document):
+        self._matrix, self._proj, self._n, vocab = model.matrix, model.doc_proj, len(document), model.params.vocab
+        rows = np.append(document_row_indices(vocab, document), vocab.mask_index)
+        unique, self._slot, self._counts = np.unique(rows, return_inverse=True, return_counts=True)
+        self._emb = model.params.embeddings[unique].astype(np.float64)
+
+    def _slots(self, positions: Sequence[int]) -> np.ndarray:
+        if min(positions, default=0) < 0 or max(positions, default=0) >= self._n:
+            raise ValueError(f"candidate positions must lie in [0, {self._n})")
+        return self._slot.take(positions)
+
+    def audit(self, picked: Sequence[int]) -> np.ndarray:
+        """Profile scores of the document with the positions of picked masked."""
+        counts = self._counts - np.bincount(self._slots(picked), minlength=len(self._counts))
+        counts[-1] += len(picked) - 1  # less the mask row appended in __init__ to give it a slot
+        kept = counts > 0
+        mean = (counts[kept].reshape(1, -1) / self._n @ self._emb[kept])[0]
+        return self._matrix @ (mean @ self._proj)
+
+    def table(self, candidates: Sequence[int]) -> np.ndarray:
+        """(candidates x profiles) table: what masking each candidate adds to `audit`, whatever else is masked."""
+        deltas = self._emb[-1] - self._emb[self._slots(candidates)]
+        return deltas / self._n @ self._proj @ self._matrix.T
 
 
 class Bm25Reidentifier:

@@ -4,20 +4,23 @@ Each is a plain, per-item composition of what the library computes in
 batched or fused form: one document's softmax over profile scores, a
 smoothed target vector and its cross entropy, a dense embedding gradient,
 a one-batch SGD driver over per-document row arrays, a per-document
-token mean, a profile linearized entry by entry and a term-by-term
-document-frequency count. They live here, apart from the code under test, so that a
+token mean, a profile linearized entry by entry, a term-by-term
+document-frequency count, and a search that rebuilds each audited
+document from a row copy. They live here, apart from the code under test, so that a
 change to the library cannot change its oracle with it.
 """
 
 from __future__ import annotations
 
 import logging
+from itertools import count
 from typing import Sequence
 
 import numpy as np
 
 from deident.corpus import MAX_PROFILE_TOKENS, CorpusError, Document, Profile, Token, _tokenize, _TokenTable
-from deident.encoder import Bags, DenseBags, ModelParams, document_row_indices, profile_bags, softmax
+from deident.deid import _result, candidate_positions
+from deident.encoder import Bags, DenseBags, ModelParams, document_row_indices, profile_bags, rank_of, softmax
 from deident.training import Gradients, TrainConfig, _step
 
 logger = logging.getLogger(__name__)
@@ -137,3 +140,78 @@ def document_frequencies(docs: Sequence[Sequence[str]]) -> tuple[int, dict[str, 
         for term in set(doc):
             df[term] = df.get(term, 0) + 1
     return count, df
+
+
+def score_rows(model, rows: np.ndarray) -> np.ndarray:
+    """Profile scores of one document given as embedding rows, masked positions at the mask row."""
+    params = model.params
+    return model.matrix @ (DenseBags(rows, [len(rows)]).mean(params.embeddings)[0] @ params.doc_proj.astype(np.float64))
+
+
+def candidate_scores(model, document: Document, candidates: Sequence[int]) -> np.ndarray:
+    """(candidates x profiles) table: what masking each candidate adds to `score_rows`, whatever else is masked."""
+    rows = document_row_indices(model.params.vocab, document)
+    emb = model.params.embeddings
+    deltas = emb[model.params.vocab.mask_index].astype(np.float64) - emb[rows[candidates]].astype(np.float64)
+    return deltas / len(rows) @ model.params.doc_proj.astype(np.float64) @ model.matrix.T
+
+
+def reference_search(model, document, true_index, ks, width, stopwords, method):
+    """`deid._search` with each audit rescored from a copy of the document's rows.
+
+    Every state's rows are the document's with its picked positions at the
+    mask row, scored by `score_rows`; a child's probability is a column of
+    the full softmax of its scores. The search order, the stop rule and the
+    settling of Ks are the library's.
+    """
+    if width < 1:
+        raise ValueError("beam_width must be >= 1")
+    if min(ks, default=0) < 1:
+        raise ValueError("k must be >= 1")
+    if not 0 <= true_index < len(model.store):
+        raise ValueError(f"profile index {true_index} not in store")
+    candidates = candidate_positions(document, np.zeros(len(document), dtype=np.int8), stopwords)
+    vocab, table = model.params.vocab, None
+    rows = document_row_indices(vocab, document)
+
+    def audit(picked):
+        state_rows = rows.copy()
+        state_rows[list(picked)] = vocab.mask_index
+        scores = score_rows(model, state_rows)
+        dist = softmax(scores)
+        return scores, rank_of(dist, true_index), float(dist[true_index])
+
+    unsettled = sorted({k for k in ks if k < len(model.store)}, reverse=True)  # the smallest unsettled K last
+    settled = {}
+    if len(unsettled) < len(set(ks)):  # no rank passes a K at or above the store size
+        _, rank, prob = audit(candidates)
+        for k in set(ks).difference(unsettled):
+            settled[k] = _result(method, document, list(candidates), k, rank, prob, False)
+        if not unsettled:
+            return [settled[k] for k in ks]
+    states: list[tuple[int, ...]] = [()]
+    for depth in count():
+        audited = []
+        for picked in states:
+            scores, rank, prob = audit(picked)
+            while unsettled and (unsettled[-1] < rank or depth == len(candidates)):
+                k = unsettled.pop()
+                settled[k] = _result(method, document, list(picked), k, rank, prob, rank > k)
+            if not unsettled:
+                return [settled[k] for k in ks]
+            audited.append((picked, scores))
+        if table is None:
+            table = candidate_scores(model, document, candidates)
+        # children keyed by their mask set as a bit set of positions
+        children: dict[int, tuple[float, tuple[int, ...]]] = {}
+        for picked, scores in audited:
+            key = sum(1 << j for j in picked)
+            left = [c for c, j in enumerate(candidates) if not key >> j & 1]
+            probs = softmax(scores + table[left])[:, true_index]
+            # a child outside its state's `width` lowest cannot be among the `width` lowest overall
+            for c in np.argsort(probs, kind="stable")[:width]:
+                j = candidates[left[c]]
+                child_key, child = key | 1 << j, (float(probs[c]), picked + (j,))
+                if child_key not in children or child < children[child_key]:
+                    children[child_key] = child
+        states = [picked for _, picked in sorted(children.values())[:width]]

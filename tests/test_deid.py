@@ -25,7 +25,7 @@ from deident.encoder import (
 from deident.reid import NeuralReidentifier
 from deident.stopwords import DEFAULT_STOPWORDS
 
-from oracles import score_and_normalize
+from oracles import reference_search, score_and_normalize
 
 
 def random_instance(seed, n_profiles=10, n_words=8):
@@ -130,9 +130,13 @@ def test_greedy_exhaustion_reports_failure():
 
 def test_greedy_step_optimality_random_instances():
     for seed in range(25):
-        model, doc, true_index = random_instance(seed, n_profiles=8, n_words=8)
+        model, doc, _ = random_instance(seed, n_profiles=8, n_words=8)
+        # the depth-0 top-ranked profile ranks within every K, so greedy must mask
+        # and the replay checks audits of states with picked positions
+        true_index = int(np.argmax(model.distribution(doc)))
         k = int(np.random.default_rng(seed).integers(1, 4))
         result = greedy_deidentify(model, doc, true_index, k)
+        assert result.steps >= 1, f"seed {seed}"
         replay_greedy_with_oracle(model, doc, true_index, k, result)
 
 
@@ -162,8 +166,10 @@ def test_unseen_words_read_as_the_mask_row():
 
 
 def test_greedy_masks_only_grow_and_steps_match():
-    model, doc, true_index = random_instance(3)
+    model, doc, _ = random_instance(3)
+    true_index = int(np.argmax(model.distribution(doc)))  # ranks first, so greedy must mask
     result = greedy_deidentify(model, doc, true_index, k=2)
+    assert result.steps >= 1
     assert result.steps == len(result.order) == int(result.mask.sum())
     seen = set()
     for j in result.order:
@@ -269,7 +275,7 @@ CHILD_SCORE_RTOL = 1e-12
 def test_candidate_table_rows_add_up_to_each_childs_scores(seed, n_profiles, n_words, bits):
     model, doc, _ = random_instance(seed, n_profiles=n_profiles, n_words=n_words)
     candidates = candidate_positions(doc, np.zeros(len(doc), dtype=np.int8), DEFAULT_STOPWORDS)
-    table = model.candidate_scores(doc, candidates)
+    table = model.document_scorer(doc).table(candidates)
     assert table.shape == (len(candidates), len(model.store))
     state = np.zeros(len(doc), dtype=np.int8)
     state[[j for i, j in enumerate(candidates) if bits >> i & 1]] = 1
@@ -282,7 +288,10 @@ def test_candidate_table_rows_add_up_to_each_childs_scores(seed, n_profiles, n_w
 
 
 class CountingGuide:
-    """A guide that counts its candidate-table builds and audits and otherwise defers to the model."""
+    """A guide, and its own document scorer, that counts candidate-table builds and audits.
+
+    It otherwise defers to the model and to the model's scorer of the document searched last.
+    """
 
     def __init__(self, model):
         self.model, self.builds, self.audits = model, 0, 0
@@ -290,13 +299,17 @@ class CountingGuide:
     def __getattr__(self, name):
         return getattr(self.model, name)
 
-    def candidate_scores(self, document, candidates):
-        self.builds += 1
-        return self.model.candidate_scores(document, candidates)
+    def document_scorer(self, document):
+        self.scorer = self.model.document_scorer(document)
+        return self
 
-    def score_rows(self, rows):
+    def table(self, candidates):
+        self.builds += 1
+        return self.scorer.table(candidates)
+
+    def audit(self, picked):
         self.audits += 1
-        return self.model.score_rows(rows)
+        return self.scorer.audit(picked)
 
 
 @settings(max_examples=100, deadline=None)
@@ -346,6 +359,54 @@ def test_one_search_over_many_ks_equals_a_lone_search_at_each(seed, n_words, wid
             lone(lone_guide, max(below))
         above = len(below) < len(ks)
         assert (guide.audits, guide.builds) == (lone_guide.audits + above, lone_guide.builds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n_profiles=st.integers(2, 12),
+    n_words=st.integers(1, 8),
+    width=st.integers(1, 4),
+    ks=st.lists(st.integers(1, 14), min_size=1, max_size=4),
+    top=st.booleans(),
+)
+def test_the_search_equals_the_row_copy_reference_search(seed, n_profiles, n_words, width, ks, top):
+    # every field, final_prob's bits and the order too, for targets that do and do not need a mask
+    model, doc, true_index = random_instance(seed, n_profiles=n_profiles, n_words=n_words)
+    if top:
+        true_index = int(np.argmax(model.distribution(doc)))
+    method = "greedy" if width == 1 else "beam"
+    results = _search(model, doc, true_index, ks, width, DEFAULT_STOPWORDS, method)
+    expected = reference_search(model, doc, true_index, ks, width, DEFAULT_STOPWORDS, method)
+    assert [r.to_json() for r in results] == [r.to_json() for r in expected]
+
+
+def _audit_cases(seed, n_words, unseen, bits):
+    """(model, document, picked) with repeated words, unseen words among them, any picked set."""
+    model, doc, _ = random_instance(seed, n_words=n_words)
+    words = doc.surfaces()
+    for i, word in enumerate(["zebra", "quokka", "zebra"][:unseen]):
+        words.insert(2 * i % (len(words) + 1), word)
+    doc = tokenize(" ".join(words))
+    candidates = candidate_positions(doc, np.zeros(len(doc), dtype=np.int8), DEFAULT_STOPWORDS)
+    picked = tuple(j for j in range(len(doc)) if bits >> j & 1)
+    return [(model, doc, picked), (model, doc, tuple(candidates)), (model, tokenize(words[0]), ()),
+            (model, tokenize(words[0]), (0,))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n_words=st.integers(1, 8),
+    unseen=st.integers(0, 3),
+    bits=st.integers(0, 2**14 - 1),
+)
+def test_an_audit_scores_its_mask_bit_for_bit(seed, n_words, unseen, bits):
+    for model, doc, picked in _audit_cases(seed, n_words, unseen, bits):
+        mask = np.zeros(len(doc), dtype=np.int8)
+        mask[list(picked)] = 1
+        audited = model.document_scorer(doc).audit(picked)
+        assert audited.tobytes() == model.scores(doc, mask).tobytes(), (doc.surfaces(), picked)
 
 
 @pytest.mark.parametrize("seed", range(5))

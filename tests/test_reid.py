@@ -173,9 +173,12 @@ def test_candidate_scores_rejects_a_position_outside_the_document(hand_store, ca
     # a negative position would otherwise wrap round to the document's end
     doc = tokenize("Fenwick the farmer of Dover")
     model = NeuralReidentifier(init_params(Vocabulary(sorted(set(doc.normalized()))), dim=4, seed=0), hand_store)
+    scorer = model.document_scorer(doc)
     with pytest.raises(ValueError, match="candidate"):
-        model.candidate_scores(doc, candidates)
-    assert model.candidate_scores(doc, [0, 4]).shape == (2, len(hand_store))
+        scorer.table(candidates)
+    with pytest.raises(ValueError, match="candidate"):
+        scorer.audit(candidates)
+    assert scorer.table([0, 4]).shape == (2, len(hand_store))
 
 
 def test_bm25_parameter_validation(hand_store):
