@@ -41,7 +41,6 @@ from .encoder import (
     CheckpointError,
     ModelParams,
     build_profile_matrix,
-    encode_document,
     init_params,
     load_checkpoint,
     rank_of,

@@ -173,7 +173,7 @@ def _build_members(args, store) -> dict:
         name = Path(path).stem
         if name in members:
             name = f"{name}:{len(members)}"
-        members[name] = NeuralReidentifier.from_checkpoint(path, store, name=name)
+        members[name] = NeuralReidentifier.from_checkpoint(path, store)
     if args.bm25:
         members["bm25"] = Bm25Reidentifier(store, k1=args.bm25_k1, b=args.bm25_b)
     if not members:

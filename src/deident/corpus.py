@@ -153,14 +153,6 @@ class ProfileStore:
         return self._linearized
 
 
-def linearize_profiles(profiles: ProfileStore | Iterable[Profile]) -> tuple[Document, ...]:
-    """`linearize_profile` of each profile in order; a store's are computed once and kept."""
-    if isinstance(profiles, ProfileStore):
-        return profiles.linearized
-    table = _TokenTable()
-    return tuple(_linearize(p, table) for p in profiles)
-
-
 @dataclass
 class Corpus:
     """Aligned records plus the store of all candidate profiles."""

@@ -87,18 +87,12 @@ class RedactionResult:
         return obj
 
 
-def candidate_positions(
-    document: Document, mask: np.ndarray, stopwords: frozenset[str] = DEFAULT_STOPWORDS
-) -> list[int]:
-    """Unmasked positions eligible for search: not stopword, not punctuation."""
-    out = []
-    for j, token in enumerate(document.tokens):
-        if mask[j]:
-            continue
-        if token.is_punctuation or token.normalized in stopwords:
-            continue
-        out.append(j)
-    return out
+def candidate_positions(document: Document, stopwords: frozenset[str] = DEFAULT_STOPWORDS) -> list[int]:
+    """Positions eligible for search: not stopword, not punctuation."""
+    return [
+        j for j, token in enumerate(document.tokens)
+        if not token.is_punctuation and token.normalized not in stopwords
+    ]
 
 
 def greedy_deidentify(
@@ -161,7 +155,7 @@ def _search(model, document, true_index, ks, width, stopwords, method) -> list[R
         raise ValueError("k must be >= 1")
     if not 0 <= true_index < len(model.store):
         raise ValueError(f"profile index {true_index} not in store")
-    candidates = candidate_positions(document, np.zeros(len(document), dtype=np.int8), stopwords)
+    candidates = candidate_positions(document, stopwords)
     scorer, table = model.document_scorer(document), None
 
     def audit(picked):

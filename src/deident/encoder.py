@@ -8,15 +8,16 @@ of content; a word outside the vocabulary reads as that row too. Match
 scores are plain dot products, normalized with a numerically stable
 softmax.
 
-Each token mean has one product. Documents go through `DenseBags`, a dense
-(bag x touched rows) weight matrix: a training batch is one GEMM, and
-`encode_document`, like each audit of the search's per-document state
-(`reid.DocumentScorer`), is the same product over one bag. Profile stores,
-and other sets encoded whole, go through `Bags`, a sparse bags-of-rows
-matrix whose rows do not depend on each other; `profile_matrix` projects
-its means. Each operator's adjoint maps mean gradients back onto embedding
-rows: `DenseBags`' is one more GEMM, and `Bags`' is one `np.bincount` per
-column over its (bag, row, weight) triples, adding each row's in bag order.
+Each kind of input has one token-mean product. A training batch of
+documents goes through `DenseBags`, a dense (bag x touched rows) weight
+matrix, so the batch is one GEMM. A single document is scored by
+`reid.DocumentScorer`, the same product over its distinct rows. Profile
+stores, and other sets encoded whole, go through `Bags`, a sparse
+bags-of-rows matrix whose rows do not depend on each other;
+`profile_matrix` projects its means. Each operator's adjoint maps mean
+gradients back onto embedding rows: `DenseBags`' is one more GEMM, and
+`Bags`' is one `np.bincount` per column over its (bag, row, weight)
+triples, adding each row's in bag order.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Document, Profile, ProfileStore, Vocabulary, check_mask, linearize_profiles
+from .corpus import ProfileStore, Vocabulary
 
 CHECKPOINT_VERSION = 2
 CHECKPOINT_ARRAYS = ("embeddings", "doc_proj", "profile_proj")
@@ -101,14 +102,6 @@ def init_params(
         profile_proj=profile_proj,
         label_smoothing=label_smoothing,
     )
-
-
-def document_row_indices(vocab: Vocabulary, document: Document, mask=None) -> np.ndarray:
-    """Embedding-row index per position; masked positions map to the mask row."""
-    rows = vocab.indices(document.normalized())
-    if mask is not None:
-        rows[check_mask(mask, len(rows)) == 1] = vocab.mask_index
-    return rows
 
 
 class _SegmentSum:
@@ -202,15 +195,9 @@ class DenseBags:
         return self.weights @ embeddings[self.rows].astype(np.float64)
 
 
-def profile_bags(vocab: Vocabulary, store: ProfileStore | Sequence[Profile]) -> Bags:
+def profile_bags(vocab: Vocabulary, store: ProfileStore) -> Bags:
     """Bags of the linearized profiles, one per profile in store order."""
-    return Bags([vocab.indices(d.normalized()) for d in linearize_profiles(store)])
-
-
-def encode_document(params: ModelParams, document: Document, mask=None) -> np.ndarray:
-    """Embed a (possibly masked) document: its `DenseBags` mean times the document projection."""
-    rows = document_row_indices(params.vocab, document, mask)
-    return DenseBags(rows, [len(rows)]).mean(params.embeddings)[0] @ params.doc_proj.astype(np.float64)
+    return Bags([vocab.indices(d.normalized()) for d in store.linearized])
 
 
 def profile_matrix(params: ModelParams, profiles: Bags) -> np.ndarray:
@@ -218,7 +205,7 @@ def profile_matrix(params: ModelParams, profiles: Bags) -> np.ndarray:
     return profiles.mean(params.embeddings) @ params.profile_proj.astype(np.float64)
 
 
-def build_profile_matrix(params: ModelParams, store: ProfileStore | Sequence[Profile]) -> np.ndarray:
+def build_profile_matrix(params: ModelParams, store: ProfileStore) -> np.ndarray:
     """Stack profile embeddings, one row per profile in store order."""
     if not len(store):
         raise ValueError("profile store is empty")

@@ -2,8 +2,12 @@
 
 Two reidentifier families share one duck-typed surface (`scores`,
 `distribution`): a neural ranker built from a trained checkpoint, and a
-BM25 lexical ranker over linearized profiles. An ensemble report counts a
-document as reidentified when any member ranks its true profile first.
+BM25 lexical ranker over linearized profiles. The neural ranker scores
+every single document through a `DocumentScorer`: `scores` is the audit of
+the mask's positions, the same call each search state makes, so a
+certificate re-audits through the path that produced it. An ensemble
+report counts a document as reidentified when any member ranks its true
+profile first.
 """
 
 from __future__ import annotations
@@ -17,32 +21,24 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Document, IdfTable, ProfileStore, _gc_paused, check_mask, linearize_profiles
-from .encoder import (
-    ModelParams,
-    build_profile_matrix,
-    document_row_indices,
-    encode_document,
-    load_checkpoint,
-    rank_of,
-    softmax,
-)
+from .corpus import Document, IdfTable, ProfileStore, _gc_paused, check_mask
+from .encoder import ModelParams, build_profile_matrix, load_checkpoint, rank_of, softmax
 
 
 class NeuralReidentifier:
     """Ranks profiles by dot product with the encoded document."""
 
-    def __init__(self, params: ModelParams, store: ProfileStore, name: str = "neural"):
-        self.params, self.store, self.name = params, store, name
+    def __init__(self, params: ModelParams, store: ProfileStore):
+        self.params, self.store = params, store
         self.matrix, self.doc_proj = build_profile_matrix(params, store), params.doc_proj.astype(np.float64)
 
     @classmethod
-    def from_checkpoint(cls, path: str | Path, store: ProfileStore, name: str | None = None):
-        params = load_checkpoint(path)
-        return cls(params, store, name=name or Path(path).stem)
+    def from_checkpoint(cls, path: str | Path, store: ProfileStore):
+        return cls(load_checkpoint(path), store)
 
     def scores(self, document: Document, mask=None) -> np.ndarray:
-        return self.matrix @ encode_document(self.params, document, mask)
+        picked = () if mask is None else np.flatnonzero(check_mask(mask, len(document))).tolist()
+        return DocumentScorer(self, document).audit(picked)
 
     def distribution(self, document: Document, mask=None) -> np.ndarray:
         return softmax(self.scores(document, mask))
@@ -52,14 +48,15 @@ class NeuralReidentifier:
 
 
 class DocumentScorer:
-    """One document's search state: its distinct embedding rows, ascending (the mask row, the largest, last),
-    their counts, each position's slot, and the rows in float64. `audit` runs `encode_document`'s product
-    on counts derived by moving the picked positions to the mask row, so its scores are `scores`' bit for bit.
+    """One document's scoring state: its distinct embedding rows, ascending (the mask row, the largest, last),
+    their counts, each position's slot, and the rows in float64. `audit` moves the picked positions' counts
+    to the mask row and takes the token mean of the rows left times the document projection; `scores` is
+    the audit of a mask's positions.
     """
 
     def __init__(self, model: NeuralReidentifier, document: Document):
         self._matrix, self._proj, self._n, vocab = model.matrix, model.doc_proj, len(document), model.params.vocab
-        rows = np.append(document_row_indices(vocab, document), vocab.mask_index)
+        rows = np.append(vocab.indices(document.normalized()), vocab.mask_index)
         unique, self._slot, self._counts = np.unique(rows, return_inverse=True, return_counts=True)
         self._emb = model.params.embeddings[unique].astype(np.float64)
 
@@ -92,7 +89,7 @@ class Bm25Reidentifier:
     """
 
     @_gc_paused()
-    def __init__(self, store: ProfileStore, k1: float = 1.5, b: float = 0.75, name: str = "bm25"):
+    def __init__(self, store: ProfileStore, k1: float = 1.5, b: float = 0.75):
         if not (math.isfinite(k1) and k1 > 0):
             raise ValueError("k1 must be finite and > 0")
         if not 0.0 <= b <= 1.0:
@@ -100,8 +97,7 @@ class Bm25Reidentifier:
         if len(store) == 0:
             raise ValueError("profile store is empty")
         self.store = store
-        self.name = name
-        docs = [d.normalized() for d in linearize_profiles(store)]
+        docs = [d.normalized() for d in store.linearized]
         n = len(docs)
         lengths = np.array([len(d) for d in docs], dtype=np.float64)
         terms = list(chain.from_iterable(docs))

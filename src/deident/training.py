@@ -34,7 +34,6 @@ from .encoder import (
     Bags,
     DenseBags,
     ModelParams,
-    document_row_indices,
     init_params,
     profile_bags,
     profile_matrix,
@@ -262,7 +261,7 @@ def train(
         vocab, dim=config.embed_dim, seed=config.seed, label_smoothing=config.label_smoothing
     )
     n = len(corpus.records)
-    base_rows = [document_row_indices(vocab, rec.document) for rec in corpus.records]
+    base_rows = [vocab.indices(rec.document.normalized()) for rec in corpus.records]
     doc_lengths = np.array([len(r) for r in base_rows])
     true_idx = np.array([corpus.store.index_of(rec.profile_id) for rec in corpus.records])
     profiles = profile_bags(vocab, corpus.store)

@@ -68,13 +68,13 @@ def desk_models(desk_corpus):
 
 @pytest.fixture(scope="session")
 def desk_guide(desk_corpus, desk_models):
-    return NeuralReidentifier(desk_models[0], desk_corpus.store, name="guide")
+    return NeuralReidentifier(desk_models[0], desk_corpus.store)
 
 
 @pytest.fixture(scope="session")
 def desk_members(desk_corpus, desk_models):
     members = {
-        f"nn{seed}": NeuralReidentifier(desk_models[seed], desk_corpus.store, name=f"nn{seed}")
+        f"nn{seed}": NeuralReidentifier(desk_models[seed], desk_corpus.store)
         for seed in (1, 2, 3)
     }
     members["bm25"] = Bm25Reidentifier(desk_corpus.store)
@@ -91,7 +91,7 @@ def toy_corpus(tmp_path_factory):
 @pytest.fixture(scope="session")
 def toy_model(toy_corpus):
     params = train(toy_corpus, TrainConfig(seed=0, **TOY_TRAIN))
-    return NeuralReidentifier(params, toy_corpus.store, name="toy")
+    return NeuralReidentifier(params, toy_corpus.store)
 
 
 @pytest.fixture()

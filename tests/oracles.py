@@ -4,10 +4,11 @@ Each is a plain, per-item composition of what the library computes in
 batched or fused form: one document's softmax over profile scores, a
 smoothed target vector and its cross entropy, a dense embedding gradient,
 a one-batch SGD driver over per-document row arrays, a per-document
-token mean, a profile linearized entry by entry, a term-by-term
-document-frequency count, and a search that rebuilds each audited
-document from a row copy. They live here, apart from the code under test, so that a
-change to the library cannot change its oracle with it.
+token mean, one document encoded as a one-bag `DenseBags` batch, a
+profile linearized entry by entry, a term-by-term document-frequency
+count, and a search that rebuilds each audited document from a row copy.
+They live here, apart from the code under test, so that a change to the
+library cannot change its oracle with it.
 """
 
 from __future__ import annotations
@@ -18,9 +19,19 @@ from typing import Sequence
 
 import numpy as np
 
-from deident.corpus import MAX_PROFILE_TOKENS, CorpusError, Document, Profile, Token, _tokenize, _TokenTable
+from deident.corpus import (
+    MAX_PROFILE_TOKENS,
+    CorpusError,
+    Document,
+    Profile,
+    Token,
+    Vocabulary,
+    _tokenize,
+    _TokenTable,
+    check_mask,
+)
 from deident.deid import _result, candidate_positions
-from deident.encoder import Bags, DenseBags, ModelParams, document_row_indices, profile_bags, rank_of, softmax
+from deident.encoder import Bags, DenseBags, ModelParams, profile_bags, rank_of, softmax
 from deident.training import Gradients, TrainConfig, _step
 
 logger = logging.getLogger(__name__)
@@ -61,6 +72,20 @@ def dense_embeddings(grads: Gradients, n_rows: int) -> np.ndarray:
     dense = np.zeros((n_rows, grads.emb_grads.shape[1]), dtype=np.float64)
     dense[grads.emb_rows] = grads.emb_grads
     return dense
+
+
+def document_row_indices(vocab: Vocabulary, document: Document, mask=None) -> np.ndarray:
+    """Embedding-row index per position; masked positions map to the mask row."""
+    rows = vocab.indices(document.normalized())
+    if mask is not None:
+        rows[check_mask(mask, len(rows)) == 1] = vocab.mask_index
+    return rows
+
+
+def encode_document(params: ModelParams, document: Document, mask=None) -> np.ndarray:
+    """Embed a (possibly masked) document: its `DenseBags` mean times the document projection."""
+    rows = document_row_indices(params.vocab, document, mask)
+    return DenseBags(rows, [len(rows)]).mean(params.embeddings)[0] @ params.doc_proj.astype(np.float64)
 
 
 def dense_bags(row_arrays: Sequence[np.ndarray]) -> DenseBags:
@@ -170,7 +195,7 @@ def reference_search(model, document, true_index, ks, width, stopwords, method):
         raise ValueError("k must be >= 1")
     if not 0 <= true_index < len(model.store):
         raise ValueError(f"profile index {true_index} not in store")
-    candidates = candidate_positions(document, np.zeros(len(document), dtype=np.int8), stopwords)
+    candidates = candidate_positions(document, stopwords)
     vocab, table = model.params.vocab, None
     rows = document_row_indices(vocab, document)
 

@@ -11,16 +11,15 @@ from deident.encoder import (
     Bags,
     CheckpointError,
     build_profile_matrix,
-    document_row_indices,
-    encode_document,
     init_params,
     load_checkpoint,
     profile_bags,
     rank_of,
     save_checkpoint,
 )
+from deident.reid import NeuralReidentifier
 
-from oracles import mean_rows, score_and_normalize
+from oracles import document_row_indices, mean_rows, score_and_normalize
 
 
 def small_vocab(extra=()):
@@ -33,11 +32,17 @@ def params():
     return init_params(small_vocab(), dim=16, seed=3)
 
 
+def small_reidentifier(params):
+    """A neural reidentifier over three one-entry profiles: what a single document is scored by."""
+    words = ("alpha beta", "gamma", "delta alpha")
+    return NeuralReidentifier(params, ProfileStore([Profile(id=w, entries=(("name", w),)) for w in words]))
+
+
 def test_encode_document_deterministic(params):
     doc = tokenize("alpha beta gamma")
     mask = np.array([0, 1, 0], dtype=np.int8)
-    first = encode_document(params, doc, mask)
-    second = encode_document(params, doc, mask)
+    first = small_reidentifier(params).scores(doc, mask)
+    second = small_reidentifier(params).scores(doc, mask)
     assert np.array_equal(first, second)
 
 
@@ -45,27 +50,30 @@ def test_full_mask_is_content_independent(params):
     doc_a = tokenize("alpha beta gamma")
     doc_b = tokenize("delta delta delta")
     ones = np.ones(3, dtype=np.int8)
-    assert np.array_equal(encode_document(params, doc_a, ones), encode_document(params, doc_b, ones))
+    model = small_reidentifier(params)
+    assert np.array_equal(model.scores(doc_a, ones), model.scores(doc_b, ones))
 
 
 def test_masking_changes_embedding(params):
     doc = tokenize("alpha beta")
-    plain = encode_document(params, doc, np.array([0, 0], dtype=np.int8))
-    masked = encode_document(params, doc, np.array([1, 0], dtype=np.int8))
+    model = small_reidentifier(params)
+    plain = model.scores(doc, np.array([0, 0], dtype=np.int8))
+    masked = model.scores(doc, np.array([1, 0], dtype=np.int8))
     assert not np.allclose(plain, masked)
 
 
 def test_masked_positions_hide_content(params):
-    # growing the mask makes the embedding independent of what was masked
+    # growing the mask makes the scores independent of what was masked
     doc_a = tokenize("alpha beta gamma")
     doc_b = tokenize("delta beta gamma")
     mask = np.array([1, 0, 0], dtype=np.int8)
-    assert np.array_equal(encode_document(params, doc_a, mask), encode_document(params, doc_b, mask))
+    model = small_reidentifier(params)
+    assert np.array_equal(model.scores(doc_a, mask), model.scores(doc_b, mask))
 
 
 def one_bag_mean(params, profile):
     """A profile's token mean computed as a store of one."""
-    return profile_bags(params.vocab, [profile]).mean(params.embeddings)[0]
+    return profile_bags(params.vocab, ProfileStore([profile])).mean(params.embeddings)[0]
 
 
 def assert_store_rows_exact(params, store):
@@ -81,7 +89,7 @@ def test_encode_profile_identity_and_difference(params):
     one = Profile(id="a", entries=(("name", "alpha beta"),))
     same = Profile(id="b", entries=(("name", "alpha beta"),))
     other = Profile(id="c", entries=(("name", "alpha gamma"),))
-    means = profile_bags(params.vocab, [one, same, other]).mean(params.embeddings)
+    means = profile_bags(params.vocab, ProfileStore([one, same, other])).mean(params.embeddings)
     assert np.array_equal(means[0], means[1])
     assert not np.allclose(means[0], means[2])
 
@@ -91,7 +99,7 @@ def test_encode_profile_truncation_equivalence(params):
     profile = Profile(id="a", entries=(("name", long_value), ("extra", "beta")))
     truncated = linearize_profile(profile)
     assert len(truncated) <= 128
-    direct = build_profile_matrix(params, [profile])
+    direct = build_profile_matrix(params, ProfileStore([profile]))
     rows = params.vocab.indices(truncated.normalized())
     manual = Bags([rows]).mean(params.embeddings) @ params.profile_proj.astype(np.float64)
     assert np.array_equal(direct, manual)
@@ -147,11 +155,12 @@ def test_encoder_means_match_one_bag_oracles(terms, words, bags, dim, seed):
     # a word outside `terms` reads as the mask row, like a masked position
     vocab = Vocabulary(sorted(terms))
     params = init_params(vocab, dim=dim, seed=seed)
+    model = NeuralReidentifier(params, ProfileStore([Profile(id=t, entries=((t, t),)) for t in terms]))
     document = tokenize(" ".join(words))
     mask = np.random.default_rng(seed).integers(0, 2, len(document)).astype(np.int8)
     rows = document_row_indices(vocab, document, mask)
-    expected = mean_rows(params.embeddings, rows) @ params.doc_proj.astype(np.float64)
-    assert np.array_equal(encode_document(params, document, mask), expected)
+    expected = model.matrix @ (mean_rows(params.embeddings, rows) @ params.doc_proj.astype(np.float64))
+    assert np.array_equal(model.scores(document, mask), expected)
     row_arrays = [vocab.indices(bag) for bag in bags]
     means = Bags(row_arrays).mean(params.embeddings)
     for i, bag_rows in enumerate(row_arrays):

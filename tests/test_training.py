@@ -13,7 +13,6 @@ from deident.corpus import Profile, ProfileStore, Vocabulary, load_corpus, token
 from deident.encoder import (
     Bags,
     build_profile_matrix,
-    encode_document,
     init_params,
     profile_bags,
     rank_of,
@@ -28,7 +27,15 @@ from deident.training import (
 )
 
 from conftest import write_jsonl
-from oracles import cross_entropy, dense_bags, dense_embeddings, grad_step, score_and_normalize, smoothed_targets
+from oracles import (
+    cross_entropy,
+    dense_bags,
+    dense_embeddings,
+    encode_document,
+    grad_step,
+    score_and_normalize,
+    smoothed_targets,
+)
 from synthdata import make_corpus_rows
 
 
