@@ -4,8 +4,10 @@ Subcommands: train, deidentify, baseline, evaluate, sweep, stats. Errors
 are emitted as a single JSON object on stderr with distinct exit codes:
 3 unreadable file, 4 malformed corpus/redacted/sidecar/tags file or
 config, 5 checkpoint problems, 1 anything else. A JSON file of flag
-defaults can be supplied with --config; explicit flags win, and a key that
-names no flag is rejected.
+defaults can be supplied with --config; explicit flags win. A key that
+names no flag is rejected, and so is a value that the command's flag of
+that name would refuse for its type, choices or number of arguments, before
+the command starts.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="deident", description="Text deidentification toolkit")
     parser.add_argument("--config", help="JSON file with default values for flags")
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.subcommand_parsers = []
 
     t = sub.add_parser("train", help="train a reidentification model")
     t.add_argument("--corpus", required=True)
@@ -128,8 +129,33 @@ def build_parser() -> argparse.ArgumentParser:
     st = sub.add_parser("stats", help="corpus summary")
     st.add_argument("--corpus", required=True)
 
-    parser.subcommand_parsers = [t, d, b, e, s, st]
+    parser.subcommand_parsers = {"train": t, "deidentify": d, "baseline": b, "evaluate": e, "sweep": s, "stats": st}
     return parser
+
+
+# the JSON values a config may give a flag of each `type`, and how to name them
+_CONFIG_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"), None: ((str,), "a string")}
+
+
+def _config_value(action: argparse.Action, value):
+    """A config value as its flag reads it; a ValueError if the flag's type, choices or nargs refuse it.
+
+    Null stands for a flag whose default is None; a switch (nargs 0) takes a boolean.
+    """
+    if value is None and action.default is None:
+        return None
+    many = action.nargs in ("*", "+")
+    if many and not (isinstance(value, list) and (value or action.nargs == "*")):
+        raise ValueError(f"config key {action.dest!r} needs a {'nonempty ' * (action.nargs == '+')}list, got {value!r}")
+    kinds, what = ((bool,), "true or false") if action.nargs == 0 else _CONFIG_KINDS[action.type]
+    items = value if many else [value]
+    for item in items:
+        if isinstance(item, bool) != (bool in kinds) or not isinstance(item, kinds):
+            raise ValueError(f"config key {action.dest!r} needs {what}, got {item!r}")
+        if action.choices is not None and item not in action.choices:
+            raise ValueError(f"config key {action.dest!r} must be one of {list(action.choices)}, got {item!r}")
+    items = [float(item) for item in items] if action.type is float else items
+    return items if many else items[0]
 
 
 def _records_slice(corpus: Corpus, limit: int | None):
@@ -350,6 +376,7 @@ def _emit_error(kind: str, exc: Exception) -> None:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
+    config_errors: dict[str, ValueError] = {}
     if "--config" in argv:
         try:
             config_path = argv[argv.index("--config") + 1]
@@ -369,7 +396,7 @@ def main(argv=None) -> int:
             return 4
         known = {
             action.dest
-            for sub_parser in parser.subcommand_parsers
+            for sub_parser in parser.subcommand_parsers.values()
             for action in sub_parser._actions
             if action.dest != "help"
         }
@@ -378,13 +405,25 @@ def main(argv=None) -> int:
             _emit_error("bad-config", ValueError(f"unknown config keys: {', '.join(unknown)}"))
             return 4
         # subcommands parse into a fresh namespace, so defaults must be set
-        # on each subparser for explicit flags to keep precedence
-        for sub_parser in parser.subcommand_parsers:
-            sub_parser.set_defaults(**defaults)
+        # on each subparser for explicit flags to keep precedence; a key is
+        # checked against each command's flag of its name, and a bad value
+        # fails only the commands that have that flag
+        for name, sub_parser in parser.subcommand_parsers.items():
+            try:
+                sub_parser.set_defaults(**{
+                    action.dest: _config_value(action, defaults[action.dest])
+                    for action in sub_parser._actions
+                    if action.dest in defaults
+                })
+            except ValueError as exc:
+                config_errors[name] = exc
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
+    if args.command in config_errors:
+        _emit_error("bad-config", config_errors[args.command])
+        return 4
     try:
         return _COMMANDS[args.command](args)
     except CheckpointError as exc:

@@ -14,10 +14,13 @@ matrix, so the batch is one GEMM. A single document is scored by
 `reid.DocumentScorer`, the same product over its distinct rows. Profile
 stores, and other sets encoded whole, go through `Bags`, a sparse
 bags-of-rows matrix whose rows do not depend on each other;
-`profile_matrix` projects its means. Each operator's adjoint maps mean
-gradients back onto embedding rows: `DenseBags`' is one more GEMM, and
-`Bags`' is one `np.bincount` per column over its (bag, row, weight)
-triples, adding each row's in bag order.
+`profile_matrix` projects its means. `Bags`' forward product adds one
+entry position of every bag at a time, over blocks of bags sized to stay
+in cache. Each operator's adjoint maps mean gradients back onto embedding
+rows: `DenseBags`' is one more GEMM, and `Bags`' is one `np.bincount` per
+column over its (bag, row, weight) triples, adding each row's in bag
+order. All three find their touched rows with `distinct_rows`, without a
+sort.
 """
 
 from __future__ import annotations
@@ -104,16 +107,33 @@ def init_params(
     )
 
 
+def distinct_rows(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of flat, ascending, and each entry's index among them.
+
+    What `np.unique(flat, return_inverse=True)` returns, found without a
+    sort: a table over the rows up to the largest marks the present ones.
+    """
+    seen = np.zeros(int(flat.max()) + 1, dtype=bool)
+    seen[flat] = True
+    rows = np.flatnonzero(seen)
+    slot = np.empty(len(seen), dtype=np.int64)
+    slot[rows] = np.arange(len(rows))
+    return rows, slot[flat]
+
+
 class _SegmentSum:
     """out[s] = sum of weight[e] * x[src[e]] over the entries e of segment s, in entry order.
 
     Entries come grouped by segment, and every segment 0..n-1 has one. With
     segments ranked longest first, those having a j-th entry are a prefix
-    of the ranking, so the sums run as one add per entry position (layer).
-    Terms are gathered in cache-sized chunks spanning many small layers.
+    of the ranking, so the sums run one entry position (layer) at a time: a
+    gather of the layer's rows of x, an in-place multiply by its weights and
+    one add into the output's prefix. The ranking is cut into blocks of
+    about BLOCK_FLOATS output floats, and each block runs all its layers
+    while its rows stay in cache; no segment's order of additions changes.
     """
 
-    CHUNK_FLOATS = 2**17
+    BLOCK_FLOATS = 2**15
 
     def __init__(self, seg: np.ndarray, src: np.ndarray, weight: np.ndarray):
         counts = np.bincount(seg)
@@ -122,18 +142,21 @@ class _SegmentSum:
         position = np.arange(len(seg)) - (np.cumsum(counts) - counts)[seg]
         order = np.lexsort((self._rank[seg], position))
         self._src, self._weight = src[order], weight[order, None]
-        self._layer_ends = np.cumsum(np.bincount(position)).tolist()
+        sizes = np.bincount(position)
+        self._layers = list(zip((np.cumsum(sizes) - sizes).tolist(), sizes.tolist()))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         out = np.zeros((len(self._rank), x.shape[1]))
-        chunk = max(1, self.CHUNK_FLOATS // x.shape[1])
-        start = lo = hi = 0
-        for end in self._layer_ends:
-            if end > hi:
-                lo, hi = start, min(max(end, start + chunk), len(self._src))
-                terms = x[self._src[lo:hi]] * self._weight[lo:hi]
-            out[: end - start] += terms[start - lo : end - lo]
-            start = end
+        step = max(1, self.BLOCK_FLOATS // x.shape[1])
+        for lo in range(0, len(out), step):
+            block = out[lo : lo + step]
+            for start, size in self._layers:
+                if size <= lo:
+                    break
+                entries = slice(start + lo, start + min(size, lo + step))
+                terms = x.take(self._src[entries], axis=0)
+                terms *= self._weight[entries]
+                block[: len(terms)] += terms
         return out[self._rank]
 
 
@@ -160,7 +183,7 @@ class Bags:
         pairs, counts = np.unique(keys, return_counts=True)
         bag, row = np.divmod(pairs, width)
         self._bag, self._weight = bag, counts / lengths[bag]
-        self.rows, self._col = np.unique(row, return_inverse=True)
+        self.rows, self._col = distinct_rows(row)
         self.forward = _SegmentSum(bag, self._col, self._weight)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
@@ -185,7 +208,7 @@ class DenseBags:
 
     def __init__(self, flat: np.ndarray, lengths):
         lengths = np.asarray(lengths, dtype=np.int64)
-        self.rows, col = np.unique(flat, return_inverse=True)
+        self.rows, col = distinct_rows(flat)
         bag = np.repeat(np.arange(len(lengths)), lengths)
         counts = np.bincount(bag * len(self.rows) + col, minlength=len(lengths) * len(self.rows))
         self.weights = counts.reshape(len(lengths), len(self.rows)) / lengths[:, None]

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import Document, IdfTable, ProfileStore, _gc_paused, check_mask
-from .encoder import ModelParams, build_profile_matrix, load_checkpoint, rank_of, softmax
+from .encoder import ModelParams, build_profile_matrix, distinct_rows, load_checkpoint, rank_of, softmax
 
 
 class NeuralReidentifier:
@@ -57,7 +57,8 @@ class DocumentScorer:
     def __init__(self, model: NeuralReidentifier, document: Document):
         self._matrix, self._proj, self._n, vocab = model.matrix, model.doc_proj, len(document), model.params.vocab
         rows = np.append(vocab.indices(document.normalized()), vocab.mask_index)
-        unique, self._slot, self._counts = np.unique(rows, return_inverse=True, return_counts=True)
+        unique, self._slot = distinct_rows(rows)
+        self._counts = np.bincount(self._slot, minlength=len(unique))
         self._emb = model.params.embeddings[unique].astype(np.float64)
 
     def _slots(self, positions: Sequence[int]) -> np.ndarray:

@@ -7,7 +7,9 @@ a one-batch SGD driver over per-document row arrays, a per-document
 token mean, one document encoded as a one-bag `DenseBags` batch, a
 profile linearized entry by entry, a term-by-term document-frequency
 count, and a search that rebuilds each audited document from a row copy.
-They live here, apart from the code under test, so that a change to the
+Three more are earlier forms of library kernels, kept verbatim as
+bit-for-bit references: a chunked segment sum, a `np.lexsort` mask draw and
+a `np.unique` dense bag matrix. They live here, apart from the code under test, so that a change to the
 library cannot change its oracle with it.
 """
 
@@ -240,3 +242,82 @@ def reference_search(model, document, true_index, ks, width, stopwords, method):
                 if child_key not in children or child < children[child_key]:
                     children[child_key] = child
         states = [picked for _, picked in sorted(children.values())[:width]]
+
+
+class ChunkedSegmentSum:
+    """out[s] = sum of weight[e] * x[src[e]] over the entries e of segment s, in entry order.
+
+    Entries come grouped by segment, and every segment 0..n-1 has one. With
+    segments ranked longest first, those having a j-th entry are a prefix
+    of the ranking, so the sums run as one add per entry position (layer).
+    Terms are gathered in cache-sized chunks spanning many small layers.
+    """
+
+    CHUNK_FLOATS = 2**17
+
+    def __init__(self, seg: np.ndarray, src: np.ndarray, weight: np.ndarray):
+        counts = np.bincount(seg)
+        self._rank = np.empty_like(counts)
+        self._rank[np.argsort(-counts, kind="stable")] = np.arange(len(counts))
+        position = np.arange(len(seg)) - (np.cumsum(counts) - counts)[seg]
+        order = np.lexsort((self._rank[seg], position))
+        self._src, self._weight = src[order], weight[order, None]
+        self._layer_ends = np.cumsum(np.bincount(position)).tolist()
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(self._rank), x.shape[1]))
+        chunk = max(1, self.CHUNK_FLOATS // x.shape[1])
+        start = lo = hi = 0
+        for end in self._layer_ends:
+            if end > hi:
+                lo, hi = start, min(max(end, start + chunk), len(self._src))
+                terms = x[self._src[lo:hi]] * self._weight[lo:hi]
+            out[: end - start] += terms[start - lo : end - lo]
+            start = end
+        return out[self._rank]
+
+
+def lexsort_draw_masks(rng: np.random.Generator, lengths, counts=None, weights=None) -> np.ndarray:
+    """Dropout masks for a batch, as one 0/1 array over its concatenated positions.
+
+    Document i masks counts[i] positions (uniform on {0..lengths[i]} when
+    counts is None): the ones with its largest keys. A key is uniform, or
+    log(u) / w under weights w, which draws positions without replacement
+    proportional to weight (Efraimidis & Spirakis 2006). Zero-weight
+    positions rank after every positive-weight one, in uniform-key order,
+    so they fill a count above the positive positions uniformly.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    counts = rng.integers(0, lengths + 1) if counts is None else np.asarray(counts, dtype=np.int64)
+    if np.any(counts < 0) or np.any(counts > lengths):
+        raise ValueError(f"counts {counts} out of range for {lengths} positions")
+    doc = np.repeat(np.arange(len(lengths)), lengths)
+    u = rng.random(len(doc))
+    w = np.ones(len(doc)) if weights is None else np.asarray(weights, dtype=np.float64)
+    if w.shape != u.shape or np.any(w < 0):
+        raise ValueError("weights must be nonnegative, one per position")
+    zero = w == 0
+    key = np.where(zero, u, np.log(u) / np.where(zero, 1.0, w))
+    order = np.lexsort((-key, zero, doc))
+    rank = np.arange(len(doc)) - (np.cumsum(lengths) - lengths)[doc]
+    mask = np.zeros(len(doc), dtype=np.int8)
+    mask[order[rank < counts[doc]]] = 1
+    return mask
+
+
+class UniqueDenseBags:
+    """The weights of `Bags` as a dense matrix over the touched rows, for document batches.
+
+    `flat` holds the bags' embedding rows back to back, lengths[b] of them
+    for bag b. `rows` lists the touched rows in ascending order and
+    `weights[b, j]` is (count of rows[j] in bag b) / lengths[b], so a
+    batch's token means are one GEMM and their adjoint `weights.T @ y` one
+    more. A document batch touches few rows; a profile store needs `Bags`.
+    """
+
+    def __init__(self, flat: np.ndarray, lengths):
+        lengths = np.asarray(lengths, dtype=np.int64)
+        self.rows, col = np.unique(flat, return_inverse=True)
+        bag = np.repeat(np.arange(len(lengths)), lengths)
+        counts = np.bincount(bag * len(self.rows) + col, minlength=len(lengths) * len(self.rows))
+        self.weights = counts.reshape(len(lengths), len(self.rows)) / lengths[:, None]

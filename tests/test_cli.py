@@ -384,6 +384,59 @@ def test_config_file_unknown_key_is_rejected(tmp_path, cli_corpus, capsys):
     assert not out.exists()
 
 
+# (command, config, flag-side arguments): each config value is one its command's flag refuses
+BAD_CONFIGS = {
+    "float-for-int": ("train", {"batch_size": 2.5}, []),
+    "bool-for-int": ("train", {"epochs": True}, []),
+    "string-for-float": ("train", {"lr": "2.0"}, []),
+    "number-for-list": ("sweep", {"controls": 3}, ["--method", "idf"]),
+    "empty-list-for-nargs-plus": ("sweep", {"controls": []}, ["--method", "idf"]),
+    "string-in-float-list": ("sweep", {"controls": [1.0, "2"]}, ["--method", "idf"]),
+    "null-for-int": ("deidentify", {"beam_width": None}, ["--model", "absent.ckpt"]),
+    "mask-mode-choice": ("deidentify", {"mask_mode": "bogus"}, ["--model", "absent.ckpt"]),
+    "another-commands-choice": ("baseline", {"method": "greedy"}, ["--method", "idf"]),
+    "string-for-switch": ("evaluate", {"bm25": "yes"}, ["--redacted", "absent.jsonl"]),
+    "string-for-list": ("evaluate", {"models": "a.ckpt"}, ["--redacted", "absent.jsonl"]),
+    "number-for-string": ("train", {"log": 3}, []),
+}
+
+
+@pytest.mark.parametrize("command, config_values, extra", list(BAD_CONFIGS.values()), ids=list(BAD_CONFIGS))
+def test_config_value_of_the_wrong_kind_is_rejected_before_work(
+    tmp_path, cli_corpus, capsys, command, config_values, extra
+):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(config_values))
+    out = tmp_path / "out"
+    argv = ["--config", str(config), command, "--corpus", str(cli_corpus), *extra]
+    if command != "evaluate":
+        argv += ["--out", str(out)]
+    code = main(argv)
+    err_lines = capsys.readouterr().err.strip().splitlines()
+    assert code == 4
+    assert len(err_lines) == 1
+    err = json.loads(err_lines[0])
+    assert err["error"] == "bad-config"
+    assert next(iter(config_values)) in err["message"]
+    assert not out.exists()
+
+
+def test_config_values_are_read_as_their_flags_read_them(tmp_path, cli_corpus, capsys):
+    # an integer for a float flag, null for a flag that defaults to None, and a
+    # choice that only another command's flag refuses
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"epochs": 1, "embed_dim": 8, "lr": 1, "log": None, "method": "greedy"}))
+    out = tmp_path / "model.ckpt"
+    assert main(["--config", str(config), "train", "--corpus", str(cli_corpus), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.with_name(out.name + ".log.csv").exists()
+    assert main(["--config", str(config), "stats", "--corpus", str(cli_corpus)]) == 0
+    capsys.readouterr()
+    sweep = cli.build_parser().subcommand_parsers["sweep"]
+    controls = next(action for action in sweep._actions if action.dest == "controls")
+    assert [type(c) for c in cli._config_value(controls, [2, 3.5])] == [float, float]
+
+
 def _array_spec(header, name):
     return next(spec for spec in header["arrays"] if spec["name"] == name)
 

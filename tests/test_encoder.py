@@ -3,13 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deident.corpus import Profile, ProfileStore, Vocabulary, linearize_profile, tokenize
 from deident.encoder import (
     Bags,
     CheckpointError,
+    DenseBags,
     build_profile_matrix,
     init_params,
     load_checkpoint,
@@ -19,7 +20,7 @@ from deident.encoder import (
 )
 from deident.reid import NeuralReidentifier
 
-from oracles import document_row_indices, mean_rows, score_and_normalize
+from oracles import ChunkedSegmentSum, UniqueDenseBags, document_row_indices, mean_rows, score_and_normalize
 
 
 def small_vocab(extra=()):
@@ -165,6 +166,47 @@ def test_encoder_means_match_one_bag_oracles(terms, words, bags, dim, seed):
     means = Bags(row_arrays).mean(params.embeddings)
     for i, bag_rows in enumerate(row_arrays):
         assert np.array_equal(means[i], Bags([bag_rows]).mean(params.embeddings)[0])
+
+
+def seeded_bags(seed: int, n_bags: int, max_len: int, n_rows: int) -> list[list[int]]:
+    rng = np.random.default_rng(seed)
+    return [rng.integers(0, n_rows, rng.integers(1, max_len + 1)).tolist() for _ in range(n_bags)]
+
+
+# up to 400 bags, so that wide inputs run several blocks; few rows, so that bags repeat rows
+KERNEL_BAGS = st.builds(
+    seeded_bags, st.integers(0, 2**16), st.integers(1, 400), st.integers(1, 30), st.integers(1, 60)
+)
+# a single bag, a one-row bag among longer ones, and repeated rows
+SHAPED_BAGS = [[[3]], [[5], [0, 1, 2, 5], [1, 1]], [[2, 2, 2, 2]], [[0, 4, 4], [4, 4, 0, 0, 0]]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    bags=KERNEL_BAGS,
+    width=st.sampled_from([1, 7, 32, 128, 200]),
+    block_floats=st.sampled_from([None, 1, 200]),
+    seed=st.integers(0, 2**16),
+)
+@example(bags=SHAPED_BAGS[0], width=200, block_floats=None, seed=0)
+@example(bags=SHAPED_BAGS[1], width=7, block_floats=1, seed=1)
+@example(bags=SHAPED_BAGS[2], width=1, block_floats=None, seed=2)
+@example(bags=SHAPED_BAGS[3], width=128, block_floats=200, seed=3)
+def test_bags_forward_matches_the_chunked_segment_sum_bit_for_bit(bags, width, block_floats, seed):
+    op = Bags([np.array(b) for b in bags])
+    if block_floats is not None:  # blocks of one row, or of a few, at any width
+        op.forward.BLOCK_FLOATS = block_floats
+    x = np.random.default_rng(seed).standard_normal((len(op.rows), width))
+    assert op.forward(x).tobytes() == ChunkedSegmentSum(op._bag, op._col, op._weight)(x).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(bags=st.one_of(KERNEL_BAGS, st.sampled_from(SHAPED_BAGS)))
+def test_dense_bags_match_the_unique_dense_bags_bit_for_bit(bags):
+    flat, lengths = np.concatenate([np.array(b, dtype=np.int64) for b in bags]), [len(b) for b in bags]
+    got, want = DenseBags(flat, lengths), UniqueDenseBags(flat, lengths)
+    assert got.rows.tobytes() == want.rows.tobytes()
+    assert got.weights.tobytes() == want.weights.tobytes()
 
 
 def test_softmax_uniform_for_identical_rows():

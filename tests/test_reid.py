@@ -181,6 +181,26 @@ def test_candidate_scores_rejects_a_position_outside_the_document(hand_store, ca
     assert scorer.table([0, 4]).shape == (2, len(hand_store))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    terms=st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=8, unique=True),
+    words=st.lists(st.sampled_from("abcdefghij"), min_size=1, max_size=40),
+)
+@example(terms=["a"], words=["a"])  # one distinct word row besides the mask row
+@example(terms=["a", "b"], words=["z", "z"])  # every word reads as the mask row
+def test_document_scorer_rows_counts_and_slots_match_np_unique(terms, words):
+    vocab = Vocabulary(sorted(terms))
+    params = init_params(vocab, dim=3, seed=0)
+    model = NeuralReidentifier(params, ProfileStore([Profile(id=t, entries=((t, t),)) for t in terms]))
+    document = tokenize(" ".join(words))
+    scorer = model.document_scorer(document)
+    rows = np.append(vocab.indices(document.normalized()), vocab.mask_index)
+    unique, slot, counts = np.unique(rows, return_inverse=True, return_counts=True)
+    assert scorer._slot.tobytes() == slot.tobytes()
+    assert scorer._counts.tobytes() == counts.tobytes()
+    assert scorer._emb.tobytes() == params.embeddings[unique].astype(np.float64).tobytes()
+
+
 def test_bm25_parameter_validation(hand_store):
     # a NaN or infinite k1 scores every matching term NaN, so every true profile would rank first
     for k1 in (0.0, float("nan"), float("inf")):

@@ -33,6 +33,7 @@ from oracles import (
     dense_embeddings,
     encode_document,
     grad_step,
+    lexsort_draw_masks,
     score_and_normalize,
     smoothed_targets,
 )
@@ -162,6 +163,50 @@ def test_draw_masks_counts_per_document(rng):
         draw_masks(rng, [3], [4])
     with pytest.raises(ValueError):
         draw_masks(rng, [3], [1], weights=[1.0, -1.0, 1.0])
+
+
+class TiedRandom:
+    """A generator whose uniforms take three values, so that sort keys tie."""
+
+    def __init__(self, seed: int):
+        self._rng = np.random.default_rng(seed)
+
+    def integers(self, *args):
+        return self._rng.integers(*args)
+
+    def random(self, size):
+        return self._rng.choice([0.25, 0.5, 0.75], size)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    lengths=st.lists(st.integers(0, 12), min_size=1, max_size=200),
+    weighting=st.sampled_from(["none", "positive", "some-zero", "all-zero"]),
+    counting=st.sampled_from(["drawn", "none", "all", "some"]),
+    tied=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@example(lengths=[5], weighting="all-zero", counting="all", tied=True, seed=0)
+@example(lengths=[3, 0, 4], weighting="some-zero", counting="none", tied=False, seed=1)
+def test_draw_masks_matches_the_lexsort_draw_bit_for_bit(lengths, weighting, counting, tied, seed):
+    # up to 200 documents, so that the document key needs more than 8 bits
+    rng = np.random.default_rng(seed + 1)
+    n = sum(lengths)
+    weights = {
+        "none": None,
+        "positive": rng.choice([0.5, 1.0, 2.0], n),
+        "some-zero": rng.choice([0.0, 0.5, 2.0], n),
+        "all-zero": np.zeros(n),
+    }[weighting]
+    counts = {
+        "drawn": None,
+        "none": np.zeros(len(lengths), dtype=np.int64),
+        "all": np.array(lengths),
+        "some": rng.integers(0, np.array(lengths) + 1),
+    }[counting]
+    make = TiedRandom if tied else np.random.default_rng
+    got = draw_masks(make(seed), lengths, counts, weights)
+    assert got.tobytes() == lexsort_draw_masks(make(seed), lengths, counts, weights).tobytes()
 
 
 # ---------------------------------------------------------------------------
