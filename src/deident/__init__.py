@@ -23,6 +23,7 @@ from .corpus import (
     linearize_profile,
     load_corpus,
     load_redacted,
+    load_sidecar,
     tokenize,
 )
 from .deid import (

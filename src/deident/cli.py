@@ -22,13 +22,13 @@ from pathlib import Path
 from .corpus import (
     Corpus,
     CorpusError,
-    _jsonl_rows,
     apply_mask,
     check_mask,
     compute_idf,
     corpus_stats,
     load_corpus,
     load_redacted,
+    load_sidecar,
 )
 from .deid import (
     RedactionResult,
@@ -172,25 +172,18 @@ def _stopword_set(args) -> frozenset[str]:
     return DEFAULT_STOPWORDS
 
 
-def _write_redacted(path, corpus, selected, results, mode):
-    with open(path, "w", encoding="utf-8") as fh:
-        for record, result in zip(selected, results):
-            profile = corpus.store.get(record.profile_id)
-            row = {
-                "id": record.profile_id,
-                "document": apply_mask(record.document, result.mask, mode=mode),
-                "profile": [[k, v] for k, v in profile.entries],
-                "mask": [int(b) for b in result.mask],
-                "method": result.method,
-                "k": result.k,
-            }
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-
-
-def _write_sidecar(path, selected, results):
-    with open(path, "w", encoding="utf-8") as fh:
-        for record, result in zip(selected, results):
-            fh.write(json.dumps(result.to_json(doc_id=record.profile_id), sort_keys=True) + "\n")
+def _write_redactions(args, corpus, selected, results) -> None:
+    """Write each record's redacted row to --out and, with --sidecar, its result's row there."""
+    rows = [result.to_json(doc_id=record.profile_id) for record, result in zip(selected, results)]
+    with open(args.out, "w", encoding="utf-8") as fh:
+        for record, row in zip(selected, rows):
+            redacted = {key: row[key] for key in ("id", "mask", "method", "k")}
+            redacted["document"] = apply_mask(record.document, row["mask"], mode=args.mask_mode)
+            redacted["profile"] = [[k, v] for k, v in corpus.store.get(record.profile_id).entries]
+            fh.write(json.dumps(redacted, sort_keys=True) + "\n")
+    if args.sidecar:
+        with open(args.sidecar, "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
 
 
 def _build_members(args, store) -> dict:
@@ -250,9 +243,7 @@ def cmd_deidentify(args) -> int:
             results.append(beam_deidentify(model, record.document, true_index, args.k, args.beam_width, stopwords))
         else:
             results.append(greedy_deidentify(model, record.document, true_index, args.k, stopwords))
-    _write_redacted(args.out, corpus, selected, results, args.mask_mode)
-    if args.sidecar:
-        _write_sidecar(args.sidecar, selected, results)
+    _write_redactions(args, corpus, selected, results)
     n_success = sum(r.success for r in results)
     print(json.dumps({"documents": len(results), "success": n_success, "out": args.out}))
     return 0
@@ -272,9 +263,7 @@ def cmd_baseline(args) -> int:
                 raise CorpusError(f"no tags for record {record.profile_id!r}")
         profile = corpus.store.get(record.profile_id)
         results.append(_baseline(args.method, record.document, profile, table, args.idf_threshold, doc_tags))
-    _write_redacted(args.out, corpus, selected, results, args.mask_mode)
-    if args.sidecar:
-        _write_sidecar(args.sidecar, selected, results)
+    _write_redactions(args, corpus, selected, results)
     print(json.dumps({"documents": len(results), "method": args.method, "out": args.out}))
     return 0
 
@@ -282,12 +271,11 @@ def cmd_baseline(args) -> int:
 def cmd_evaluate(args) -> int:
     corpus = load_corpus(args.corpus)
     rows = load_redacted(args.redacted)
+    sidecar = load_sidecar(args.sidecar, rows) if args.sidecar else None
     if args.success_only:
-        if not args.sidecar:
+        if sidecar is None:
             raise ValueError("--success-only requires --sidecar")
-        success_ids = {
-            row["id"] for row in load_redacted_sidecar(args.sidecar) if row.get("success")
-        }
+        success_ids = {row["id"] for row in sidecar if row["success"]}
         rows = [r for r in rows if r["id"] in success_ids]
     records = []
     for row in rows:
@@ -309,15 +297,6 @@ def cmd_evaluate(args) -> int:
             fh.write("\n")
     print(json.dumps({"rate": report.rate, "documents": len(records)}, sort_keys=True))
     return 0
-
-
-def load_redacted_sidecar(path) -> list[dict]:
-    rows = []
-    for line_no, row in _jsonl_rows(path):
-        if not isinstance(row.get("id"), str):
-            raise CorpusError("sidecar rows need a string 'id'", line_no)
-        rows.append(row)
-    return rows
 
 
 def cmd_sweep(args) -> int:

@@ -359,6 +359,28 @@ def load_redacted(path: str | Path) -> list[dict]:
     return rows
 
 
+def load_sidecar(path: str | Path, redacted: list[dict]) -> list[dict]:
+    """Load the sidecar of redacted rows as `load_redacted` returns them, one row per id.
+
+    Each row needs a bool 'success', an int 'k', and an 'id' used by no
+    earlier row that names a redacted row whose 'mask' equals its own.
+    """
+    masks = {row["id"]: row["mask"] for row in redacted}
+    rows: dict[str, dict] = {}
+    for line_no, obj in _jsonl_rows(path):
+        doc_id = obj.get("id")
+        if not isinstance(obj.get("success"), bool) or type(obj.get("k")) is not int:
+            raise CorpusError("sidecar rows need a bool 'success' and an int 'k'", line_no)
+        if not isinstance(doc_id, str) or doc_id not in masks:
+            raise CorpusError(f"sidecar id {doc_id!r} names no redacted row", line_no)
+        if doc_id in rows:
+            raise CorpusError(f"duplicate sidecar id {doc_id!r}", line_no)
+        if obj.get("mask") != masks[doc_id]:
+            raise CorpusError(f"sidecar mask of {doc_id!r} differs from its redacted row's", line_no)
+        rows[doc_id] = obj
+    return list(rows.values())
+
+
 class IdfTable:
     """Smoothed inverse document frequency statistics.
 

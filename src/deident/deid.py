@@ -72,16 +72,8 @@ class RedactionResult:
     order: list[int] = field(default_factory=list)
 
     def to_json(self, doc_id: str | None = None) -> dict:
-        obj = {
-            "method": self.method,
-            "k": self.k,
-            "steps": self.steps,
-            "final_rank": self.final_rank,
-            "final_prob": self.final_prob,
-            "success": self.success,
-            "mask": [int(b) for b in self.mask],
-            "order": list(self.order),
-        }
+        """The sidecar row: every field, the mask as a list, plus the document's id when given."""
+        obj = {**vars(self), "mask": self.mask.tolist(), "order": list(self.order)}
         if doc_id is not None:
             obj["id"] = doc_id
         return obj

@@ -21,6 +21,9 @@ rows: `DenseBags`' is one more GEMM, and `Bags`' is one `np.bincount` per
 column over its (bag, row, weight) triples, adding each row's in bag
 order. All three find their touched rows with `distinct_rows`, without a
 sort.
+
+A checkpoint holds the arrays as raw float32 in one layout, `_layout`, fixed
+by its header's terms and dimensions; the reader accepts no other.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from itertools import accumulate
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -255,21 +259,23 @@ def rank_of(values: np.ndarray, index: int) -> int:
     return int(1 + np.count_nonzero(values > target) + np.count_nonzero(values[:index] == target))
 
 
+def _layout(shapes) -> list[dict]:
+    """The header's `arrays` section for float32 arrays of these shapes: `CHECKPOINT_ARRAYS` order, back to back."""
+    sizes = [4 * math.prod(shape) for shape in shapes]
+    specs = zip(CHECKPOINT_ARRAYS, shapes, accumulate(sizes, initial=0), sizes)
+    return [{"name": name, "shape": list(shape), "offset": at, "bytes": size} for name, shape, at, size in specs]
+
+
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:
-    """Write a checkpoint: one JSON header line, then raw float32 arrays."""
+    """Write a checkpoint: one JSON header line, then raw float32 arrays as `_layout` of their shapes."""
     arrays = [np.ascontiguousarray(getattr(params, name), dtype="<f4") for name in CHECKPOINT_ARRAYS]
-    offsets = np.cumsum([0] + [arr.nbytes for arr in arrays]).tolist()
-    manifest = [
-        {"name": name, "shape": list(arr.shape), "offset": offset, "bytes": arr.nbytes}
-        for name, arr, offset in zip(CHECKPOINT_ARRAYS, arrays, offsets)
-    ]
     header = {
         "version": CHECKPOINT_VERSION,
         "dim": params.dim,
         "out_dim": params.out_dim,
         "label_smoothing": params.label_smoothing,
         "terms": list(params.vocab.terms),
-        "arrays": manifest,
+        "arrays": _layout([arr.shape for arr in arrays]),
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
@@ -279,8 +285,7 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
-    """Load a checkpoint, rejecting unknown versions, short payloads, bad shapes and non-finite values."""
-    out: dict[str, np.ndarray] = {}
+    """Load a checkpoint, rejecting unknown versions, `arrays` but `_layout`, short payloads and non-finite values."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
         try:
@@ -295,53 +300,23 @@ def load_checkpoint(path: str | Path) -> ModelParams:
                 f"checkpoint version {version!r} not supported (expected {CHECKPOINT_VERSION})"
             )
         vocab = _header_vocabulary(header)
-        arrays = header.get("arrays")
-        if not isinstance(arrays, list) or not all(map(_is_array_spec, arrays)):
-            raise CheckpointError("checkpoint header field 'arrays' is missing or malformed")
-        payload, end = fh.tell(), os.fstat(fh.fileno()).st_size
-        for spec in arrays:
-            if 4 * math.prod(spec["shape"]) != spec["bytes"]:
-                raise CheckpointError(f"array {spec['name']!r} byte count does not match its shape")
-            if payload + spec["offset"] + spec["bytes"] > end:
-                raise CheckpointError(f"truncated checkpoint payload in {path}")
-            out[spec["name"]] = arr = np.empty(spec["shape"], dtype="<f4")
-            fh.seek(payload + spec["offset"])
+        dim, out_dim = header.get("dim"), header.get("out_dim")
+        if not all(type(n) is int and n > 0 for n in (dim, out_dim)):
+            raise CheckpointError("checkpoint header fields 'dim' and 'out_dim' must be positive integers")
+        layout = _layout([(vocab.n_rows, dim), (dim, out_dim), (dim, out_dim)])
+        if header.get("arrays") != layout:
+            raise CheckpointError("checkpoint header field 'arrays' does not match its terms and dimensions")
+        if fh.tell() + sum(spec["bytes"] for spec in layout) > os.fstat(fh.fileno()).st_size:
+            raise CheckpointError(f"truncated checkpoint payload in {path}")
+        arrays = [np.empty(spec["shape"], dtype="<f4") for spec in layout]
+        for name, arr in zip(CHECKPOINT_ARRAYS, arrays):
             fh.readinto(arr.data.cast("B"))
-    for name in CHECKPOINT_ARRAYS:
-        if name not in out:
-            raise CheckpointError(f"checkpoint missing array {name!r}")
-        if not np.isfinite(out[name]).all():
-            raise CheckpointError(f"array {name!r} has non-finite values")
-    embeddings, doc_proj, profile_proj = (out[name] for name in CHECKPOINT_ARRAYS)
-    if embeddings.ndim != 2 or embeddings.shape[0] != vocab.n_rows:
-        raise CheckpointError("embedding table does not match vocabulary layout")
-    if doc_proj.ndim != 2 or doc_proj.shape[0] != embeddings.shape[1] or profile_proj.shape != doc_proj.shape:
-        raise CheckpointError("projections must both be (dim, out_dim) for embedding width dim")
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"array {name!r} has non-finite values")
     label_smoothing = header.get("label_smoothing", 0.0)
     if not isinstance(label_smoothing, (int, float)) or isinstance(label_smoothing, bool):
         raise CheckpointError("checkpoint header field 'label_smoothing' is not a number")
-    return ModelParams(
-        vocab=vocab,
-        embeddings=embeddings,
-        doc_proj=doc_proj,
-        profile_proj=profile_proj,
-        label_smoothing=float(label_smoothing),
-    )
-
-
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
-def _is_array_spec(spec) -> bool:
-    return (
-        isinstance(spec, dict)
-        and isinstance(spec.get("name"), str)
-        and isinstance(spec.get("shape"), list)
-        and all(map(_is_count, spec["shape"]))
-        and _is_count(spec.get("offset"))
-        and _is_count(spec.get("bytes"))
-    )
+    return ModelParams(vocab, *arrays, label_smoothing=float(label_smoothing))
 
 
 def _header_vocabulary(header: dict) -> Vocabulary:

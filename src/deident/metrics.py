@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -20,7 +20,7 @@ class UtilityReport:
     information_loss: float
 
     def to_json(self) -> dict:
-        return {"percent_masked": self.percent_masked, "information_loss": self.information_loss}
+        return dict(vars(self))
 
 
 @dataclass
@@ -109,17 +109,11 @@ def pareto_sweep(
 
 
 def write_pareto_csv(points: Sequence[ParetoPoint], path: str | Path) -> None:
+    """One header row of `ParetoPoint`'s field names, then one row per point; numbers as float reprs."""
+    names = [f.name for f in fields(ParetoPoint)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["method", "control", "reid_rate", "pct_masked", "info_loss", "success_rate"])
+        writer.writerow(names)
         for p in points:
-            writer.writerow(
-                [
-                    p.method,
-                    repr(float(p.control)),
-                    repr(float(p.reid_rate)),
-                    repr(float(p.pct_masked)),
-                    repr(float(p.info_loss)),
-                    repr(float(p.success_rate)),
-                ]
-            )
+            values = (getattr(p, name) for name in names)
+            writer.writerow([v if isinstance(v, str) else repr(float(v)) for v in values])

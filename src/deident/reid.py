@@ -146,7 +146,7 @@ class EnsembleReport:
     per_member: dict[str, float | None]
 
     def to_json(self) -> dict:
-        return {"rate": self.rate, "per_member": self.per_member, "per_doc": self.per_doc}
+        return dict(vars(self))
 
     def save(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -464,9 +464,14 @@ def test_criterion_10_beam_reduction():
 
     audit_failures = 0
     audited = 0
+    depth0_stops = 0
     for seed in range(30):
-        model, doc, true_index = _random_instance(700 + seed)
+        model, doc, _ = _random_instance(700 + seed)
+        # the depth-0 top-ranked profile ranks within K, so beam must mask and
+        # the audit re-scores a state with picked positions
+        true_index = int(np.argmax(model.distribution(doc)))
         result = beam_deidentify(model, doc, true_index, k=3, beam_width=4)
+        depth0_stops += result.steps == 0
         if result.success:
             audited += 1
             dist = _oracle_dist(model, doc, result.mask)
@@ -475,6 +480,6 @@ def test_criterion_10_beam_reduction():
     report(
         10,
         "beam width 1 equals greedy and width 4 passes the audit",
-        mismatches == 0 and audit_failures == 0 and audited > 0,
-        f"100 reductions, {audited} width-4 audits",
+        mismatches == 0 and audit_failures == 0 and audited > 0 and depth0_stops == 0,
+        f"100 reductions, {audited} width-4 audits, {depth0_stops} depth-0 stops",
     )

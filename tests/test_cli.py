@@ -352,14 +352,13 @@ def test_evaluate_rejects_a_redacted_row_that_is_not_an_object(tmp_path, cli_cor
 
 
 def test_evaluate_rejects_a_malformed_sidecar(tmp_path, cli_corpus, capsys):
-    redacted = tmp_path / "lexical.jsonl"
+    redacted, sidecar = tmp_path / "lexical.jsonl", tmp_path / "sidecar.jsonl"
     assert main([
         "baseline", "--corpus", str(cli_corpus), "--method", "lexical",
-        "--out", str(redacted), "--limit", "3",
+        "--out", str(redacted), "--sidecar", str(sidecar), "--limit", "3",
     ]) == 0
-    sidecar = tmp_path / "sidecar.jsonl"
     capsys.readouterr()
-    first = '{"id": "x", "success": true}\n'
+    first = sidecar.read_text().splitlines(keepends=True)[0]
     for content in (first + "{broken\n", first + '{"id": [1], "success": true}\n'):
         sidecar.write_text(content)
         code = main([
@@ -370,6 +369,85 @@ def test_evaluate_rejects_a_malformed_sidecar(tmp_path, cli_corpus, capsys):
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "corpus-format"
         assert "line 2" in err["message"]
+
+
+@pytest.fixture(scope="module")
+def greedy_redaction(tmp_path_factory, cli_corpus, cli_checkpoint):
+    """A three-record greedy redaction and its sidecar."""
+    root = tmp_path_factory.mktemp("greedy")
+    redacted, sidecar = root / "redacted.jsonl", root / "sidecar.jsonl"
+    assert main([
+        "deidentify", "--corpus", str(cli_corpus), "--model", str(cli_checkpoint), "--k", "1",
+        "--limit", "3", "--out", str(redacted), "--sidecar", str(sidecar),
+    ]) == 0
+    return redacted, sidecar
+
+
+@pytest.mark.parametrize("success_only", [True, False])
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda rows: rows[2].update(success="false"),
+        lambda rows: rows[2].update(success=0),
+        lambda rows: rows[2].pop("success"),
+        lambda rows: rows[2].update(k="1"),
+        lambda rows: rows[2].update(k=1.0),
+        lambda rows: rows[2].update(k=True),
+        lambda rows: rows[2].pop("k"),
+        lambda rows: rows[2].update(id="nobody"),
+        lambda rows: rows[2].update(id=rows[0]["id"], mask=rows[0]["mask"]),
+        lambda rows: rows[2].update(mask=[0] * len(rows[2]["mask"])),
+        lambda rows: rows[2].update(mask=[1 - b for b in rows[2]["mask"]]),
+        lambda rows: rows[2].pop("mask"),
+    ],
+    ids=[
+        "success-str", "success-int", "no-success", "k-str", "k-float", "k-bool", "no-k",
+        "id-unknown", "id-duplicate", "mask-zeroed", "mask-flipped", "no-mask",
+    ],
+)
+def test_evaluate_rejects_a_bad_sidecar_row(tmp_path, cli_corpus, greedy_redaction, capsys, edit, success_only):
+    # the third record's greedy mask is not empty, so zeroing it changes it
+    redacted, good = greedy_redaction
+    rows = [json.loads(line) for line in good.read_text().splitlines()]
+    assert any(rows[2]["mask"])
+    edit(rows)
+    sidecar = write_jsonl(tmp_path / "sidecar.jsonl", rows)
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    code = main([
+        "evaluate", "--corpus", str(cli_corpus), "--redacted", str(redacted), "--bm25",
+        "--sidecar", str(sidecar), *["--success-only"] * success_only, "--report", str(report),
+    ])
+    assert code == 4
+    err = _one_error_line(capsys)
+    assert err["error"] == "corpus-format"
+    assert "line 3" in err["message"]
+    assert not report.exists()
+
+
+def test_written_formats_have_their_pinned_keys(tmp_path, cli_corpus, cli_checkpoint, greedy_redaction):
+    redacted, sidecar = greedy_redaction
+    assert {frozenset(row) for row in load_redacted(redacted)} == {
+        frozenset({"id", "document", "profile", "mask", "method", "k"})
+    }
+    assert {frozenset(json.loads(line)) for line in sidecar.read_text().splitlines()} == {
+        frozenset({"id", "method", "k", "steps", "final_rank", "final_prob", "success", "mask", "order"})
+    }
+    header = json.loads(cli_checkpoint.read_bytes().split(b"\n", 1)[0])
+    assert set(header) == {"version", "dim", "out_dim", "label_smoothing", "terms", "arrays"}
+    assert [set(spec) for spec in header["arrays"]] == [{"name", "shape", "offset", "bytes"}] * 3
+    report, utility, pareto = tmp_path / "report.json", tmp_path / "utility.json", tmp_path / "pareto.csv"
+    assert main([
+        "evaluate", "--corpus", str(cli_corpus), "--redacted", str(redacted), "--bm25",
+        "--sidecar", str(sidecar), "--report", str(report), "--utility", str(utility),
+    ]) == 0
+    assert main([
+        "sweep", "--corpus", str(cli_corpus), "--method", "idf", "--controls", "2", "--bm25", "--limit", "3",
+        "--out", str(pareto),
+    ]) == 0
+    assert set(json.loads(report.read_text())) == {"rate", "per_member", "per_doc"}
+    assert set(json.loads(utility.read_text())) == {"percent_masked", "information_loss"}
+    assert pareto.read_text().splitlines()[0] == "method,control,reid_rate,pct_masked,info_loss,success_rate"
 
 
 def test_config_file_unknown_key_is_rejected(tmp_path, cli_corpus, capsys):
@@ -726,7 +804,10 @@ def _unmasked_redaction(root, corpus_path):
     redacted = write_jsonl(
         root / "redacted.jsonl", [{"id": r.profile_id, "mask": [0] * len(r.document)} for r in records]
     )
-    sidecar = write_jsonl(root / "sidecar.jsonl", [{"id": r.profile_id, "success": True} for r in records])
+    sidecar = write_jsonl(
+        root / "sidecar.jsonl",
+        [{"id": r.profile_id, "success": True, "k": 1, "mask": [0] * len(r.document)} for r in records],
+    )
     return redacted, sidecar
 
 

@@ -312,11 +312,66 @@ def test_checkpoint_short_payload_rejected(tmp_path, params):
     path.write_bytes(header + b"\n" + payload[:-1])
     with pytest.raises(CheckpointError, match="truncated"):
         load_checkpoint(path)
-    # a manifest claiming far more than the file holds fails before allocating it
+    # a manifest claiming far more than its dimensions imply is not their layout
     manifest = json.loads(header)
     manifest["arrays"][-1].update(shape=[2**20, 2**20], bytes=4 * 2**40)
     path.write_bytes(json.dumps(manifest).encode() + b"\n" + payload)
+    with pytest.raises(CheckpointError, match="does not match"):
+        load_checkpoint(path)
+
+
+def _checkpoint_layout(n_rows, dim, out_dim):
+    """The `arrays` section a checkpoint of these dimensions holds: its float32 arrays back to back."""
+    shapes = [[n_rows, dim], [dim, out_dim], [dim, out_dim]]
+    sizes = [4 * rows * cols for rows, cols in shapes]
+    offsets = [0, sizes[0], sizes[0] + sizes[1]]
+    names = ["embeddings", "doc_proj", "profile_proj"]
+    return [{"name": n, "shape": s, "offset": o, "bytes": b} for n, s, o, b in zip(names, shapes, offsets, sizes)]
+
+
+def _rewrite_header(path, edit):
+    header, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header)
+    edit(header)
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+
+
+def test_checkpoint_header_holds_the_layout_of_its_dimensions(tmp_path, params):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(params, path)
+    header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+    assert header["arrays"] == _checkpoint_layout(params.vocab.n_rows, params.dim, params.out_dim)
+
+
+def test_checkpoint_claiming_more_than_the_file_holds_fails_before_allocating(tmp_path, params):
+    # dimensions and arrays agree, and claim terabytes: reading them would exhaust memory first
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(params, path)
+    big = 2**20
+    arrays = _checkpoint_layout(params.vocab.n_rows, big, big)
+    _rewrite_header(path, lambda h: h.update(dim=big, out_dim=big, arrays=arrays))
     with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda h: h["arrays"].reverse(),
+        lambda h: h["arrays"][0].update(dtype="<f4"),
+        lambda h: h.update(dim=h["dim"] + 1),
+        lambda h: h.update(out_dim=h["out_dim"] - 1),
+        lambda h: h.update(dim=True),
+        lambda h: h.pop("out_dim"),
+        lambda h: h["arrays"].pop(),
+    ],
+    ids=["reversed", "extra-key", "dim-disagrees", "out-dim-disagrees", "dim-bool", "no-out-dim", "missing-array"],
+)
+def test_checkpoint_header_that_is_not_its_layout_rejected(tmp_path, params, edit):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(params, path)
+    _rewrite_header(path, edit)
+    with pytest.raises(CheckpointError, match="does not match|positive integers"):
         load_checkpoint(path)
 
 
