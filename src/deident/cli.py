@@ -2,12 +2,13 @@
 
 Subcommands: train, deidentify, baseline, evaluate, sweep, stats. Errors
 are emitted as a single JSON object on stderr with distinct exit codes:
-3 unreadable file, 4 malformed corpus/redacted/sidecar/tags file or
-config, 5 checkpoint problems, 1 anything else. A JSON file of flag
-defaults can be supplied with --config; explicit flags win. A key that
-names no flag is rejected, and so is a value that the command's flag of
-that name would refuse for its type, choices or number of arguments, before
-the command starts.
+3 unreadable file, 4 malformed corpus/redacted/sidecar/tags/stopwords file
+or config, 5 checkpoint problems, 1 anything else. A JSON file of flag
+defaults can be given with --config (also `--config=FILE` or `--conf FILE`).
+It is read after the command line parses, which is then parsed again with
+the file's values as the running command's defaults, so explicit flags win.
+A key that names no flag is rejected, and so is a value that the running
+command's flag would refuse for its type, choices or number of arguments.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import sys
 from pathlib import Path
 
 from .corpus import (
-    Corpus,
     CorpusError,
     apply_mask,
     check_mask,
@@ -133,12 +133,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class ConfigError(ValueError):
+    """Raised for a --config file that is not JSON, not an object, or holds a key or value no flag takes."""
+
+
 # the JSON values a config may give a flag of each `type`, and how to name them
 _CONFIG_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"), None: ((str,), "a string")}
 
 
 def _config_value(action: argparse.Action, value):
-    """A config value as its flag reads it; a ValueError if the flag's type, choices or nargs refuse it.
+    """A config value as its flag reads it; a ConfigError if the flag's type, choices or nargs refuse it.
 
     Null stands for a flag whose default is None; a switch (nargs 0) takes a boolean.
     """
@@ -146,22 +150,41 @@ def _config_value(action: argparse.Action, value):
         return None
     many = action.nargs in ("*", "+")
     if many and not (isinstance(value, list) and (value or action.nargs == "*")):
-        raise ValueError(f"config key {action.dest!r} needs a {'nonempty ' * (action.nargs == '+')}list, got {value!r}")
+        need = "a nonempty list" if action.nargs == "+" else "a list"
+        raise ConfigError(f"config key {action.dest!r} needs {need}, got {value!r}")
     kinds, what = ((bool,), "true or false") if action.nargs == 0 else _CONFIG_KINDS[action.type]
     items = value if many else [value]
     for item in items:
         if isinstance(item, bool) != (bool in kinds) or not isinstance(item, kinds):
-            raise ValueError(f"config key {action.dest!r} needs {what}, got {item!r}")
+            raise ConfigError(f"config key {action.dest!r} needs {what}, got {item!r}")
         if action.choices is not None and item not in action.choices:
-            raise ValueError(f"config key {action.dest!r} must be one of {list(action.choices)}, got {item!r}")
+            raise ConfigError(f"config key {action.dest!r} must be one of {list(action.choices)}, got {item!r}")
     items = [float(item) for item in items] if action.type is float else items
     return items if many else items[0]
 
 
-def _records_slice(corpus: Corpus, limit: int | None):
-    if limit is not None and limit < 1:
-        raise ValueError(f"--limit must be >= 1, got {limit}")
-    return corpus.records[:limit]
+def _with_config(parser: argparse.ArgumentParser, args, argv):
+    """Parse argv again with the --config file's values as the running command's defaults."""
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            defaults = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(exc) from exc
+    if not isinstance(defaults, dict):
+        raise ConfigError("config must be a JSON object")
+    known = {action.dest for sub in parser.subcommand_parsers.values() for action in sub._actions} - {"help"}
+    unknown = sorted(set(defaults) - known)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    # subcommands parse into a fresh namespace, so the defaults go on the command's own parser
+    sub = parser.subcommand_parsers[args.command]
+    sub.set_defaults(**{a.dest: _config_value(a, defaults[a.dest]) for a in sub._actions if a.dest in defaults})
+    return parser.parse_args(argv)
+
+
+def _check_limit(args) -> None:
+    if args.limit is not None and args.limit < 1:
+        raise ValueError(f"--limit must be >= 1, got {args.limit}")
 
 
 def _stopword_set(args) -> frozenset[str]:
@@ -232,8 +255,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_deidentify(args) -> int:
+    _check_limit(args)
     corpus = load_corpus(args.corpus)
-    selected = _records_slice(corpus, args.limit)
+    selected = corpus.records[: args.limit]
     model = NeuralReidentifier.from_checkpoint(args.model, corpus.store)
     stopwords = _stopword_set(args)
     results = []
@@ -250,8 +274,9 @@ def cmd_deidentify(args) -> int:
 
 
 def cmd_baseline(args) -> int:
+    _check_limit(args)
     corpus = load_corpus(args.corpus)
-    selected = _records_slice(corpus, args.limit)
+    selected = corpus.records[: args.limit]
     table = compute_idf(corpus) if args.method in ("idf", "idf-table") else None
     tags = load_tag_file(args.tags_file) if args.tags_file else None
     results = []
@@ -269,12 +294,12 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.success_only and not args.sidecar:
+        raise ValueError("--success-only requires --sidecar")
     corpus = load_corpus(args.corpus)
     rows = load_redacted(args.redacted)
     sidecar = load_sidecar(args.sidecar, rows) if args.sidecar else None
     if args.success_only:
-        if sidecar is None:
-            raise ValueError("--success-only requires --sidecar")
         success_ids = {row["id"] for row in sidecar if row["success"]}
         rows = [r for r in rows if r["id"] in success_ids]
     records = []
@@ -300,17 +325,21 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    corpus = load_corpus(args.corpus)
-    selected = _records_slice(corpus, args.limit)
-    members = _build_members(args, corpus.store)
-    stopwords = _stopword_set(args)
-    records = [(rec.profile_id, rec.document, corpus.store.index_of(rec.profile_id)) for rec in selected]
-    if args.method in ("greedy", "beam"):
+    _check_limit(args)
+    search = args.method in ("greedy", "beam")
+    if search:
         if not args.model:
             raise ValueError(f"--model is required for method {args.method!r}")
-        bad = [c for c in map(float, args.controls) if not (c.is_integer() and c >= 1)]
+        bad = [c for c in args.controls if not (c.is_integer() and c >= 1)]
         if bad:
             raise ValueError(f"--controls for method {args.method!r} must be integers K >= 1, got {bad}")
+    elif any(math.isnan(c) for c in args.controls):
+        raise ValueError(f"--controls for method {args.method!r} must not be NaN")
+    corpus = load_corpus(args.corpus)
+    members = _build_members(args, corpus.store)
+    stopwords = _stopword_set(args)
+    records = [(r.profile_id, r.document, corpus.store.index_of(r.profile_id)) for r in corpus.records[: args.limit]]
+    if search:
         guide = NeuralReidentifier.from_checkpoint(args.model, corpus.store)
         ks = [int(c) for c in args.controls]
         width = args.beam_width if args.method == "beam" else 1
@@ -319,8 +348,6 @@ def cmd_sweep(args) -> int:
             for _, document, true_index in records
         ]
     else:
-        if any(math.isnan(c) for c in args.controls):
-            raise ValueError(f"--controls for method {args.method!r} must not be NaN")
         table = compute_idf(corpus) if args.method in ("idf", "idf-table") else None
         results = [
             [_baseline(args.method, document, corpus.store.get(doc_id), table, c) for c in args.controls]
@@ -353,63 +380,23 @@ def _emit_error(kind: str, exc: Exception) -> None:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    config_errors: dict[str, ValueError] = {}
-    if "--config" in argv:
-        try:
-            config_path = argv[argv.index("--config") + 1]
-        except IndexError:
-            parser.error("--config needs a file argument")
-        try:
-            with open(config_path, encoding="utf-8") as fh:
-                defaults = json.load(fh)
-        except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-            _emit_error("file-not-found", exc)
-            return 3
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            _emit_error("bad-config", exc)
-            return 4
-        if not isinstance(defaults, dict):
-            _emit_error("bad-config", ValueError("config must be a JSON object"))
-            return 4
-        known = {
-            action.dest
-            for sub_parser in parser.subcommand_parsers.values()
-            for action in sub_parser._actions
-            if action.dest != "help"
-        }
-        unknown = sorted(set(defaults) - known)
-        if unknown:
-            _emit_error("bad-config", ValueError(f"unknown config keys: {', '.join(unknown)}"))
-            return 4
-        # subcommands parse into a fresh namespace, so defaults must be set
-        # on each subparser for explicit flags to keep precedence; a key is
-        # checked against each command's flag of its name, and a bad value
-        # fails only the commands that have that flag
-        for name, sub_parser in parser.subcommand_parsers.items():
-            try:
-                sub_parser.set_defaults(**{
-                    action.dest: _config_value(action, defaults[action.dest])
-                    for action in sub_parser._actions
-                    if action.dest in defaults
-                })
-            except ValueError as exc:
-                config_errors[name] = exc
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    if args.command in config_errors:
-        _emit_error("bad-config", config_errors[args.command])
-        return 4
     try:
+        if args.config:
+            args = _with_config(parser, args, argv)
         return _COMMANDS[args.command](args)
     except CheckpointError as exc:
         _emit_error("checkpoint", exc)
         return 5
     except CorpusError as exc:
         _emit_error("corpus-format", exc)
+        return 4
+    except ConfigError as exc:
+        _emit_error("bad-config", exc)
         return 4
     except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         _emit_error("file-not-found", exc)

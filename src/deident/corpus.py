@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -267,27 +267,45 @@ def _linearize(profile: Profile, table: _TokenTable, max_tokens: int = MAX_PROFI
     return Document(tuple(tokens[:max_tokens]))
 
 
-def _jsonl_rows(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """Yield (line number, object) for each nonblank line of a JSONL file.
-
-    A line that is not valid UTF-8 or JSON, or whose value is not an object,
-    raises CorpusError naming the line.
-    """
+def _text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Yield (line number, line) for each line of a file; a line that is not UTF-8 raises CorpusError naming it."""
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise CorpusError(f"invalid UTF-8 ({exc.reason})", line_no) from exc
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"invalid JSON ({exc.msg})", line_no) from exc
-            if not isinstance(obj, dict):
-                raise CorpusError("expected a JSON object", line_no)
-            yield line_no, obj
+            yield line_no, line
+
+
+def _jsonl_rows(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, object) for each nonblank line of a JSONL file.
+
+    A line that is not valid UTF-8 or JSON, or whose value is not an object,
+    raises CorpusError naming the line.
+    """
+    for line_no, line in _text_lines(path):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"invalid JSON ({exc.msg})", line_no) from exc
+        if not isinstance(obj, dict):
+            raise CorpusError("expected a JSON object", line_no)
+        yield line_no, obj
+
+
+def _unique_id_rows(path: str | Path, valid: Callable[[dict], bool], need: str) -> Iterator[dict]:
+    """Yield each JSONL row; one `valid` refuses or without a string 'id' fails as `need`, a reused id as duplicate."""
+    seen: dict[str, int] = {}
+    for line_no, obj in _jsonl_rows(path):
+        if not isinstance(obj.get("id"), str) or not valid(obj):
+            raise CorpusError(need, line_no)
+        if obj["id"] in seen:
+            raise CorpusError(f"duplicate id {obj['id']!r} (first seen on line {seen[obj['id']]})", line_no)
+        seen[obj["id"]] = line_no
+        yield obj
 
 
 def _parse_record(obj: dict, line: int, memo: _Entries) -> tuple[AlignedRecord, Profile]:
@@ -347,16 +365,8 @@ def load_redacted(path: str | Path) -> list[dict]:
     whether the id names a profile and the mask fits its document is checked
     against the corpus.
     """
-    rows = []
-    seen: dict[str, int] = {}
-    for line_no, obj in _jsonl_rows(path):
-        if not isinstance(obj.get("id"), str) or not isinstance(obj.get("mask"), list):
-            raise CorpusError("redacted rows need a string 'id' and a list 'mask'", line_no)
-        if obj["id"] in seen:
-            raise CorpusError(f"duplicate id {obj['id']!r} (first seen on line {seen[obj['id']]})", line_no)
-        seen[obj["id"]] = line_no
-        rows.append(obj)
-    return rows
+    need = "redacted rows need a string 'id' and a list 'mask'"
+    return list(_unique_id_rows(path, lambda obj: isinstance(obj.get("mask"), list), need))
 
 
 def load_sidecar(path: str | Path, redacted: list[dict]) -> list[dict]:

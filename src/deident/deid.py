@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import CorpusError, Document, IdfTable, Profile, _jsonl_rows, _tokenize, _TokenTable
+from .corpus import CorpusError, Document, IdfTable, Profile, _tokenize, _TokenTable, _unique_id_rows
 from .encoder import rank_of, softmax
 from .stopwords import DEFAULT_STOPWORDS
 
@@ -285,10 +285,10 @@ def ner_baseline(document: Document, tags: Sequence[str] | None = None) -> Redac
 
 
 def load_tag_file(path: str | Path) -> dict[str, list[str]]:
-    """Load per-token entity tags: JSONL rows of {"id": ..., "tags": [...]}."""
-    out: dict[str, list[str]] = {}
-    for line_no, obj in _jsonl_rows(path):
-        if "id" not in obj or not isinstance(obj.get("tags"), list):
-            raise CorpusError("tag rows need 'id' and a 'tags' list", line_no)
-        out[obj["id"]] = [str(t) for t in obj["tags"]]
-    return out
+    """Load per-token entity tags: JSONL rows of {"id": ..., "tags": [...]}, each id on one row only."""
+
+    def valid(obj: dict) -> bool:
+        return isinstance(obj.get("tags"), list) and all(isinstance(t, str) for t in obj["tags"])
+
+    rows = _unique_id_rows(path, valid, "tag rows need a string 'id' and a 'tags' list of strings")
+    return {obj["id"]: obj["tags"] for obj in rows}

@@ -285,7 +285,7 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
-    """Load a checkpoint, rejecting unknown versions, `arrays` but `_layout`, short payloads and non-finite values."""
+    """Load a checkpoint; reject unknown versions, `arrays` but `_layout`, payloads not that size, non-finite values."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
         try:
@@ -306,8 +306,11 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         layout = _layout([(vocab.n_rows, dim), (dim, out_dim), (dim, out_dim)])
         if header.get("arrays") != layout:
             raise CheckpointError("checkpoint header field 'arrays' does not match its terms and dimensions")
-        if fh.tell() + sum(spec["bytes"] for spec in layout) > os.fstat(fh.fileno()).st_size:
+        extra = os.fstat(fh.fileno()).st_size - fh.tell() - sum(spec["bytes"] for spec in layout)
+        if extra < 0:
             raise CheckpointError(f"truncated checkpoint payload in {path}")
+        if extra > 0:
+            raise CheckpointError(f"checkpoint {path} has {extra} bytes after its payload")
         arrays = [np.empty(spec["shape"], dtype="<f4") for spec in layout]
         for name, arr in zip(CHECKPOINT_ARRAYS, arrays):
             fh.readinto(arr.data.cast("B"))

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from .corpus import _text_lines
+
 DEFAULT_STOPWORDS: frozenset[str] = frozenset(
     """
     a about above after again against all am an and any are as at
@@ -39,12 +41,8 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
     """Load a stopword set from a file with one word per line.
 
     Blank lines and lines starting with '#' are skipped; words are
-    lowercased so they match normalized tokens.
+    lowercased so they match normalized tokens. A line that is not UTF-8
+    raises CorpusError naming it.
     """
-    words = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            word = line.strip()
-            if word and not word.startswith("#"):
-                words.add(word.casefold())
-    return frozenset(words)
+    words = (line.strip() for _, line in _text_lines(path))
+    return frozenset(word.casefold() for word in words if word and not word.startswith("#"))

@@ -314,6 +314,35 @@ def test_limit_below_one_is_rejected(tmp_path, cli_corpus, cli_checkpoint, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["deidentify", "--model", "absent.ckpt", "--limit", "0"], "--limit"),
+        (["baseline", "--method", "lexical", "--limit", "0"], "--limit"),
+        (["sweep", "--method", "idf", "--bm25", "--limit", "0"], "--limit"),
+        (["sweep", "--method", "greedy", "--bm25"], "--model"),
+        (["sweep", "--method", "greedy", "--model", "absent.ckpt", "--bm25", "--controls", "2.5"], "--controls"),
+        (["sweep", "--method", "beam", "--model", "absent.ckpt", "--bm25", "--controls", "0"], "--controls"),
+        (["sweep", "--method", "idf", "--bm25", "--controls", "nan"], "--controls"),
+        (["evaluate", "--redacted", "absent.jsonl", "--bm25", "--success-only"], "--success-only"),
+    ],
+    ids=["deidentify-limit", "baseline-limit", "sweep-limit", "sweep-no-model", "sweep-fractional-k",
+         "sweep-zero-k", "sweep-nan-threshold", "evaluate-success-only"],
+)
+def test_flag_values_are_checked_before_any_file_is_read(tmp_path, capsys, monkeypatch, argv, message):
+    def no_load(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(cli, "load_corpus", no_load)
+    monkeypatch.chdir(tmp_path)
+    out = ["--out", "out"] if argv[0] != "evaluate" else ["--report", "out"]
+    assert main([*argv, "--corpus", "corpus.jsonl", *out]) == 1
+    err = _one_error_line(capsys)
+    assert err["error"] == "error"
+    assert message in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_evaluate_builds_each_member_matrix_once(tmp_path, cli_corpus, cli_checkpoint, capsys, monkeypatch):
     import deident.reid
 
@@ -448,6 +477,37 @@ def test_written_formats_have_their_pinned_keys(tmp_path, cli_corpus, cli_checkp
     assert set(json.loads(report.read_text())) == {"rate", "per_member", "per_doc"}
     assert set(json.loads(utility.read_text())) == {"percent_masked", "information_loss"}
     assert pareto.read_text().splitlines()[0] == "method,control,reid_rate,pct_masked,info_loss,success_rate"
+
+
+def test_config_is_read_in_every_spelling_argparse_takes(tmp_path, cli_corpus, cli_checkpoint, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"k": 8}))
+    outputs = []
+    for i, spelling in enumerate([["--config", str(config)], [f"--config={config}"], ["--conf", str(config)]]):
+        out, sidecar = tmp_path / f"redacted{i}.jsonl", tmp_path / f"sidecar{i}.jsonl"
+        assert main([
+            *spelling, "deidentify", "--corpus", str(cli_corpus), "--model", str(cli_checkpoint),
+            "--limit", "4", "--out", str(out), "--sidecar", str(sidecar),
+        ]) == 0
+        assert [json.loads(line)["k"] for line in sidecar.read_text().splitlines()] == [8] * 4
+        outputs.append((out.read_bytes(), sidecar.read_bytes()))
+    capsys.readouterr()
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_config_given_after_an_equals_sign_is_checked(tmp_path, cli_corpus, cli_checkpoint, capsys):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"k": "8"}))
+    out = tmp_path / "redacted.jsonl"
+    code = main([
+        f"--config={config}", "deidentify", "--corpus", str(cli_corpus), "--model", str(cli_checkpoint),
+        "--out", str(out),
+    ])
+    assert code == 4
+    err = _one_error_line(capsys)
+    assert err["error"] == "bad-config"
+    assert "'k'" in err["message"]
+    assert not out.exists()
 
 
 def test_config_file_unknown_key_is_rejected(tmp_path, cli_corpus, capsys):
@@ -816,8 +876,8 @@ def cli_redacted(tmp_path_factory, cli_corpus):
     return _unmasked_redaction(tmp_path_factory.mktemp("cli_redacted"), cli_corpus)
 
 
-@pytest.mark.parametrize("kind", ["corpus", "redacted", "sidecar", "tags", "config"])
-def test_invalid_utf8_input_exit_code(tmp_path, cli_corpus, cli_redacted, capsys, kind):
+@pytest.mark.parametrize("kind", ["corpus", "redacted", "sidecar", "tags", "stopwords", "config"])
+def test_invalid_utf8_input_exit_code(tmp_path, cli_corpus, cli_checkpoint, cli_redacted, capsys, kind):
     bad = tmp_path / "bad.jsonl"
     bad.write_bytes(b'\n{"id": "caf\xe9"}\n')
     redacted, sidecar = cli_redacted
@@ -831,6 +891,10 @@ def test_invalid_utf8_input_exit_code(tmp_path, cli_corpus, cli_redacted, capsys
         "tags": [
             "baseline", "--corpus", str(cli_corpus), "--method", "ner", "--tags-file", str(bad),
             "--out", str(tmp_path / "ner.jsonl"),
+        ],
+        "stopwords": [
+            "deidentify", "--corpus", str(cli_corpus), "--model", str(cli_checkpoint), "--stopwords-file", str(bad),
+            "--out", str(tmp_path / "greedy.jsonl"),
         ],
         "config": ["--config", str(bad), "stats", "--corpus", str(cli_corpus)],
     }[kind]

@@ -577,8 +577,11 @@ def test_load_tag_file_round_trip(tmp_path):
 
 @pytest.mark.parametrize(
     "row",
-    ['{"id": "a"}', '{"id": "a", "tags": 5}', '{"id": "a", "tags": "PER"}', "[]"],
-    ids=["no-tags", "tags-int", "tags-str", "not-object"],
+    [
+        '{"id": "a"}', '{"id": "a", "tags": 5}', '{"id": "a", "tags": "PER"}', "[]",
+        '{"id": "b", "tags": ["PER"]}', '{"id": "a", "tags": ["O", null]}', '{"id": 5, "tags": ["O"]}',
+    ],
+    ids=["no-tags", "tags-int", "tags-str", "not-object", "repeated-id", "null-tag", "integer-id"],
 )
 def test_load_tag_file_rejects_malformed_rows(tmp_path, row):
     path = tmp_path / "tags.jsonl"

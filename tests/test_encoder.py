@@ -320,6 +320,15 @@ def test_checkpoint_short_payload_rejected(tmp_path, params):
         load_checkpoint(path)
 
 
+def test_checkpoint_with_bytes_after_its_payload_rejected(tmp_path, params):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(params, path)
+    with open(path, "ab") as fh:
+        fh.write(b"\x00" * 7000)
+    with pytest.raises(CheckpointError, match="7000 bytes after its payload"):
+        load_checkpoint(path)
+
+
 def _checkpoint_layout(n_rows, dim, out_dim):
     """The `arrays` section a checkpoint of these dimensions holds: its float32 arrays back to back."""
     shapes = [[n_rows, dim], [dim, out_dim], [dim, out_dim]]
