@@ -1,12 +1,13 @@
 """Lexical set-up timing: milliseconds of each stage an IDF + BM25 sweep runs first.
 
-Loads the corpus, linearizes its profile store, builds the IDF table over
-documents and profiles and builds the BM25 ranker, timing each stage on its
-own: `load_corpus`, `store.linearized`, `compute_idf` (after the
-linearization, so it counts only the IDF pass) and `Bm25Reidentifier`. Each
-repeat starts from a fresh load. Prints one JSON line with every repeat's
+Loads the corpus (which linearizes its profile store), builds the IDF table
+over documents and profiles and builds the BM25 ranker, timing each stage on
+its own: `load_corpus`, `compute_idf` and `Bm25Reidentifier`. Each repeat
+starts from a fresh load. Prints one JSON line with every repeat's
 milliseconds per stage, their medians and the process's peak RSS in MB
 (`ru_maxrss`), so both come from the same run. BLAS runs on one thread.
+`tests/synthdata.py` writes the corpora: `write_corpus(path, 10000, seed=1)`
+for repetitive text, `make_rows=make_distinct_rows` for mostly distinct text.
 
     PYTHONPATH=src python3 scripts/lexical_setup_ms.py --corpus big.jsonl --repeats 7
 """
@@ -24,7 +25,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 from deident.corpus import compute_idf, load_corpus  # noqa: E402  (imports numpy)
 from deident.reid import Bm25Reidentifier  # noqa: E402
 
-STAGES = ("load_corpus", "linearized", "compute_idf", "bm25")
+STAGES = ("load_corpus", "compute_idf", "bm25")
 
 
 def one_pass(path: str) -> dict[str, float]:
@@ -32,9 +33,6 @@ def one_pass(path: str) -> dict[str, float]:
     start = time.perf_counter()
     corpus = load_corpus(path)
     seconds["load_corpus"] = time.perf_counter() - start
-    start = time.perf_counter()
-    corpus.store.linearized
-    seconds["linearized"] = time.perf_counter() - start
     start = time.perf_counter()
     compute_idf(corpus)
     seconds["compute_idf"] = time.perf_counter() - start

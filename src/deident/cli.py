@@ -34,6 +34,8 @@ from .deid import (
     RedactionResult,
     _search,
     beam_deidentify,
+    check_search,
+    check_threshold,
     greedy_deidentify,
     idf_baseline,
     idf_table_aware_baseline,
@@ -43,7 +45,7 @@ from .deid import (
 )
 from .encoder import CheckpointError
 from .metrics import pareto_sweep, utility_report, write_pareto_csv
-from .reid import Bm25Reidentifier, NeuralReidentifier, ensemble_evaluate
+from .reid import Bm25Reidentifier, NeuralReidentifier, check_bm25, ensemble_evaluate
 from .stopwords import DEFAULT_STOPWORDS, load_stopwords
 from .training import TrainConfig, train
 
@@ -209,6 +211,14 @@ def _write_redactions(args, corpus, selected, results) -> None:
             fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
 
 
+def _check_members(args) -> None:
+    """Check the ensemble flags, before any file is read."""
+    if not (args.models or args.bm25):
+        raise ValueError("no ensemble members given (use --models and/or --bm25)")
+    if args.bm25:
+        check_bm25(args.bm25_k1, args.bm25_b)
+
+
 def _build_members(args, store) -> dict:
     members: dict[str, object] = {}
     for path in args.models:
@@ -218,8 +228,6 @@ def _build_members(args, store) -> dict:
         members[name] = NeuralReidentifier.from_checkpoint(path, store)
     if args.bm25:
         members["bm25"] = Bm25Reidentifier(store, k1=args.bm25_k1, b=args.bm25_b)
-    if not members:
-        raise ValueError("no ensemble members given (use --models and/or --bm25)")
     return members
 
 
@@ -235,7 +243,6 @@ def _baseline(method, document, profile, table, threshold, tags=None) -> Redacti
 
 
 def cmd_train(args) -> int:
-    corpus = load_corpus(args.corpus)
     config = TrainConfig(
         epochs=args.epochs,
         learning_rate=args.lr,
@@ -248,6 +255,8 @@ def cmd_train(args) -> int:
         warmup_epochs=args.warmup_epochs,
         batch_size=args.batch_size,
     )
+    config.validate()
+    corpus = load_corpus(args.corpus)
     log_path = args.log or f"{args.out}.log.csv"
     train(corpus, config, checkpoint_path=args.out, log_path=log_path)
     print(json.dumps({"checkpoint": args.out, "best": f"{args.out}.best", "log": log_path}))
@@ -256,6 +265,7 @@ def cmd_train(args) -> int:
 
 def cmd_deidentify(args) -> int:
     _check_limit(args)
+    check_search([args.k], args.beam_width)
     corpus = load_corpus(args.corpus)
     selected = corpus.records[: args.limit]
     model = NeuralReidentifier.from_checkpoint(args.model, corpus.store)
@@ -263,7 +273,7 @@ def cmd_deidentify(args) -> int:
     results = []
     for record in selected:
         true_index = corpus.store.index_of(record.profile_id)
-        if args.beam_width != 1:  # beam_deidentify rejects widths below 1
+        if args.beam_width > 1:
             results.append(beam_deidentify(model, record.document, true_index, args.k, args.beam_width, stopwords))
         else:
             results.append(greedy_deidentify(model, record.document, true_index, args.k, stopwords))
@@ -275,6 +285,8 @@ def cmd_deidentify(args) -> int:
 
 def cmd_baseline(args) -> int:
     _check_limit(args)
+    if args.method in ("idf", "idf-table"):
+        check_threshold(args.idf_threshold)
     corpus = load_corpus(args.corpus)
     selected = corpus.records[: args.limit]
     table = compute_idf(corpus) if args.method in ("idf", "idf-table") else None
@@ -296,6 +308,7 @@ def cmd_baseline(args) -> int:
 def cmd_evaluate(args) -> int:
     if args.success_only and not args.sidecar:
         raise ValueError("--success-only requires --sidecar")
+    _check_members(args)
     corpus = load_corpus(args.corpus)
     rows = load_redacted(args.redacted)
     sidecar = load_sidecar(args.sidecar, rows) if args.sidecar else None
@@ -333,16 +346,17 @@ def cmd_sweep(args) -> int:
         bad = [c for c in args.controls if not (c.is_integer() and c >= 1)]
         if bad:
             raise ValueError(f"--controls for method {args.method!r} must be integers K >= 1, got {bad}")
+        ks, width = [int(c) for c in args.controls], args.beam_width if args.method == "beam" else 1
+        check_search(ks, width)
     elif any(math.isnan(c) for c in args.controls):
         raise ValueError(f"--controls for method {args.method!r} must not be NaN")
+    _check_members(args)
     corpus = load_corpus(args.corpus)
     members = _build_members(args, corpus.store)
     stopwords = _stopword_set(args)
     records = [(r.profile_id, r.document, corpus.store.index_of(r.profile_id)) for r in corpus.records[: args.limit]]
     if search:
         guide = NeuralReidentifier.from_checkpoint(args.model, corpus.store)
-        ks = [int(c) for c in args.controls]
-        width = args.beam_width if args.method == "beam" else 1
         results = [
             _search(guide, document, true_index, ks, width, stopwords, args.method)
             for _, document, true_index in records

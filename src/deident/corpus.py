@@ -113,18 +113,21 @@ class AlignedRecord:
 class ProfileStore:
     """Ordered collection of unique profiles, addressable by id or index.
 
-    A store from `load_corpus` keeps the load's token table for its one linearization, then drops it.
+    `terms` holds each profile's linearized normalized terms, in store order. They are
+    computed once, as the store is built, through the load's token table when it is given
+    one, so a profile that does not linearize fails here.
     """
 
     def __init__(self, profiles: Sequence[Profile], table: _TokenTable | None = None):
         self.profiles: list[Profile] = list(profiles)
-        self._linearized: tuple[Document, ...] | None = None
-        self._table = table
         self._index: dict[str, int] = {}
         for i, p in enumerate(self.profiles):
             if p.id in self._index:
                 raise CorpusError(f"duplicate profile id {p.id!r}")
             self._index[p.id] = i
+        table = _TokenTable() if table is None else table
+        with _gc_paused():
+            self.terms = tuple(tuple([t.normalized for t in _linearize(p, table)]) for p in self.profiles)
 
     def __len__(self) -> int:
         return len(self.profiles)
@@ -143,15 +146,6 @@ class ProfileStore:
     def get(self, profile_id: str) -> Profile:
         return self.profiles[self.index_of(profile_id)]
 
-    @property
-    def linearized(self) -> tuple[Document, ...]:
-        """Each profile's `linearize_profile` Document, in store order, computed once."""
-        if self._linearized is None:
-            table, self._table = self._table or _TokenTable(), None
-            with _gc_paused():
-                self._linearized = tuple(_linearize(p, table) for p in self.profiles)
-        return self._linearized
-
 
 @dataclass
 class Corpus:
@@ -160,61 +154,37 @@ class Corpus:
     records: list[AlignedRecord]
     store: ProfileStore
 
-    def __len__(self) -> int:
-        return len(self.records)
-
-
-class _Surfaces(dict):
-    """Interned Tokens by surface: a Token depends only on its surface, so sharing one is invisible."""
-
-    def __missing__(self, surface: str) -> Token:
-        token = self[surface] = Token(surface, surface.casefold(), _ALNUM_RE.search(surface) is None)
-        return token
-
 
 class _TokenTable(dict):
     """The Tokens of each distinct text, split once; () for a text with none.
 
-    Its texts are profile keys and values and the whitespace-separated chunks of documents;
-    only a chunk is split by the pattern, a longer text is the run of its chunks' Tokens.
-    A table lives through one corpus load and that load's store linearization, or through
-    one call; never across calls.
+    Its texts are profile keys and values, the whitespace-separated chunks of documents and
+    the surfaces of chunks. A text that is one surface holds that surface's one Token; any
+    other text is the run of its chunks' or surfaces' entries, so each distinct surface gets
+    one Token per table. A (key, value) pair is a profile entry of a load: its key and value
+    are checked once for tokens, and each repeat of the entry (occupations, countries, teams)
+    then holds one shared tuple and strings, not copies of its own. A table lives through
+    one corpus load, its store's linearization included, or through one call; never across calls.
     """
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.surfaces = _Surfaces()
-
-    def __missing__(self, text: str) -> tuple[Token, ...]:
-        chunks = text.split()
-        if chunks == [text]:
-            tokens = tuple(map(self.surfaces.__getitem__, _TOKEN_RE.findall(text)))
+    def __missing__(self, text: str | tuple[str, str]) -> tuple:
+        if isinstance(text, tuple):
+            key, value = text
+            if not (self[key] and self[value]):
+                part = "value" if self[key] else "key"
+                raise CorpusError(f"profile entry {key!r} has no tokens in its {part}")
+            entry = sys.intern(key), value
+            self[entry] = entry
+            return entry
+        parts = text.split()
+        if parts == [text]:
+            parts = _TOKEN_RE.findall(text)
+        if parts == [text]:
+            tokens = (Token(text, text.casefold(), _ALNUM_RE.search(text) is None),)
         else:
-            tokens = tuple(chain.from_iterable(map(self.__getitem__, chunks)))
+            tokens = tuple(chain.from_iterable(map(self.__getitem__, parts)))
         self[text] = tokens
         return tokens
-
-
-class _Entries(dict):
-    """One shared (key, value) pair per distinct profile entry of a load, its key and value checked once for tokens.
-
-    Profiles repeat most of their entries (occupations, countries, teams), and each repeat then
-    holds the shared tuple and strings, not copies of its own. It refers to its table and the
-    table not to it, so neither outlives the load by a reference cycle.
-    """
-
-    def __init__(self, table: _TokenTable) -> None:
-        super().__init__()
-        self.table = table
-
-    def __missing__(self, entry: tuple[str, str]) -> tuple[str, str]:
-        key, value = entry
-        if not (self.table[key] and self.table[value]):
-            part = "value" if self.table[key] else "key"
-            raise CorpusError(f"profile entry {key!r} has no tokens in its {part}")
-        entry = sys.intern(key), value
-        self[entry] = entry
-        return entry
 
 
 def _tokenize(text: str, table: _TokenTable) -> Document:
@@ -242,10 +212,10 @@ def linearize_profile(profile: Profile, max_tokens: int = MAX_PROFILE_TOKENS) ->
     Whole trailing entries are dropped until the sequence fits max_tokens.
     The first entry is kept even if it must be clipped hard.
     """
-    return _linearize(profile, _TokenTable(), max_tokens)
+    return Document(tuple(_linearize(profile, _TokenTable(), max_tokens)))
 
 
-def _linearize(profile: Profile, table: _TokenTable, max_tokens: int = MAX_PROFILE_TOKENS) -> Document:
+def _linearize(profile: Profile, table: _TokenTable, max_tokens: int = MAX_PROFILE_TOKENS) -> list[Token]:
     if not profile.entries:
         raise CorpusError(f"profile {profile.id!r} has no entries")
     colon, separator = table[":"], table["|"]
@@ -264,7 +234,7 @@ def _linearize(profile: Profile, table: _TokenTable, max_tokens: int = MAX_PROFI
         tokens += key_tokens
         tokens += colon
         tokens += value_tokens
-    return Document(tuple(tokens[:max_tokens]))
+    return tokens[:max_tokens]
 
 
 def _text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
@@ -308,7 +278,7 @@ def _unique_id_rows(path: str | Path, valid: Callable[[dict], bool], need: str) 
         yield obj
 
 
-def _parse_record(obj: dict, line: int, memo: _Entries) -> tuple[AlignedRecord, Profile]:
+def _parse_record(obj: dict, line: int, table: _TokenTable) -> tuple[AlignedRecord, Profile]:
     for key in ("id", "document", "profile"):
         if key not in obj:
             raise CorpusError(f"missing field {key!r}", line)
@@ -324,8 +294,8 @@ def _parse_record(obj: dict, line: int, memo: _Entries) -> tuple[AlignedRecord, 
         for pair in entries:
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise CorpusError("profile entries must be [key, value] pairs")
-            pairs.append(memo[str(pair[0]), str(pair[1])])
-        document = _tokenize(text, memo.table)
+            pairs.append(table[str(pair[0]), str(pair[1])])
+        document = _tokenize(text, table)
         profile = Profile(record_id, tuple(pairs))
     except CorpusError as exc:
         raise CorpusError(str(exc), line) from exc
@@ -342,9 +312,9 @@ def load_corpus(path: str | Path) -> Corpus:
     records: list[AlignedRecord] = []
     profiles: list[Profile] = []
     seen: dict[str, int] = {}
-    memo = _Entries(_TokenTable())
+    table = _TokenTable()
     for line_no, obj in _jsonl_rows(path):
-        record, profile = _parse_record(obj, line_no, memo)
+        record, profile = _parse_record(obj, line_no, table)
         if profile.id in seen:
             raise CorpusError(
                 f"duplicate profile id {profile.id!r} (first seen on line {seen[profile.id]})",
@@ -355,7 +325,7 @@ def load_corpus(path: str | Path) -> Corpus:
         profiles.append(profile)
     if not records:
         raise CorpusError(f"no records in {path}")
-    return Corpus(records=records, store=ProfileStore(profiles, memo.table))
+    return Corpus(records=records, store=ProfileStore(profiles, table))
 
 
 def load_redacted(path: str | Path) -> list[dict]:
@@ -419,8 +389,8 @@ class IdfTable:
 @_gc_paused()
 def compute_idf(corpus: Corpus) -> IdfTable:
     """IDF over the union of documents and linearized profiles."""
-    docs = chain((rec.document for rec in corpus.records), corpus.store.linearized)
-    return IdfTable.from_token_documents([d.normalized() for d in docs])
+    docs = chain((rec.document.normalized() for rec in corpus.records), corpus.store.terms)
+    return IdfTable.from_token_documents(docs)
 
 
 def check_mask(mask: np.ndarray | Sequence[int], n: int) -> np.ndarray:
@@ -522,5 +492,5 @@ class Vocabulary:
 
     @classmethod
     def from_corpus(cls, corpus: Corpus) -> "Vocabulary":
-        docs = chain((rec.document for rec in corpus.records), corpus.store.linearized)
-        return cls(sorted({t.normalized for doc in docs for t in doc}))
+        terms = {t.normalized for rec in corpus.records for t in rec.document}
+        return cls(sorted(terms.union(*corpus.store.terms)))

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import CorpusError, Document, IdfTable, Profile, _tokenize, _TokenTable, _unique_id_rows
+from .corpus import CorpusError, Document, IdfTable, Profile, _unique_id_rows, tokenize
 from .encoder import rank_of, softmax
 from .stopwords import DEFAULT_STOPWORDS
 
@@ -122,6 +122,14 @@ def beam_deidentify(
     return _search(model, document, true_index, [k], beam_width, stopwords, "beam")[0]
 
 
+def check_search(ks: Sequence[int], width: int) -> None:
+    """Reject a beam width or a K below 1, as every search does before its first audit."""
+    if width < 1:
+        raise ValueError("beam_width must be >= 1")
+    if min(ks, default=0) < 1:
+        raise ValueError("k must be >= 1")
+
+
 def _search(model, document, true_index, ks, width, stopwords, method) -> list[RedactionResult]:
     """The search behind greedy and beam: one result per K of `ks`, in its order.
 
@@ -141,10 +149,7 @@ def _search(model, document, true_index, ks, width, stopwords, method) -> list[R
     the search runs only for the Ks below. No state depends on K, so each
     result equals a lone search at its K (a repeated K shares one object).
     """
-    if width < 1:
-        raise ValueError("beam_width must be >= 1")
-    if min(ks, default=0) < 1:
-        raise ValueError("k must be >= 1")
+    check_search(ks, width)
     if not 0 <= true_index < len(model.store):
         raise ValueError(f"profile index {true_index} not in store")
     candidates = candidate_positions(document, stopwords)
@@ -195,9 +200,8 @@ def _search(model, document, true_index, ks, width, stopwords, method) -> list[R
 
 def lexical_baseline(document: Document, profile: Profile) -> RedactionResult:
     """Mask every non-punctuation word that also occurs in the profile."""
-    table = _TokenTable()
     texts = (text for key, value in profile.entries for text in (key, str(value)))
-    terms = {t.normalized for text in texts for t in _tokenize(text, table)}
+    terms = {t.normalized for text in texts for t in tokenize(text)}
     order = [
         j for j, token in enumerate(document.tokens)
         if not token.is_punctuation and token.normalized in terms
@@ -223,13 +227,18 @@ def _result(
     )
 
 
+def check_threshold(threshold: float) -> None:
+    """Reject a NaN IDF threshold, which no IDF reaches."""
+    if math.isnan(threshold):
+        raise ValueError("IDF threshold must not be NaN")
+
+
 def _idf_at_least(document: Document, table: IdfTable, threshold: float, skip=frozenset()) -> list[int]:
     """Non-punctuation positions outside skip whose IDF reaches threshold, by (idf desc, position asc).
 
     A NaN threshold would mask nothing without complaint, so it raises ValueError.
     """
-    if math.isnan(threshold):
-        raise ValueError("IDF threshold must not be NaN")
+    check_threshold(threshold)
     scored = [
         (table.idf(token.normalized), j)
         for j, token in enumerate(document.tokens)

@@ -223,8 +223,8 @@ class DenseBags:
 
 
 def profile_bags(vocab: Vocabulary, store: ProfileStore) -> Bags:
-    """Bags of the linearized profiles, one per profile in store order."""
-    return Bags([vocab.indices(d.normalized()) for d in store.linearized])
+    """Bags of the store's linearized profile terms, one per profile in store order."""
+    return Bags([vocab.indices(terms) for terms in store.terms])
 
 
 def profile_matrix(params: ModelParams, profiles: Bags) -> np.ndarray:

@@ -80,8 +80,16 @@ class DocumentScorer:
         return deltas / self._n @ self._proj @ self._matrix.T
 
 
+def check_bm25(k1: float, b: float) -> None:
+    """Reject BM25 parameters outside k1 > 0 (finite) and b in [0, 1]."""
+    if not (math.isfinite(k1) and k1 > 0):
+        raise ValueError("k1 must be finite and > 0")
+    if not 0.0 <= b <= 1.0:
+        raise ValueError("b must be in [0, 1]")
+
+
 class Bm25Reidentifier:
-    """Okapi BM25 over linearized profiles, with smoothed nonnegative IDF.
+    """Okapi BM25 over the store's linearized profile terms, `store.terms`, with smoothed nonnegative IDF.
 
     Query terms are the normalized unmasked document tokens (mask sentinels
     are excluded); each distinct query term contributes once. Each term's
@@ -91,17 +99,13 @@ class Bm25Reidentifier:
 
     @_gc_paused()
     def __init__(self, store: ProfileStore, k1: float = 1.5, b: float = 0.75):
-        if not (math.isfinite(k1) and k1 > 0):
-            raise ValueError("k1 must be finite and > 0")
-        if not 0.0 <= b <= 1.0:
-            raise ValueError("b must be in [0, 1]")
+        check_bm25(k1, b)
         if len(store) == 0:
             raise ValueError("profile store is empty")
         self.store = store
-        docs = [d.normalized() for d in store.linearized]
-        n = len(docs)
-        lengths = np.array([len(d) for d in docs], dtype=np.float64)
-        terms = list(chain.from_iterable(docs))
+        n = len(store)
+        lengths = np.array([len(d) for d in store.terms], dtype=np.float64)
+        terms = list(chain.from_iterable(store.terms))
         ids = {t: i for i, t in enumerate(dict.fromkeys(terms))}
         term_ids = np.fromiter(map(ids.__getitem__, terms), dtype=np.int64, count=len(terms))
         # one key per distinct (term, profile) pair, sorted by term, then profile

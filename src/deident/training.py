@@ -75,6 +75,8 @@ class TrainConfig:
             raise ValueError(f"mask_prior must be one of {MASK_PRIORS}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.embed_dim < 1:
+            raise ValueError("embed_dim must be >= 1")
         if not 0.0 <= self.heldout_fraction < 1.0:
             raise ValueError("heldout_fraction must be in [0, 1)")
 

@@ -11,6 +11,11 @@ Builds biography-style records with three tiers of identifying signal:
 
 Occupation/country/team come bundled from a small pool of archetypes, so
 dozens of profiles stay lexically compatible once names are masked.
+
+`make_distinct_rows` builds the opposite case, text whose words mostly do
+not repeat, as in the paper's Wikipedia biographies: every word is a
+pseudo-word of Zipf-like rank. `write_corpus(..., make_rows=...)` writes
+either kind.
 """
 
 from __future__ import annotations
@@ -148,9 +153,51 @@ def make_corpus_rows(n: int, seed: int = 0) -> list[dict]:
     return rows
 
 
-def write_corpus(path: str | Path, n: int, seed: int = 0) -> Path:
+# Pseudo-word ranks run over [1, LEXICON_SIZE) with P(rank r) close to 1/r:
+# a few words are frequent, and most of a 10k corpus's words occur once.
+LEXICON_SIZE = 10**9
+
+
+def _pseudo_word(rank: int) -> str:
+    """The rank's base-len(SYLLABLES) digits, one syllable each."""
+    word = ""
+    while rank:
+        rank, digit = divmod(rank, len(SYLLABLES))
+        word += SYLLABLES[digit]
+    return word
+
+
+def make_distinct_rows(n: int, seed: int = 0) -> list[dict]:
+    """Records of Zipf-like pseudo-words: a rank is floor(LEXICON_SIZE ** u) for a uniform u.
+
+    A profile holds a name and four fields of one or two words. Its document
+    repeats the name, the occupation and the known_for words among 32 filler
+    words drawn the same way.
+    """
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i in range(n):
+        words = list(map(_pseudo_word, (LEXICON_SIZE ** rng.random(40)).astype(np.int64).tolist()))
+        given, surname = words[0].capitalize(), words[1].capitalize()
+        place, occupation, known_for, team, filler = words[2:4], words[4], words[5:7], words[7], words[8:]
+        document = (
+            f"{given} {surname} {' '.join(filler[:12])} {occupation} {' '.join(filler[12:22])} "
+            f"{' '.join(known_for)}. {surname} {' '.join(filler[22:])}."
+        )
+        profile = [
+            ["name", f"{given} {surname}"],
+            ["birth_place", " ".join(place)],
+            ["occupation", occupation],
+            ["known_for", " ".join(known_for)],
+            ["team", team],
+        ]
+        rows.append({"id": f"d{i:06d}", "document": document, "profile": profile})
+    return rows
+
+
+def write_corpus(path: str | Path, n: int, seed: int = 0, make_rows=make_corpus_rows) -> Path:
     path = Path(path)
     with open(path, "w", encoding="utf-8") as fh:
-        for row in make_corpus_rows(n, seed=seed):
+        for row in make_rows(n, seed=seed):
             fh.write(json.dumps(row) + "\n")
     return path

@@ -325,9 +325,25 @@ def test_limit_below_one_is_rejected(tmp_path, cli_corpus, cli_checkpoint, capsy
         (["sweep", "--method", "beam", "--model", "absent.ckpt", "--bm25", "--controls", "0"], "--controls"),
         (["sweep", "--method", "idf", "--bm25", "--controls", "nan"], "--controls"),
         (["evaluate", "--redacted", "absent.jsonl", "--bm25", "--success-only"], "--success-only"),
+        (["deidentify", "--model", "absent.ckpt", "--k", "0"], "k must be >= 1"),
+        (["deidentify", "--model", "absent.ckpt", "--beam-width", "0"], "beam_width must be >= 1"),
+        (["sweep", "--method", "beam", "--model", "absent.ckpt", "--bm25", "--beam-width", "0"], "beam_width"),
+        (["evaluate", "--redacted", "absent.jsonl"], "no ensemble members"),
+        (["sweep", "--method", "idf"], "no ensemble members"),
+        (["evaluate", "--redacted", "absent.jsonl", "--bm25", "--bm25-k1", "nan"], "k1 must be finite"),
+        (["sweep", "--method", "idf", "--bm25", "--bm25-k1", "inf"], "k1 must be finite"),
+        (["evaluate", "--redacted", "absent.jsonl", "--bm25", "--bm25-b", "2"], "b must be in [0, 1]"),
+        (["baseline", "--method", "idf", "--idf-threshold", "nan"], "IDF threshold must not be NaN"),
+        (["train", "--epochs", "0"], "epochs must be >= 1"),
+        (["train", "--batch-size", "0"], "batch_size must be >= 1"),
+        (["train", "--lr", "nan"], "learning_rate must be finite"),
+        (["train", "--embed-dim", "0"], "embed_dim must be >= 1"),
     ],
     ids=["deidentify-limit", "baseline-limit", "sweep-limit", "sweep-no-model", "sweep-fractional-k",
-         "sweep-zero-k", "sweep-nan-threshold", "evaluate-success-only"],
+         "sweep-zero-k", "sweep-nan-threshold", "evaluate-success-only", "deidentify-zero-k",
+         "deidentify-zero-width", "sweep-zero-width", "evaluate-no-members", "sweep-no-members",
+         "evaluate-nan-k1", "sweep-inf-k1", "evaluate-b-above-one", "baseline-nan-threshold",
+         "train-zero-epochs", "train-zero-batch", "train-nan-lr", "train-zero-dim"],
 )
 def test_flag_values_are_checked_before_any_file_is_read(tmp_path, capsys, monkeypatch, argv, message):
     def no_load(path):

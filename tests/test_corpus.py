@@ -31,7 +31,7 @@ from deident.reid import Bm25Reidentifier
 
 from conftest import write_jsonl
 from oracles import document_frequencies, linearize
-from synthdata import make_corpus_rows
+from synthdata import make_corpus_rows, make_distinct_rows
 
 
 def test_tokenize_separates_punctuation():
@@ -140,7 +140,7 @@ def test_lexical_set_up_leaves_the_collector_as_it_found_it(tmp_path, monkeypatc
     assert seen == [False] * 20  # paused for the whole load
     assert gc.isenabled() is enabled
     stages = [
-        lambda: corpus.store.linearized,
+        lambda: ProfileStore(corpus.store.profiles),
         lambda: compute_idf(corpus),
         lambda: Bm25Reidentifier(corpus.store),
     ]
@@ -173,8 +173,7 @@ def test_load_corpus_matches_per_call_tokenization(tmp_path):
     corpus = load_corpus(write_jsonl(tmp_path / "t.jsonl", rows))
     for record, row in zip(corpus.records, rows, strict=True):
         assert record.document == tokenize(row["document"])
-    assert corpus.store.linearized == tuple(linearize_profile(p) for p in corpus.store)
-    assert corpus.store.linearized is corpus.store.linearized
+    assert corpus.store.terms == tuple(tuple(linearize_profile(p).normalized()) for p in corpus.store)
 
 
 def test_load_corpus_three_records(tmp_path):
@@ -229,6 +228,13 @@ def test_load_corpus_synthetic_thousand(tmp_path):
     corpus = load_corpus(path)
     assert len(corpus.records) == 1000
     assert len(corpus.store) == 1000
+
+
+def test_distinct_rows_are_seeded_and_mostly_distinct(tmp_path):
+    rows = make_distinct_rows(200, seed=3)
+    assert rows == make_distinct_rows(200, seed=3) != make_distinct_rows(200, seed=4)
+    df = compute_idf(load_corpus(write_jsonl(tmp_path / "d.jsonl", rows))).df
+    assert sum(count == 1 for count in df.values()) > len(df) / 2
 
 
 def test_linearize_profile_two_entries():
@@ -315,23 +321,14 @@ def test_store_linearized_matches_the_per_entry_oracle(profiles, warm):
         for profile in profiles:
             for key, value in profile.entries:
                 table[key], table[value]
-    store = ProfileStore(profiles, table)
     want = [_outcome(linearize, p) for p in profiles]
     errors = [w for w in want if isinstance(w, str)]
-    if errors:
+    if errors:  # the store linearizes as it is built
         with pytest.raises(CorpusError) as info:
-            store.linearized
+            ProfileStore(profiles, table)
         assert f"CorpusError: {info.value}" == errors[0]
         return
-    assert store.linearized == tuple(want)
-    assert [d.normalized() for d in store.linearized] == [d.normalized() for d in want]
-
-
-def test_a_loaded_store_drops_its_table_once_linearized(tmp_path):
-    corpus = load_corpus(write_jsonl(tmp_path / "t.jsonl", make_corpus_rows(5, seed=4)))
-    assert corpus.store._table
-    corpus.store.linearized
-    assert corpus.store._table is None
+    assert ProfileStore(profiles, table).terms == tuple(tuple(d.normalized()) for d in want)
 
 
 @pytest.mark.parametrize("entry, part", [

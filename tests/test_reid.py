@@ -67,7 +67,7 @@ def test_bm25_nonnegative_and_zero_iff_no_overlap(hand_store, rng):
     # terms present in every profile (df == D) have smoothed idf exactly 0
     # and cannot contribute, so overlap is judged on positive-idf terms
     model = Bm25Reidentifier(hand_store)
-    profile_terms = [set(d.normalized()) for d in hand_store.linearized]
+    profile_terms = [set(terms) for terms in hand_store.terms]
     pool = ["fenwick", "dover", "farmer", "qqq", "zzz", "name", "the"]
     for _ in range(40):
         words = [pool[int(rng.integers(len(pool)))] for _ in range(5)]
