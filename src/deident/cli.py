@@ -197,26 +197,32 @@ def _stopword_set(args) -> frozenset[str]:
     return DEFAULT_STOPWORDS
 
 
+def _write_jsonl(path, rows) -> None:
+    """Write each row as one line of JSON with sorted keys; a JSON file is a one-row JSONL file."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+
+
 def _write_redactions(args, corpus, selected, results) -> None:
     """Write each record's redacted row to --out and, with --sidecar, its result's row there."""
     rows = [result.to_json(doc_id=record.profile_id) for record, result in zip(selected, results)]
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for record, row in zip(selected, rows):
-            redacted = {key: row[key] for key in ("id", "mask", "method", "k")}
-            redacted["document"] = apply_mask(record.document, row["mask"], mode=args.mask_mode)
-            redacted["profile"] = [[k, v] for k, v in corpus.store.get(record.profile_id).entries]
-            fh.write(json.dumps(redacted, sort_keys=True) + "\n")
+    _write_jsonl(args.out, (
+        dict(
+            {key: row[key] for key in ("id", "mask", "method", "k")},
+            document=apply_mask(record.document, row["mask"], mode=args.mask_mode),
+            profile=corpus.store.get(record.profile_id).entries,  # (key, value) tuples write as JSON lists
+        )
+        for record, row in zip(selected, rows)
+    ))
     if args.sidecar:
-        with open(args.sidecar, "w", encoding="utf-8") as fh:
-            fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+        _write_jsonl(args.sidecar, rows)
 
 
 def _check_members(args) -> None:
     """Check the ensemble flags, before any file is read."""
     if not (args.models or args.bm25):
         raise ValueError("no ensemble members given (use --models and/or --bm25)")
-    if args.bm25:
-        check_bm25(args.bm25_k1, args.bm25_b)
+    check_bm25(args.bm25_k1, args.bm25_b)
 
 
 def _build_members(args, store) -> dict:
@@ -285,8 +291,7 @@ def cmd_deidentify(args) -> int:
 
 def cmd_baseline(args) -> int:
     _check_limit(args)
-    if args.method in ("idf", "idf-table"):
-        check_threshold(args.idf_threshold)
+    check_threshold(args.idf_threshold)
     corpus = load_corpus(args.corpus)
     selected = corpus.records[: args.limit]
     table = compute_idf(corpus) if args.method in ("idf", "idf-table") else None
@@ -312,9 +317,6 @@ def cmd_evaluate(args) -> int:
     corpus = load_corpus(args.corpus)
     rows = load_redacted(args.redacted)
     sidecar = load_sidecar(args.sidecar, rows) if args.sidecar else None
-    if args.success_only:
-        success_ids = {row["id"] for row in sidecar if row["success"]}
-        rows = [r for r in rows if r["id"] in success_ids]
     records = []
     for row in rows:
         try:
@@ -324,15 +326,16 @@ def cmd_evaluate(args) -> int:
         except (KeyError, ValueError) as exc:
             raise CorpusError(f"redacted row {row['id']!r}: {exc.args[0]}") from exc
         records.append((row["id"], document, mask, index))
+    if args.success_only:
+        success_ids = {row["id"] for row in sidecar if row["success"]}
+        records = [r for r in records if r[0] in success_ids]
     members = _build_members(args, corpus.store)
     report = ensemble_evaluate(members, records)
-    utility = utility_report([r[1] for r in records], [r[2] for r in records]).to_json() if records else None
+    utility = vars(utility_report([r[1] for r in records], [r[2] for r in records])) if records else None
     if args.report:
-        report.save(args.report)
+        _write_jsonl(args.report, [vars(report)])
     if args.utility:
-        with open(args.utility, "w", encoding="utf-8") as fh:
-            json.dump(utility, fh, sort_keys=True)
-            fh.write("\n")
+        _write_jsonl(args.utility, [utility])
     print(json.dumps({"rate": report.rate, "documents": len(records)}, sort_keys=True))
     return 0
 
@@ -415,7 +418,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         _emit_error("file-not-found", exc)
         return 3
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, FloatingPointError) as exc:
         _emit_error("error", exc)
         return 1
 

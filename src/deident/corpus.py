@@ -248,12 +248,15 @@ def _text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
             yield line_no, line
 
 
-def _jsonl_rows(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """Yield (line number, object) for each nonblank line of a JSONL file.
+def _jsonl_rows(path: str | Path, need: str, valid: Callable[[dict], bool]) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, object) for each nonblank line of a JSONL file whose rows each name one id.
 
     A line that is not valid UTF-8 or JSON, or whose value is not an object,
-    raises CorpusError naming the line.
+    raises CorpusError naming the line. So does a row without a string 'id'
+    or that `valid` refuses, as `need`, and a row whose id an earlier row
+    used, as `duplicate id 'x' (first seen on line N)`.
     """
+    seen: dict[str, int] = {}
     for line_no, line in _text_lines(path):
         if not line.strip():
             continue
@@ -263,28 +266,19 @@ def _jsonl_rows(path: str | Path) -> Iterator[tuple[int, dict]]:
             raise CorpusError(f"invalid JSON ({exc.msg})", line_no) from exc
         if not isinstance(obj, dict):
             raise CorpusError("expected a JSON object", line_no)
+        if not isinstance(row_id := obj.get("id"), str) or not valid(obj):
+            raise CorpusError(need, line_no)
+        first = seen.setdefault(row_id, line_no)
+        if first != line_no:
+            raise CorpusError(f"duplicate id {row_id!r} (first seen on line {first})", line_no)
         yield line_no, obj
 
 
-def _unique_id_rows(path: str | Path, valid: Callable[[dict], bool], need: str) -> Iterator[dict]:
-    """Yield each JSONL row; one `valid` refuses or without a string 'id' fails as `need`, a reused id as duplicate."""
-    seen: dict[str, int] = {}
-    for line_no, obj in _jsonl_rows(path):
-        if not isinstance(obj.get("id"), str) or not valid(obj):
-            raise CorpusError(need, line_no)
-        if obj["id"] in seen:
-            raise CorpusError(f"duplicate id {obj['id']!r} (first seen on line {seen[obj['id']]})", line_no)
-        seen[obj["id"]] = line_no
-        yield obj
-
-
 def _parse_record(obj: dict, line: int, table: _TokenTable) -> tuple[AlignedRecord, Profile]:
-    for key in ("id", "document", "profile"):
+    for key in ("document", "profile"):
         if key not in obj:
             raise CorpusError(f"missing field {key!r}", line)
     record_id, text, entries = obj["id"], obj["document"], obj["profile"]
-    if not isinstance(record_id, str) or not record_id:
-        raise CorpusError("field 'id' must be a nonempty string", line)
     if not isinstance(text, str):
         raise CorpusError("field 'document' must be a string", line)
     if not isinstance(entries, list) or not entries:
@@ -306,21 +300,15 @@ def _parse_record(obj: dict, line: int, table: _TokenTable) -> tuple[AlignedReco
 def load_corpus(path: str | Path) -> Corpus:
     """Load a JSONL corpus file.
 
-    Every line must parse, every profile key and value must hold a token and
-    every profile id must be unique; errors name the offending line.
+    Every line must parse, every row needs a nonempty string 'id' used by no
+    earlier row, and every profile key and value must hold a token; errors
+    name the offending line.
     """
     records: list[AlignedRecord] = []
     profiles: list[Profile] = []
-    seen: dict[str, int] = {}
     table = _TokenTable()
-    for line_no, obj in _jsonl_rows(path):
+    for line_no, obj in _jsonl_rows(path, "corpus rows need a nonempty string 'id'", lambda obj: obj["id"] != ""):
         record, profile = _parse_record(obj, line_no, table)
-        if profile.id in seen:
-            raise CorpusError(
-                f"duplicate profile id {profile.id!r} (first seen on line {seen[profile.id]})",
-                line_no,
-            )
-        seen[profile.id] = line_no
         records.append(record)
         profiles.append(profile)
     if not records:
@@ -336,29 +324,28 @@ def load_redacted(path: str | Path) -> list[dict]:
     against the corpus.
     """
     need = "redacted rows need a string 'id' and a list 'mask'"
-    return list(_unique_id_rows(path, lambda obj: isinstance(obj.get("mask"), list), need))
+    return [obj for _, obj in _jsonl_rows(path, need, lambda obj: isinstance(obj.get("mask"), list))]
 
 
 def load_sidecar(path: str | Path, redacted: list[dict]) -> list[dict]:
-    """Load the sidecar of redacted rows as `load_redacted` returns them, one row per id.
+    """Load the sidecar of redacted rows as `load_redacted` returns them.
 
-    Each row needs a bool 'success', an int 'k', and an 'id' used by no
-    earlier row that names a redacted row whose 'mask' equals its own.
+    Each row needs a bool 'success', an int 'k', and a string 'id' used by
+    no earlier row that names a redacted row whose 'mask' equals its own.
     """
     masks = {row["id"]: row["mask"] for row in redacted}
-    rows: dict[str, dict] = {}
-    for line_no, obj in _jsonl_rows(path):
-        doc_id = obj.get("id")
-        if not isinstance(obj.get("success"), bool) or type(obj.get("k")) is not int:
-            raise CorpusError("sidecar rows need a bool 'success' and an int 'k'", line_no)
-        if not isinstance(doc_id, str) or doc_id not in masks:
-            raise CorpusError(f"sidecar id {doc_id!r} names no redacted row", line_no)
-        if doc_id in rows:
-            raise CorpusError(f"duplicate sidecar id {doc_id!r}", line_no)
-        if obj.get("mask") != masks[doc_id]:
-            raise CorpusError(f"sidecar mask of {doc_id!r} differs from its redacted row's", line_no)
-        rows[doc_id] = obj
-    return list(rows.values())
+
+    def valid(obj: dict) -> bool:
+        return isinstance(obj.get("success"), bool) and type(obj.get("k")) is int
+
+    rows = []
+    for line_no, obj in _jsonl_rows(path, "sidecar rows need a string 'id', a bool 'success' and an int 'k'", valid):
+        if obj["id"] not in masks:
+            raise CorpusError(f"sidecar id {obj['id']!r} names no redacted row", line_no)
+        if obj.get("mask") != masks[obj["id"]]:
+            raise CorpusError(f"sidecar mask of {obj['id']!r} differs from its redacted row's", line_no)
+        rows.append(obj)
+    return rows
 
 
 class IdfTable:

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import CorpusError, Document, IdfTable, Profile, _unique_id_rows, tokenize
+from .corpus import CorpusError, Document, IdfTable, Profile, _jsonl_rows, tokenize
 from .encoder import rank_of, softmax
 from .stopwords import DEFAULT_STOPWORDS
 
@@ -294,10 +294,14 @@ def ner_baseline(document: Document, tags: Sequence[str] | None = None) -> Redac
 
 
 def load_tag_file(path: str | Path) -> dict[str, list[str]]:
-    """Load per-token entity tags: JSONL rows of {"id": ..., "tags": [...]}, each id on one row only."""
+    """Load per-token entity tags: JSONL rows of {"id": ..., "tags": [...]}.
+
+    Each row needs a string 'id', used by no earlier row, and a list of
+    string 'tags'; errors name the offending line.
+    """
 
     def valid(obj: dict) -> bool:
         return isinstance(obj.get("tags"), list) and all(isinstance(t, str) for t in obj["tags"])
 
-    rows = _unique_id_rows(path, valid, "tag rows need a string 'id' and a 'tags' list of strings")
-    return {obj["id"]: obj["tags"] for obj in rows}
+    rows = _jsonl_rows(path, "tag rows need a string 'id' and a 'tags' list of strings", valid)
+    return {obj["id"]: obj["tags"] for _, obj in rows}

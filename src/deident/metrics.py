@@ -19,9 +19,6 @@ class UtilityReport:
     percent_masked: float
     information_loss: float
 
-    def to_json(self) -> dict:
-        return dict(vars(self))
-
 
 @dataclass
 class ParetoPoint:

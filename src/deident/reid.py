@@ -12,7 +12,6 @@ profile first.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -148,14 +147,6 @@ class EnsembleReport:
     rate: float | None
     per_doc: list[dict]
     per_member: dict[str, float | None]
-
-    def to_json(self) -> dict:
-        return dict(vars(self))
-
-    def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True)
-            fh.write("\n")
 
 
 def ensemble_evaluate(

@@ -211,11 +211,12 @@ def profile_batch_gradients(
     return loss, Gradients(which="profile", proj=dproj, emb_rows=profiles.rows, emb_grads=x @ q)
 
 
+@np.errstate(over="raise", invalid="raise")
 def _step(params, docs: DenseBags, true_indices, target, config: TrainConfig, lr: float) -> tuple[float, float]:
     """One clipped SGD update on a document batch; returns the batch loss and pre-clip norm.
 
     A profile matrix as target trains the document side; the profiles' Bags
-    train the profile side.
+    train the profile side. An update that overflows or goes non-finite raises FloatingPointError.
     """
     if isinstance(target, Bags):
         embs = docs.mean(params.embeddings) @ params.doc_proj.astype(np.float64)

@@ -334,6 +334,9 @@ def test_limit_below_one_is_rejected(tmp_path, cli_corpus, cli_checkpoint, capsy
         (["sweep", "--method", "idf", "--bm25", "--bm25-k1", "inf"], "k1 must be finite"),
         (["evaluate", "--redacted", "absent.jsonl", "--bm25", "--bm25-b", "2"], "b must be in [0, 1]"),
         (["baseline", "--method", "idf", "--idf-threshold", "nan"], "IDF threshold must not be NaN"),
+        (["evaluate", "--redacted", "absent.jsonl", "--models", "x", "--bm25-k1", "nan"], "k1 must be finite"),
+        (["sweep", "--method", "idf", "--models", "x", "--bm25-b", "2"], "b must be in [0, 1]"),
+        (["baseline", "--method", "lexical", "--idf-threshold", "nan"], "IDF threshold must not be NaN"),
         (["train", "--epochs", "0"], "epochs must be >= 1"),
         (["train", "--batch-size", "0"], "batch_size must be >= 1"),
         (["train", "--lr", "nan"], "learning_rate must be finite"),
@@ -343,6 +346,7 @@ def test_limit_below_one_is_rejected(tmp_path, cli_corpus, cli_checkpoint, capsy
          "sweep-zero-k", "sweep-nan-threshold", "evaluate-success-only", "deidentify-zero-k",
          "deidentify-zero-width", "sweep-zero-width", "evaluate-no-members", "sweep-no-members",
          "evaluate-nan-k1", "sweep-inf-k1", "evaluate-b-above-one", "baseline-nan-threshold",
+         "evaluate-nan-k1-without-bm25", "sweep-b-above-one-without-bm25", "lexical-nan-threshold",
          "train-zero-epochs", "train-zero-batch", "train-nan-lr", "train-zero-dim"],
 )
 def test_flag_values_are_checked_before_any_file_is_read(tmp_path, capsys, monkeypatch, argv, message):
@@ -655,6 +659,7 @@ def test_incomplete_checkpoint_header_exit_code(tmp_path, cli_corpus, cli_checkp
 def test_idf_bm25_sweep_linearizes_each_profile_once(tmp_path, cli_corpus, capsys, monkeypatch):
     import deident.corpus
 
+    expected = sorted(row.profile_id for row in load_corpus(cli_corpus).records)
     calls = []
     real = deident.corpus._linearize
 
@@ -669,7 +674,8 @@ def test_idf_bm25_sweep_linearizes_each_profile_once(tmp_path, cli_corpus, capsy
     ])
     assert code == 0
     capsys.readouterr()
-    assert sorted(calls) == sorted(row.profile_id for row in load_corpus(cli_corpus).records)
+    assert len(calls) == len(expected)
+    assert sorted(calls) == expected
 
 
 def _one_error_line(capsys) -> dict:
@@ -690,6 +696,15 @@ def test_deidentify_rejects_a_beam_width_below_one(tmp_path, cli_corpus, cli_che
     assert err["error"] == "error"
     assert "beam_width" in err["message"]
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_train_whose_loss_goes_non_finite_fails_as_one_error_line(tmp_path, cli_corpus, capsys):
+    out = tmp_path / "model.ckpt"
+    code = main(["train", "--corpus", str(cli_corpus), "--out", str(out), "--epochs", "3", "--lr", "1e300"])
+    assert code == 1
+    assert _one_error_line(capsys)["error"] == "error"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -774,6 +789,21 @@ def test_a_search_sweep_searches_each_record_once_and_each_row_matches_a_one_con
         single = tmp_path / f"k{k}.csv"
         assert main([*argv, "--controls", k, "--out", str(single)]) == 0
         assert single.read_text().splitlines() == [header, row]
+
+
+@pytest.mark.parametrize("success_only", [True, False])
+def test_evaluate_checks_every_redacted_row_before_keeping_the_certified_ones(tmp_path, cli_corpus, capsys, success_only):
+    redacted = write_jsonl(tmp_path / "redacted.jsonl", [{"id": "nobody", "mask": [1]}])
+    sidecar = write_jsonl(tmp_path / "sidecar.jsonl", [{"id": "nobody", "mask": [1], "success": False, "k": 1}])
+    report = tmp_path / "report.json"
+    code = main([
+        "evaluate", "--corpus", str(cli_corpus), "--redacted", str(redacted), "--bm25",
+        "--sidecar", str(sidecar), *["--success-only"] * success_only, "--report", str(report),
+    ])
+    assert code == 4
+    err = _one_error_line(capsys)
+    assert err == {"error": "corpus-format", "message": "redacted row 'nobody': unknown profile id 'nobody'"}
+    assert not report.exists()
 
 
 def test_evaluate_writes_a_null_utility_when_no_record_is_left(tmp_path, cli_corpus, cli_checkpoint, capsys):

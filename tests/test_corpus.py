@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import re
 
@@ -25,8 +26,10 @@ from deident.corpus import (
     linearize_profile,
     load_corpus,
     load_redacted,
+    load_sidecar,
     tokenize,
 )
+from deident.deid import load_tag_file
 from deident.reid import Bm25Reidentifier
 
 from conftest import write_jsonl
@@ -209,18 +212,34 @@ def test_load_corpus_malformed_line_number(tmp_path):
         load_corpus(path)
 
 
-@pytest.mark.parametrize("loader", [load_corpus, load_redacted])
+def _row(row_id: str, bit: int) -> dict:
+    """A row that each of the four JSONL readers takes."""
+    return {
+        "id": row_id, "document": "Ann.", "profile": [["name", "Ann"]],
+        "mask": [bit], "success": True, "k": 1, "tags": ["O"],
+    }
+
+
+JSONL_READERS = pytest.mark.parametrize(
+    "loader",
+    [load_corpus, load_redacted, lambda path: load_sidecar(path, [_row("a", 0), _row("b", 1)]), load_tag_file],
+    ids=["load_corpus", "load_redacted", "load_sidecar", "load_tag_file"],
+)
+
+
+@JSONL_READERS
 def test_jsonl_rows_must_be_objects(tmp_path, loader):
     path = tmp_path / "rows.jsonl"
-    path.write_text('{"id": "a", "document": "Ann.", "profile": [["name", "Ann"]], "mask": [0, 0]}\n\n5\n')
+    path.write_text(json.dumps(_row("a", 0)) + "\n\n5\n")
     with pytest.raises(CorpusError, match="line 3: expected a JSON object"):
         loader(path)
 
 
-def test_load_redacted_rejects_a_repeated_id(tmp_path):
-    rows = [{"id": "a", "mask": [0]}, {"id": "b", "mask": [1]}, {"id": "a", "mask": [1]}]
-    with pytest.raises(CorpusError, match=r"line 3: duplicate id 'a' \(first seen on line 1\)"):
-        load_redacted(write_jsonl(tmp_path / "redacted.jsonl", rows))
+@JSONL_READERS
+def test_jsonl_readers_reject_a_repeated_id(tmp_path, loader):
+    rows = [_row("a", 0), _row("b", 1), _row("a", 1)]
+    with pytest.raises(CorpusError, match=r"^line 3: duplicate id 'a' \(first seen on line 1\)$"):
+        loader(write_jsonl(tmp_path / "rows.jsonl", rows))
 
 
 def test_load_corpus_synthetic_thousand(tmp_path):

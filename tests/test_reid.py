@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from deident.cli import _write_jsonl
 from deident.corpus import IdfTable, Profile, ProfileStore, Vocabulary, linearize_profile, tokenize
 from deident.encoder import init_params, rank_of
 from deident.reid import Bm25Reidentifier, NeuralReidentifier, ensemble_evaluate
@@ -335,7 +336,7 @@ def test_ensemble_report_rate_definition(hand_store):
 def test_ensemble_over_no_records_has_no_rates(hand_store):
     members = {name: FixedRanker(hand_store, {}) for name in ("a", "b")}
     report = ensemble_evaluate(members, [])
-    assert report.to_json() == {"rate": None, "per_member": {"a": None, "b": None}, "per_doc": []}
+    assert vars(report) == {"rate": None, "per_member": {"a": None, "b": None}, "per_doc": []}
 
 
 def test_ensemble_report_json_round_trip(tmp_path, hand_store):
@@ -344,7 +345,7 @@ def test_ensemble_report_json_round_trip(tmp_path, hand_store):
         {"m": FixedRanker(hand_store, {"doc one": [1.0, 0.0, 0.0]})}, records
     )
     path = tmp_path / "report.json"
-    report.save(path)
+    _write_jsonl(path, [vars(report)])
     loaded = json.loads(path.read_text())
     assert loaded["rate"] == 100.0
     assert loaded["per_doc"][0]["ranks"]["m"] == 1
