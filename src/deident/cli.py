@@ -2,8 +2,9 @@
 
 Subcommands: train, deidentify, baseline, evaluate, sweep, stats. Errors
 are emitted as a single JSON object on stderr with distinct exit codes:
-3 unreadable file, 4 malformed corpus/redacted/sidecar/tags/stopwords file
-or config, 5 checkpoint problems, 1 anything else. A JSON file of flag
+2 a command line argparse refuses (`usage`; `-h` still prints help and
+exits 0), 3 unreadable file, 4 malformed corpus/redacted/sidecar/tags/stopwords
+file or config, 5 checkpoint problems, 1 anything else. A JSON file of flag
 defaults can be given with --config (also `--config=FILE` or `--conf FILE`).
 It is read after the command line parses, which is then parsed again with
 the file's values as the running command's defaults, so explicit flags win.
@@ -50,12 +51,22 @@ from .stopwords import DEFAULT_STOPWORDS, load_stopwords
 from .training import TrainConfig, train
 
 
+class UsageError(Exception):
+    """Raised for a command line that argparse refuses."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """Reads `-inf` as a negative number, as argparse reads `-2.5`, not as an unknown option."""
+    """Reads `-inf` as a negative number, as argparse reads `-2.5`, not as an unknown option.
+
+    A command line it refuses raises UsageError instead of printing usage text and exiting.
+    """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-(\d+|\d*\.\d+|inf(inity)?)$", re.IGNORECASE)
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -349,10 +360,10 @@ def cmd_sweep(args) -> int:
         bad = [c for c in args.controls if not (c.is_integer() and c >= 1)]
         if bad:
             raise ValueError(f"--controls for method {args.method!r} must be integers K >= 1, got {bad}")
-        ks, width = [int(c) for c in args.controls], args.beam_width if args.method == "beam" else 1
-        check_search(ks, width)
     elif any(math.isnan(c) for c in args.controls):
         raise ValueError(f"--controls for method {args.method!r} must not be NaN")
+    ks = [int(c) for c in args.controls] if search else [1]  # a baseline's controls are thresholds, not Ks
+    check_search(ks, args.beam_width)  # every method checks the width, though only beam runs wider than 1
     _check_members(args)
     corpus = load_corpus(args.corpus)
     members = _build_members(args, corpus.store)
@@ -360,6 +371,7 @@ def cmd_sweep(args) -> int:
     records = [(r.profile_id, r.document, corpus.store.index_of(r.profile_id)) for r in corpus.records[: args.limit]]
     if search:
         guide = NeuralReidentifier.from_checkpoint(args.model, corpus.store)
+        width = args.beam_width if args.method == "beam" else 1
         results = [
             _search(guide, document, true_index, ks, width, stopwords, args.method)
             for _, document, true_index in records
@@ -400,12 +412,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
-    try:
         if args.config:
             args = _with_config(parser, args, argv)
         return _COMMANDS[args.command](args)
+    except SystemExit as exc:  # -h prints help and exits 0
+        return int(exc.code) if exc.code is not None else 0
+    except UsageError as exc:
+        _emit_error("usage", exc)
+        return 2
     except CheckpointError as exc:
         _emit_error("checkpoint", exc)
         return 5

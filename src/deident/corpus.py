@@ -206,16 +206,12 @@ def tokenize(text: str) -> Document:
     return _tokenize(text, _TokenTable())
 
 
-def linearize_profile(profile: Profile, max_tokens: int = MAX_PROFILE_TOKENS) -> Document:
-    """Render a profile as a token sequence "key : value | key : value ...".
+def _linearize(profile: Profile, table: _TokenTable, max_tokens: int = MAX_PROFILE_TOKENS) -> list[Token]:
+    """Render a profile as the token sequence "key : value | key : value ...", through `table`.
 
     Whole trailing entries are dropped until the sequence fits max_tokens.
     The first entry is kept even if it must be clipped hard.
     """
-    return Document(tuple(_linearize(profile, _TokenTable(), max_tokens)))
-
-
-def _linearize(profile: Profile, table: _TokenTable, max_tokens: int = MAX_PROFILE_TOKENS) -> list[Token]:
     if not profile.entries:
         raise CorpusError(f"profile {profile.id!r} has no entries")
     colon, separator = table[":"], table["|"]
@@ -469,9 +465,6 @@ class Vocabulary:
     @property
     def n_rows(self) -> int:
         return self.n_terms + 1
-
-    def index_of(self, term: str) -> int:
-        return self._index.get(term, self.mask_index)
 
     def indices(self, terms: Iterable[str]) -> np.ndarray:
         get, mask = self._index.get, self.mask_index

@@ -316,9 +316,9 @@ def load_checkpoint(path: str | Path) -> ModelParams:
             fh.readinto(arr.data.cast("B"))
             if not np.isfinite(arr).all():
                 raise CheckpointError(f"array {name!r} has non-finite values")
-    label_smoothing = header.get("label_smoothing", 0.0)
+    label_smoothing = header.get("label_smoothing")
     if not isinstance(label_smoothing, (int, float)) or isinstance(label_smoothing, bool):
-        raise CheckpointError("checkpoint header field 'label_smoothing' is not a number")
+        raise CheckpointError("checkpoint header field 'label_smoothing' is missing or not a number")
     return ModelParams(vocab, *arrays, label_smoothing=float(label_smoothing))
 
 

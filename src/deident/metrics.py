@@ -36,19 +36,14 @@ def percent_masked(mask, document: Document) -> float:
     return 100.0 * float(arr.sum()) / len(document)
 
 
-def information_loss(document: Document, mask, original_text: str | None = None) -> float:
+def information_loss(document: Document, mask) -> float:
     """Percent reduction in compressed size after deleting masked words.
 
-    The baseline defaults to the document's own token rendering so that an
-    all-zero mask yields exactly 0; pass original_text to compare against
-    the raw source string instead. Clamped to [0, 100].
+    The baseline is the document's own token rendering, so an all-zero mask
+    yields exactly 0. Clamped to [0, 100].
     """
-    arr = check_mask(mask, len(document))
-    if original_text is None:
-        original_text = apply_mask(document, np.zeros(len(document), dtype=np.int8), mode="delete")
-    redacted = apply_mask(document, arr, mode="delete")
-    original_size = deflate_size(original_text)
-    redacted_size = deflate_size(redacted)
+    original_size = deflate_size(" ".join(document.surfaces()))
+    redacted_size = deflate_size(apply_mask(document, mask, mode="delete"))
     loss = 100.0 * (1.0 - redacted_size / original_size)
     return float(min(100.0, max(0.0, loss)))
 

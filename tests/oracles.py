@@ -134,7 +134,7 @@ def mean_rows(embeddings: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def linearize(profile: Profile, max_tokens: int = MAX_PROFILE_TOKENS) -> Document:
-    """`linearize_profile` built from one Document per key and value, then cut to max_tokens."""
+    """`corpus._linearize` built from one Document per key and value, then cut to max_tokens."""
     table = _TokenTable()
     if not profile.entries:
         raise CorpusError(f"profile {profile.id!r} has no entries")

@@ -1,6 +1,12 @@
 import contextlib
+import csv
 import io
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +19,7 @@ from deident.corpus import Vocabulary, load_corpus, load_redacted
 from deident.encoder import init_params, save_checkpoint
 
 from conftest import write_jsonl
-from synthdata import make_corpus_rows
+from synthdata import make_corpus_rows, write_corpus
 
 TRAIN_FLAGS = [
     "--epochs", "30", "--embed-dim", "32",
@@ -185,9 +191,85 @@ def test_full_determinism_train_deidentify_sweep(tmp_path, cli_corpus):
         assert artifacts["one"][key] == artifacts["two"][key], f"{key} differs between runs"
 
 
+# Relative tolerance of the training log's grad-norm columns across BLAS thread counts. The
+# float64 gradients are sums whose order depends on how OpenBLAS splits a GEMM between threads,
+# so their norms may differ in the last digits; the float32 parameters they update do not.
+GRAD_NORM_RTOL = 1e-12
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # at 1,000 records and width 128, OpenBLAS splits the training GEMMs between two threads
+    corpus = write_corpus(tmp_path / "corpus.jsonl", 1000, seed=0)
+    commands = [
+        ["train", "--corpus", str(corpus), "--out", "model.ckpt", "--epochs", "3", "--embed-dim", "128",
+         "--profile-epochs", "1"],
+        ["deidentify", "--corpus", str(corpus), "--model", "model.ckpt", "--k", "8", "--beam-width", "2",
+         "--limit", "100", "--out", "redacted.jsonl", "--sidecar", "sidecar.jsonl"],
+    ]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    runs = {"1": tmp_path / "one", "2": tmp_path / "two"}  # OPENBLAS_NUM_THREADS: working directory
+    for run in runs.values():
+        run.mkdir()
+    for argv in commands:  # one process per thread count, so two at a time
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-m", "deident.cli", *argv], cwd=run, env=dict(env, OPENBLAS_NUM_THREADS=threads),
+                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            )
+            for threads, run in runs.items()
+        ]
+        for proc in procs:
+            err = proc.communicate()[1]
+            assert (proc.returncode, err) == (0, "")
+    one, two = runs.values()
+    for name in ("model.ckpt", "model.ckpt.best", "redacted.jsonl", "sidecar.jsonl"):
+        assert (one / name).read_bytes() == (two / name).read_bytes(), f"{name} depends on the thread count"
+    logs = [list(csv.DictReader((run / "model.ckpt.log.csv").read_text().splitlines())) for run in (one, two)]
+    assert len(logs[0]) == len(logs[1]) == 3
+    for row_one, row_two in zip(*logs):
+        for column, value in row_one.items():
+            if column in ("grad_norm_p50", "grad_norm_max"):
+                assert math.isclose(float(value), float(row_two[column]), rel_tol=GRAD_NORM_RTOL), column
+            else:
+                assert value == row_two[column], column
+
+
 def test_unknown_command_exits_with_usage_error(capsys):
     assert main(["frobnicate"]) == 2
-    capsys.readouterr()
+    err = _one_error_line(capsys)
+    assert err["error"] == "usage"
+    assert "frobnicate" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["deidentify", "--corpus", "c.jsonl", "--model", "m.ckpt", "--out", "o.jsonl", "--k", "abc"], "--k"),
+        (["deidentify", "--corpus", "c.jsonl", "--model", "m.ckpt", "--out", "o.jsonl", "--mask-mode", "bogus"],
+         "--mask-mode"),
+        (["deidentify", "--corpus", "c.jsonl", "--out", "o.jsonl"], "--model"),
+        (["frobnicate"], "frobnicate"),
+        (["--config"], "--config"),
+        (["stats", "--corpus", "c.jsonl", "--bogus", "1"], "--bogus"),
+        (["-h"], None),
+    ],
+    ids=["k-not-an-int", "mask-mode-choice", "missing-model", "unknown-command", "bare-config", "unknown-flag",
+         "help"],
+)
+def test_a_refused_command_line_fails_as_one_usage_error_line(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert list(tmp_path.iterdir()) == []
+    if message is None:  # help is no error: it goes to stdout, and the command exits 0
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: deident")
+        return
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    assert json.loads(line)["error"] == "usage"
+    assert message in json.loads(line)["message"]
 
 
 def test_missing_corpus_file_exit_code(tmp_path, capsys):
@@ -328,6 +410,11 @@ def test_limit_below_one_is_rejected(tmp_path, cli_corpus, cli_checkpoint, capsy
         (["deidentify", "--model", "absent.ckpt", "--k", "0"], "k must be >= 1"),
         (["deidentify", "--model", "absent.ckpt", "--beam-width", "0"], "beam_width must be >= 1"),
         (["sweep", "--method", "beam", "--model", "absent.ckpt", "--bm25", "--beam-width", "0"], "beam_width"),
+        (["sweep", "--method", "greedy", "--model", "absent.ckpt", "--bm25", "--beam-width", "0"], "beam_width"),
+        (["sweep", "--method", "idf", "--bm25", "--beam-width", "0"], "beam_width"),
+        (["sweep", "--method", "idf-table", "--bm25", "--beam-width", "0"], "beam_width"),
+        (["sweep", "--method", "lexical", "--bm25", "--beam-width", "-1"], "beam_width"),
+        (["sweep", "--method", "ner", "--bm25", "--beam-width", "0"], "beam_width"),
         (["evaluate", "--redacted", "absent.jsonl"], "no ensemble members"),
         (["sweep", "--method", "idf"], "no ensemble members"),
         (["evaluate", "--redacted", "absent.jsonl", "--bm25", "--bm25-k1", "nan"], "k1 must be finite"),
@@ -344,7 +431,8 @@ def test_limit_below_one_is_rejected(tmp_path, cli_corpus, cli_checkpoint, capsy
     ],
     ids=["deidentify-limit", "baseline-limit", "sweep-limit", "sweep-no-model", "sweep-fractional-k",
          "sweep-zero-k", "sweep-nan-threshold", "evaluate-success-only", "deidentify-zero-k",
-         "deidentify-zero-width", "sweep-zero-width", "evaluate-no-members", "sweep-no-members",
+         "deidentify-zero-width", "sweep-zero-width", "greedy-sweep-zero-width", "idf-sweep-zero-width",
+         "idf-table-sweep-zero-width", "lexical-sweep-negative-width", "ner-sweep-zero-width", "evaluate-no-members", "sweep-no-members",
          "evaluate-nan-k1", "sweep-inf-k1", "evaluate-b-above-one", "baseline-nan-threshold",
          "evaluate-nan-k1-without-bm25", "sweep-b-above-one-without-bm25", "lexical-nan-threshold",
          "train-zero-epochs", "train-zero-batch", "train-nan-lr", "train-zero-dim"],
@@ -632,10 +720,12 @@ def _fill(name, value):
         _fill("embeddings", np.nan),
         _fill("doc_proj", np.inf),
         lambda h, p: h.update(label_smoothing=None),
+        lambda h, p: h.pop("label_smoothing"),
     ],
     ids=[
         "no-terms", "no-arrays", "terms-str", "arrays-dict", "no-shape",
         "doc-proj-narrow", "profile-proj-narrow", "nan-embeddings", "inf-doc-proj", "smoothing-null",
+        "no-smoothing",
     ],
 )
 def test_incomplete_checkpoint_header_exit_code(tmp_path, cli_corpus, cli_checkpoint, capsys, edit):

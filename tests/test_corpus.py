@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from deident.corpus import (
     CorpusError,
+    Document,
     IdfTable,
     MASK_TOKEN,
     MAX_PROFILE_TOKENS,
@@ -19,11 +20,11 @@ from deident.corpus import (
     apply_mask,
     _TOKEN_RE,
     _TokenTable,
+    _linearize,
     _parse_record,
     _tokenize,
     compute_idf,
     corpus_stats,
-    linearize_profile,
     load_corpus,
     load_redacted,
     load_sidecar,
@@ -176,7 +177,7 @@ def test_load_corpus_matches_per_call_tokenization(tmp_path):
     corpus = load_corpus(write_jsonl(tmp_path / "t.jsonl", rows))
     for record, row in zip(corpus.records, rows, strict=True):
         assert record.document == tokenize(row["document"])
-    assert corpus.store.terms == tuple(tuple(linearize_profile(p).normalized()) for p in corpus.store)
+    assert corpus.store.terms == tuple(tuple(_linearized(p).normalized()) for p in corpus.store)
 
 
 def test_load_corpus_three_records(tmp_path):
@@ -256,15 +257,20 @@ def test_distinct_rows_are_seeded_and_mostly_distinct(tmp_path):
     assert sum(count == 1 for count in df.values()) > len(df) / 2
 
 
+def _linearized(profile, max_tokens=MAX_PROFILE_TOKENS) -> Document:
+    """The profile's tokens as `ProfileStore` linearizes them, through a fresh token table."""
+    return Document(tuple(_linearize(profile, _TokenTable(), max_tokens)))
+
+
 def test_linearize_profile_two_entries():
     profile = Profile(id="x", entries=(("name", "Lee Harding"), ("occupation", "writer")))
-    doc = linearize_profile(profile)
+    doc = _linearized(profile)
     assert doc.surfaces() == ["name", ":", "Lee", "Harding", "|", "occupation", ":", "writer"]
 
 
 def test_linearize_profile_single_entry_no_separator():
     profile = Profile(id="x", entries=(("name", "Lee Harding"),))
-    assert "|" not in linearize_profile(profile).surfaces()
+    assert "|" not in _linearized(profile).surfaces()
 
 
 def test_linearize_profile_drops_trailing_entries():
@@ -273,7 +279,7 @@ def test_linearize_profile_drops_trailing_entries():
         id="x",
         entries=(("first", long_value), ("second", long_value), ("third", "tail")),
     )
-    doc = linearize_profile(profile, max_tokens=128)
+    doc = _linearized(profile, max_tokens=128)
     assert len(doc) <= 128
     surfaces = doc.surfaces()
     # first entry (62 tokens) + separator + second entry (62) = 125; third dropped whole
@@ -284,14 +290,14 @@ def test_linearize_profile_drops_trailing_entries():
 def test_linearize_profile_clips_oversized_first_entry():
     huge = " ".join(f"w{i}" for i in range(300))
     profile = Profile(id="x", entries=(("bio", huge), ("extra", "tail")))
-    doc = linearize_profile(profile, max_tokens=128)
+    doc = _linearized(profile, max_tokens=128)
     assert len(doc) == 128
     assert "tail" not in doc.surfaces()
 
 
 def test_linearize_empty_profile_raises():
     with pytest.raises(CorpusError):
-        linearize_profile(Profile(id="x", entries=()))
+        _linearized(Profile(id="x", entries=()))
 
 
 # Profile key and value texts: words in mixed case, punctuation-only runs
@@ -322,7 +328,7 @@ def _outcome(linearize_fn, *args):
 @example(entries=[("a", "b"), ("c", "d")], max_tokens=7)  # the second entry fits exactly
 def test_linearize_profile_matches_the_per_entry_oracle(entries, max_tokens):
     profile = Profile(id="x", entries=tuple(entries))
-    got, want = _outcome(linearize_profile, profile, max_tokens), _outcome(linearize, profile, max_tokens)
+    got, want = _outcome(_linearized, profile, max_tokens), _outcome(linearize, profile, max_tokens)
     assert got == want
     if isinstance(want, str):
         return
@@ -399,7 +405,7 @@ def test_idf_rarest_term_is_maximal(tmp_path):
     table = compute_idf(corpus)
     # brute-force document-frequency count over the same token documents
     token_docs = [rec.document.normalized() for rec in corpus.records]
-    token_docs += [linearize_profile(p).normalized() for p in corpus.store]
+    token_docs += [_linearized(p).normalized() for p in corpus.store]
     assert table.doc_count == len(token_docs)
     df = {}
     for doc in token_docs:
@@ -464,12 +470,12 @@ def test_apply_mask_counts_sentinels(rng):
 
 def test_vocabulary_layout_and_unseen_terms():
     vocab = Vocabulary(["alpha", "beta"])
-    assert vocab.index_of("alpha") == 0
-    assert vocab.index_of("beta") == 1
+    assert vocab.indices(["alpha"])[0] == 0
+    assert vocab.indices(["beta"])[0] == 1
     assert vocab.mask_index == 2
     assert vocab.n_rows == 3
     # a term outside the vocabulary reads as the mask row
-    assert vocab.index_of("gamma") == vocab.mask_index
+    assert vocab.indices(["gamma"])[0] == vocab.mask_index
     assert vocab.indices(["beta", "gamma", "alpha", "delta"]).tolist() == [1, 2, 0, 2]
     assert vocab.indices(["beta", "gamma"]).dtype == vocab.indices([]).dtype == np.int64
 

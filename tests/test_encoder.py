@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from deident.corpus import Profile, ProfileStore, Vocabulary, linearize_profile, tokenize
+from deident.corpus import Profile, ProfileStore, Vocabulary, _linearize, _TokenTable, tokenize
 from deident.encoder import (
     Bags,
     CheckpointError,
@@ -98,10 +98,10 @@ def test_encode_profile_identity_and_difference(params):
 def test_encode_profile_truncation_equivalence(params):
     long_value = " ".join(["alpha"] * 300)
     profile = Profile(id="a", entries=(("name", long_value), ("extra", "beta")))
-    truncated = linearize_profile(profile)
+    truncated = _linearize(profile, _TokenTable())
     assert len(truncated) <= 128
     direct = build_profile_matrix(params, ProfileStore([profile]))
-    rows = params.vocab.indices(truncated.normalized())
+    rows = params.vocab.indices([t.normalized for t in truncated])
     manual = Bags([rows]).mean(params.embeddings) @ params.profile_proj.astype(np.float64)
     assert np.array_equal(direct, manual)
 
@@ -129,7 +129,7 @@ def test_profile_matrix_single_profile(params):
 def test_profile_matrix_tracks_params_change(params):
     store = ProfileStore([Profile(id="a", entries=(("name", "alpha"),))])
     before = build_profile_matrix(params, store)
-    params.embeddings[params.vocab.index_of("alpha")] += 1.0
+    params.embeddings[params.vocab.indices(["alpha"])[0]] += 1.0
     after = build_profile_matrix(params, store)
     assert not np.allclose(before, after)
 

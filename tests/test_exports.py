@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import deident
 import deident.cli  # noqa: F401  (the benchmark driver reaches the CLI as deident.cli)
@@ -26,6 +27,10 @@ def test_readme_and_benchmark_names_resolve():
     assert USED_NAMES <= found
     missing = sorted(name for name in found if not hasattr(deident, name))
     assert not missing, f"not exported by deident: {missing}"
+    # the README's export list names every public name of the package and nothing else
+    listed = library[library.index("The package exports exactly these names") :].split("\n\n", 1)[0]
+    public = {name for name, value in vars(deident).items() if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert set(re.findall(r"`(\w+)`", listed)) == public
 
 
 # Runs CLI commands in a fresh interpreter and prints, as its last line, the

@@ -66,13 +66,6 @@ def test_information_loss_clamped_to_range(rng):
         assert 0.0 <= loss <= 100.0
 
 
-def test_information_loss_against_raw_text():
-    text = "John  Smith,   farmer."  # raw spacing differs from token rendering
-    doc = tokenize(text)
-    loss = information_loss(doc, np.zeros(len(doc), dtype=np.int8), original_text=text)
-    assert loss >= 0.0
-
-
 def test_utility_report_means():
     docs = [tokenize("a b c d"), tokenize("e f g h")]
     masks = [np.array([1, 1, 0, 0], dtype=np.int8), np.array([0, 0, 0, 0], dtype=np.int8)]

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deident.cli import _write_jsonl
-from deident.corpus import IdfTable, Profile, ProfileStore, Vocabulary, linearize_profile, tokenize
+from deident.corpus import IdfTable, Profile, ProfileStore, Vocabulary, _linearize, _TokenTable, tokenize
 from deident.encoder import init_params, rank_of
 from deident.reid import Bm25Reidentifier, NeuralReidentifier, ensemble_evaluate
 
@@ -84,7 +84,7 @@ def test_bm25_nonnegative_and_zero_iff_no_overlap(hand_store, rng):
 
 def naive_okapi(store, document, mask, k1, b):
     """Okapi BM25 one term and one profile at a time, as a plain loop."""
-    docs = [linearize_profile(p).normalized() for p in store]
+    docs = [[t.normalized for t in _linearize(p, _TokenTable())] for p in store]
     term_freqs = [Counter(d) for d in docs]
     lengths = np.array([len(d) for d in docs], dtype=np.float64)
     avg_length = float(lengths.mean())
