@@ -342,11 +342,11 @@ def cmd_evaluate(args) -> int:
         records = [r for r in records if r[0] in success_ids]
     members = _build_members(args, corpus.store)
     report = ensemble_evaluate(members, records)
-    utility = vars(utility_report([r[1] for r in records], [r[2] for r in records])) if records else None
     if args.report:
         _write_jsonl(args.report, [vars(report)])
     if args.utility:
-        _write_jsonl(args.utility, [utility])
+        documents, masks = [r[1] for r in records], [r[2] for r in records]
+        _write_jsonl(args.utility, [vars(utility_report(documents, masks)) if records else None])
     print(json.dumps({"rate": report.rate, "documents": len(records)}, sort_keys=True))
     return 0
 
@@ -404,8 +404,15 @@ _COMMANDS = {
 }
 
 
-def _emit_error(kind: str, exc: Exception) -> None:
-    print(json.dumps({"error": kind, "message": str(exc)}), file=sys.stderr)
+# (exception types, error kind, exit code): an error takes the first row that names its type
+_ERRORS = (
+    ((UsageError,), "usage", 2),
+    ((CheckpointError,), "checkpoint", 5),
+    ((CorpusError,), "corpus-format", 4),
+    ((ConfigError,), "bad-config", 4),
+    ((FileNotFoundError, IsADirectoryError, PermissionError), "file-not-found", 3),
+    ((ValueError, KeyError, OSError, FloatingPointError), "error", 1),
+)
 
 
 def main(argv=None) -> int:
@@ -417,24 +424,12 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except SystemExit as exc:  # -h prints help and exits 0
         return int(exc.code) if exc.code is not None else 0
-    except UsageError as exc:
-        _emit_error("usage", exc)
-        return 2
-    except CheckpointError as exc:
-        _emit_error("checkpoint", exc)
-        return 5
-    except CorpusError as exc:
-        _emit_error("corpus-format", exc)
-        return 4
-    except ConfigError as exc:
-        _emit_error("bad-config", exc)
-        return 4
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        _emit_error("file-not-found", exc)
-        return 3
-    except (ValueError, KeyError, OSError, FloatingPointError) as exc:
-        _emit_error("error", exc)
-        return 1
+    except Exception as exc:
+        for types, kind, code in _ERRORS:
+            if isinstance(exc, types):
+                print(json.dumps({"error": kind, "message": str(exc)}), file=sys.stderr)
+                return code
+        raise
 
 
 def entrypoint() -> None:

@@ -12,6 +12,7 @@ linearized into a token sequence for encoding and lexical matching.
 from __future__ import annotations
 
 import contextlib
+import csv
 import gc
 import json
 import math
@@ -406,18 +407,20 @@ def apply_mask(document: Document, mask: np.ndarray | Sequence[int], mode: str =
     if mode not in ("replace", "delete", "collapse"):
         raise ValueError(f"unknown mask mode {mode!r}")
     out: list[str] = []
-    prev_masked = False
-    for token, bit in zip(document.tokens, arr):
-        if bit:
-            if mode == "replace":
-                out.append(MASK_TOKEN)
-            elif mode == "collapse" and not prev_masked:
-                out.append(MASK_TOKEN)
-            prev_masked = True
-        else:
+    for i, (token, bit) in enumerate(zip(document.tokens, arr)):
+        if not bit:
             out.append(token.surface)
-            prev_masked = False
+        elif mode == "replace" or (mode == "collapse" and not (i and arr[i - 1])):
+            out.append(MASK_TOKEN)
     return " ".join(out)
+
+
+def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header row, then each row with strings as they are and every other value as `repr(float(v))`."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([v if isinstance(v, str) else repr(float(v)) for v in row] for row in rows)
 
 
 def deflate_size(text: str) -> int:

@@ -8,19 +8,20 @@ of content; a word outside the vocabulary reads as that row too. Match
 scores are plain dot products, normalized with a numerically stable
 softmax.
 
-Each kind of input has one token-mean product. A training batch of
-documents goes through `DenseBags`, a dense (bag x touched rows) weight
-matrix, so the batch is one GEMM. A single document is scored by
-`reid.DocumentScorer`, the same product over its distinct rows. Profile
-stores, and other sets encoded whole, go through `Bags`, a sparse
-bags-of-rows matrix whose rows do not depend on each other;
-`profile_matrix` projects its means. `Bags`' forward product adds one
-entry position of every bag at a time, over blocks of bags sized to stay
-in cache. Each operator's adjoint maps mean gradients back onto embedding
-rows: `DenseBags`' is one more GEMM, and `Bags`' is one `np.bincount` per
-column over its (bag, row, weight) triples, adding each row's in bag
-order. All three find their touched rows with `distinct_rows`, without a
-sort.
+Each kind of input has one token-mean product. Both bag operators take
+their bags as (flat, lengths): the bags' embedding rows back to back, and
+each bag's count of them. A training batch of documents goes through
+`DenseBags`, a dense (bag x touched rows) weight matrix, so the batch is
+one GEMM. A single document is scored by `reid.DocumentScorer`, the same
+product over its distinct rows. Profile stores, and other sets encoded
+whole, go through `Bags`, a sparse bags-of-rows matrix whose rows do not
+depend on each other; `profile_matrix` projects its means. `Bags`' forward
+product adds one entry position of every bag at a time, over blocks of
+bags sized to stay in cache. Each operator's adjoint maps mean gradients
+back onto embedding rows: `DenseBags`' is one more GEMM, and `Bags`' is
+one `np.bincount` per column over its (bag, row, weight) triples, adding
+each row's in bag order. All three find their touched rows with
+`distinct_rows`, without a sort.
 
 A checkpoint holds the arrays as raw float32 in one layout, `_layout`, fixed
 by its header's terms and dimensions; the reader accepts no other.
@@ -31,10 +32,9 @@ from __future__ import annotations
 import json
 import math
 import os
-from itertools import accumulate
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import accumulate, chain
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -73,13 +73,7 @@ class ModelParams:
         return self.doc_proj.shape[1]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            vocab=self.vocab,
-            embeddings=self.embeddings.copy(),
-            doc_proj=self.doc_proj.copy(),
-            profile_proj=self.profile_proj.copy(),
-            label_smoothing=self.label_smoothing,
-        )
+        return replace(self, **{name: getattr(self, name).copy() for name in CHECKPOINT_ARRAYS})
 
 
 def init_params(
@@ -167,21 +161,23 @@ class _SegmentSum:
 class Bags:
     """Sparse bags-of-rows matrix W with W[b, r] = (count of row r in bag b) / len(bag b).
 
-    Row b of W @ E is the token mean of bag b. `rows` lists the touched
-    embedding rows in ascending order; `forward(x)` is W @ x for x with one
-    row per entry of `rows`, and `adjoint(y)` is W.T @ y, one row per entry
-    of `rows`. Only the unique (bag, row, weight) triples are stored, so
+    It takes its bags as `DenseBags` does: `flat` holds their embedding rows
+    back to back, lengths[b] of them for bag b, each at least one. Row b of
+    W @ E is the token mean of bag b. `rows` lists the touched embedding
+    rows in ascending order; `forward(x)` is W @ x for x with one row per
+    entry of `rows`, and `adjoint(y)` is W.T @ y, one row per entry of
+    `rows`. Only the unique (bag, row, weight) triples are stored, so
     permuting a bag's positions cannot change a result. They are kept in
     (bag, row) order: `forward` adds each bag's terms in row order, and
     `adjoint` is one `np.bincount` per column, which adds each row's terms
     in bag order. No dense matrix is built.
     """
 
-    def __init__(self, row_arrays: Sequence[np.ndarray]):
-        lengths = np.array([len(r) for r in row_arrays], dtype=np.int64)
+    def __init__(self, flat: np.ndarray, lengths):
+        lengths = np.asarray(lengths, dtype=np.int64)
         if len(lengths) == 0 or lengths.min() < 1:
             raise ValueError("every bag needs at least one row")
-        flat = np.concatenate(row_arrays).astype(np.int64)
+        flat = np.asarray(flat, dtype=np.int64)
         width = int(flat.max()) + 1
         keys = np.repeat(np.arange(len(lengths)), lengths) * width + flat
         pairs, counts = np.unique(keys, return_counts=True)
@@ -224,7 +220,7 @@ class DenseBags:
 
 def profile_bags(vocab: Vocabulary, store: ProfileStore) -> Bags:
     """Bags of the store's linearized profile terms, one per profile in store order."""
-    return Bags([vocab.indices(terms) for terms in store.terms])
+    return Bags(vocab.indices(chain.from_iterable(store.terms)), [len(terms) for terms in store.terms])
 
 
 def profile_matrix(params: ModelParams, profiles: Bags) -> np.ndarray:

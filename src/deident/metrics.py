@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Document, apply_mask, check_mask, deflate_size
+from .corpus import Document, _write_csv, apply_mask, check_mask, deflate_size
 from .deid import RedactionResult
 from .reid import ensemble_evaluate
 
@@ -103,9 +102,4 @@ def pareto_sweep(
 def write_pareto_csv(points: Sequence[ParetoPoint], path: str | Path) -> None:
     """One header row of `ParetoPoint`'s field names, then one row per point; numbers as float reprs."""
     names = [f.name for f in fields(ParetoPoint)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for p in points:
-            values = (getattr(p, name) for name in names)
-            writer.writerow([v if isinstance(v, str) else repr(float(v)) for v in values])
+    _write_csv(path, names, ([getattr(p, name) for name in names] for p in points))

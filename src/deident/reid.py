@@ -1,13 +1,12 @@
 """Reidentification of (possibly redacted) documents against a profile store.
 
-Two reidentifier families share one duck-typed surface (`scores`,
-`distribution`): a neural ranker built from a trained checkpoint, and a
-BM25 lexical ranker over linearized profiles. The neural ranker scores
-every single document through a `DocumentScorer`: `scores` is the audit of
-the mask's positions, the same call each search state makes, so a
-certificate re-audits through the path that produced it. An ensemble
-report counts a document as reidentified when any member ranks its true
-profile first.
+Two reidentifier families share one duck-typed surface, `scores`: a
+neural ranker built from a trained checkpoint, and a BM25 lexical ranker
+over linearized profiles. The neural ranker scores every single document
+through a `DocumentScorer`: `scores` is the audit of the mask's positions,
+the same call each search state makes, so a certificate re-audits through
+the path that produced it. An ensemble report counts a document as
+reidentified when any member ranks its true profile first.
 """
 
 from __future__ import annotations
@@ -123,9 +122,7 @@ class Bm25Reidentifier:
         self._postings = {t: slice(end - count, end) for t, end, count in zip(ids, ends, df.tolist())}
 
     def query_terms(self, document: Document, mask=None) -> list[str]:
-        if mask is None:
-            return sorted(set(document.normalized()))
-        arr = check_mask(mask, len(document))
+        arr = check_mask(np.zeros(len(document)) if mask is None else mask, len(document))
         return sorted({t.normalized for t, bit in zip(document.tokens, arr) if not bit})
 
     def scores(self, document: Document, mask=None) -> np.ndarray:
@@ -135,9 +132,6 @@ class Bm25Reidentifier:
             if span is not None:
                 scores[self._profiles[span]] += self._weights[span]
         return scores
-
-    def distribution(self, document: Document, mask=None) -> np.ndarray:
-        return softmax(self.scores(document, mask))
 
 
 @dataclass
@@ -162,21 +156,12 @@ def ensemble_evaluate(
     if not members:
         raise ValueError("ensemble needs at least one member")
     per_doc = []
-    member_hits = {name: 0 for name in members}
-    reidentified_count = 0
     for doc_id, document, mask, true_index in records:
-        ranks = {}
-        for name, member in members.items():
-            scores = member.scores(document, mask)
-            ranks[name] = rank_of(scores, true_index)
-            if ranks[name] == 1:
-                member_hits[name] += 1
-        flag = any(r == 1 for r in ranks.values())
-        reidentified_count += int(flag)
-        per_doc.append({"id": doc_id, "ranks": ranks, "reidentified": flag})
+        ranks = {name: rank_of(member.scores(document, mask), true_index) for name, member in members.items()}
+        per_doc.append({"id": doc_id, "ranks": ranks, "reidentified": 1 in ranks.values()})
 
-    def percent(count: int) -> float | None:
-        return 100.0 * count / len(per_doc) if per_doc else None
+    def percent(hits) -> float | None:
+        return 100.0 * sum(hits) / len(per_doc) if per_doc else None
 
-    per_member = {name: percent(hits) for name, hits in member_hits.items()}
-    return EnsembleReport(rate=percent(reidentified_count), per_doc=per_doc, per_member=per_member)
+    per_member = {name: percent(doc["ranks"][name] == 1 for doc in per_doc) for name in members}
+    return EnsembleReport(rate=percent(doc["reidentified"] for doc in per_doc), per_doc=per_doc, per_member=per_member)

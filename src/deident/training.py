@@ -21,7 +21,6 @@ per-epoch profile matrix is `encoder.profile_matrix` of the store's `Bags`.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Vocabulary, compute_idf
+from .corpus import Corpus, Vocabulary, _write_csv, compute_idf
 from .encoder import (
     Bags,
     DenseBags,
@@ -44,6 +43,9 @@ from .encoder import (
 MASK_PRIORS = ("uniform", "idf", "off")
 # Share of each held-out document masked for the log's heldout_acc_30 column.
 HELDOUT_MASK_RATE = 0.3
+# The training log's columns, one row per epoch.
+LOG_COLUMNS = ("epoch", "phase", "mean_loss", "heldout_acc_0", "heldout_acc_30", "lr",
+               "grad_norm_p50", "grad_norm_max", "clip_fraction")
 
 
 @dataclass
@@ -292,20 +294,18 @@ def train(
     train_ids = np.array([i for i in range(n) if i not in held_set])
     held_docs = held_masked = None
     if n_held:
-        rows, lengths = [base_rows[i] for i in held], doc_lengths[held]
+        flat, lengths = np.concatenate([base_rows[i] for i in held]), doc_lengths[held]
         mask = draw_masks(rng, lengths, np.round(HELDOUT_MASK_RATE * lengths))
-        masked = np.where(mask == 1, vocab.mask_index, np.concatenate(rows))
-        held_docs, held_masked = Bags(rows), Bags(np.split(masked, np.cumsum(lengths)[:-1]))
+        held_docs, held_masked = Bags(flat, lengths), Bags(np.where(mask == 1, vocab.mask_index, flat), lengths)
 
     matrix = profile_matrix(params, profiles)
-    profile_epochs_done = 0
     best_acc = -1.0
     best_params: ModelParams | None = None
     log_rows: list[list] = []
 
     for epoch in range(config.epochs):
         lr = _lr_at(config, epoch)
-        profile_phase = epoch % 2 == 1 and profile_epochs_done < config.profile_epochs
+        profile_phase = epoch % 2 == 1 and epoch // 2 < config.profile_epochs
         order = train_ids[rng.permutation(len(train_ids))]
         steps = []
         for start in range(0, len(order), config.batch_size):
@@ -322,7 +322,6 @@ def train(
 
         eval_matrix = profile_matrix(params, profiles)
         if profile_phase:
-            profile_epochs_done += 1
             matrix = eval_matrix
         acc0 = _accuracy(params, eval_matrix, held_docs, true_idx[held])
         acc30 = _accuracy(params, eval_matrix, held_masked, true_idx[held])
@@ -330,7 +329,7 @@ def train(
         ordered = np.sort(norms)  # np.median would import numpy.ma, about 1 MB of memory
         p50 = (ordered[(len(ordered) - 1) // 2] + ordered[len(ordered) // 2]) / 2
         grad_stats = [p50, ordered[-1], np.mean(norms > config.clip_norm)]
-        log_rows.append([epoch + 1, phase, np.mean(losses), acc0, acc30, lr, *grad_stats])
+        log_rows.append([str(epoch + 1), phase, np.mean(losses), acc0, acc30, lr, *grad_stats])
         if n_held and not math.isnan(acc30) and acc30 > best_acc:
             best_acc = acc30
             best_params = params.copy()
@@ -339,15 +338,5 @@ def train(
         save_checkpoint(params, checkpoint_path)
         save_checkpoint(best_params if best_params is not None else params, str(checkpoint_path) + ".best")
     if log_path is not None:
-        write_training_log(log_rows, log_path)
+        _write_csv(log_path, LOG_COLUMNS, log_rows)
     return params
-
-
-def write_training_log(rows: Sequence[Sequence], path: str | Path) -> None:
-    """CSV with one row per epoch: epoch, phase, then the numeric columns as float reprs."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "phase", "mean_loss", "heldout_acc_0", "heldout_acc_30", "lr",
-                         "grad_norm_p50", "grad_norm_max", "clip_fraction"])
-        for epoch, phase, *values in rows:
-            writer.writerow([epoch, phase, *(repr(float(v)) for v in values)])

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from deident import cli
 from deident.cli import main
-from deident.corpus import Vocabulary, load_corpus, load_redacted
-from deident.encoder import init_params, save_checkpoint
+from deident.corpus import CorpusError, Vocabulary, load_corpus, load_redacted
+from deident.encoder import CheckpointError, init_params, save_checkpoint
 
 from conftest import write_jsonl
 from synthdata import make_corpus_rows, write_corpus
@@ -270,6 +270,38 @@ def test_a_refused_command_line_fails_as_one_usage_error_line(tmp_path, capsys, 
     [line] = err.splitlines()
     assert json.loads(line)["error"] == "usage"
     assert message in json.loads(line)["message"]
+
+
+ERROR_TABLE_CASES = [
+    (cli.UsageError("u"), "usage", 2),
+    (CheckpointError("c"), "checkpoint", 5),
+    (CorpusError("c"), "corpus-format", 4),
+    (cli.ConfigError("c"), "bad-config", 4),
+    (FileNotFoundError("f"), "file-not-found", 3),
+    (IsADirectoryError("d"), "file-not-found", 3),
+    (PermissionError("p"), "file-not-found", 3),
+    (ValueError("v"), "error", 1),
+    (KeyError("k"), "error", 1),
+    (OSError("o"), "error", 1),
+    (FloatingPointError("f"), "error", 1),
+    (TypeError("t"), None, None),  # no row names it, so it propagates rather than exiting 0
+]
+
+
+@pytest.mark.parametrize("exc, kind, code", ERROR_TABLE_CASES, ids=[type(c[0]).__name__ for c in ERROR_TABLE_CASES])
+def test_each_error_type_fails_with_its_kind_and_exit_code(capsys, monkeypatch, exc, kind, code):
+    def failing(args):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "stats", failing)
+    if kind is None:
+        with pytest.raises(type(exc)):
+            main(["stats", "--corpus", "c.jsonl"])
+        return
+    assert main(["stats", "--corpus", "c.jsonl"]) == code
+    out, err = capsys.readouterr()
+    [line] = err.splitlines()
+    assert (out, json.loads(line)) == ("", {"error": kind, "message": str(exc)})
 
 
 def test_missing_corpus_file_exit_code(tmp_path, capsys):

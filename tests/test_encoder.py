@@ -102,7 +102,7 @@ def test_encode_profile_truncation_equivalence(params):
     assert len(truncated) <= 128
     direct = build_profile_matrix(params, ProfileStore([profile]))
     rows = params.vocab.indices([t.normalized for t in truncated])
-    manual = Bags([rows]).mean(params.embeddings) @ params.profile_proj.astype(np.float64)
+    manual = Bags(rows, [len(rows)]).mean(params.embeddings) @ params.profile_proj.astype(np.float64)
     assert np.array_equal(direct, manual)
 
 
@@ -163,9 +163,9 @@ def test_encoder_means_match_one_bag_oracles(terms, words, bags, dim, seed):
     expected = model.matrix @ (mean_rows(params.embeddings, rows) @ params.doc_proj.astype(np.float64))
     assert np.array_equal(model.scores(document, mask), expected)
     row_arrays = [vocab.indices(bag) for bag in bags]
-    means = Bags(row_arrays).mean(params.embeddings)
+    means = Bags(np.concatenate(row_arrays), [len(r) for r in row_arrays]).mean(params.embeddings)
     for i, bag_rows in enumerate(row_arrays):
-        assert np.array_equal(means[i], Bags([bag_rows]).mean(params.embeddings)[0])
+        assert np.array_equal(means[i], Bags(bag_rows, [len(bag_rows)]).mean(params.embeddings)[0])
 
 
 def seeded_bags(seed: int, n_bags: int, max_len: int, n_rows: int) -> list[list[int]]:
@@ -193,7 +193,7 @@ SHAPED_BAGS = [[[3]], [[5], [0, 1, 2, 5], [1, 1]], [[2, 2, 2, 2]], [[0, 4, 4], [
 @example(bags=SHAPED_BAGS[2], width=1, block_floats=None, seed=2)
 @example(bags=SHAPED_BAGS[3], width=128, block_floats=200, seed=3)
 def test_bags_forward_matches_the_chunked_segment_sum_bit_for_bit(bags, width, block_floats, seed):
-    op = Bags([np.array(b) for b in bags])
+    op = Bags(np.concatenate(bags), [len(b) for b in bags])
     if block_floats is not None:  # blocks of one row, or of a few, at any width
         op.forward.BLOCK_FLOATS = block_floats
     x = np.random.default_rng(seed).standard_normal((len(op.rows), width))

@@ -465,7 +465,7 @@ def oracle_softmax_grad(scores, trues, alpha):
 @example(bags=[[0], [0, 0, 1], [ORACLE_VOCAB.mask_index] * 3], width=2, seed=0)
 def test_bags_products_match_scatter_oracle(bags, width, seed):
     rng = np.random.default_rng(seed)
-    op = Bags([np.array(b) for b in bags])
+    op = Bags(np.concatenate(bags), [len(b) for b in bags])
     assert np.array_equal(op.rows, np.unique(np.concatenate(bags)))
     x = rng.standard_normal((ORACLE_VOCAB.n_rows, width))
     assert np.allclose(op.forward(x[op.rows]), oracle_forward(bags, x), rtol=0, atol=1e-12)
@@ -510,7 +510,7 @@ def test_batch_gradients_match_scatter_oracle(docs, store, seed, alpha):
     scores = doc_embs @ (pbar @ params.profile_proj).T
     loss, dscores = oracle_softmax_grad(scores, trues, alpha)
     dmatrix = dscores.T @ doc_embs
-    bags = Bags([np.array(p) for p in store])
+    bags = Bags(np.concatenate(store), [len(p) for p in store])
     got_loss, grads = profile_batch_gradients(params, doc_embs, trues, bags, alpha)
     assert got_loss == pytest.approx(loss, rel=0, abs=1e-12)
     assert np.allclose(grads.proj, pbar.T @ dmatrix, rtol=0, atol=1e-12)
@@ -520,9 +520,9 @@ def test_batch_gradients_match_scatter_oracle(docs, store, seed, alpha):
 
 def test_bags_reject_empty_bags():
     with pytest.raises(ValueError):
-        Bags([])
+        Bags(np.array([], dtype=np.int64), [])
     with pytest.raises(ValueError):
-        Bags([np.array([1]), np.array([], dtype=np.int64)])
+        Bags(np.array([1]), [1, 0])
 
 
 # ---------------------------------------------------------------------------
