@@ -8,13 +8,17 @@ file or config, 5 checkpoint problems, 1 anything else. A JSON file of flag
 defaults can be given with --config (also `--config=FILE` or `--conf FILE`).
 It is read after the command line parses, which is then parsed again with
 the file's values as the running command's defaults, so explicit flags win.
-A key that names no flag is rejected, and so is a value that the running
-command's flag would refuse for its type, choices or number of arguments.
+One file serves every command: a key that names no flag is rejected, a key
+that only another command takes is ignored, and a value that the running
+command's flag would refuse for its type, choices or number of arguments is
+rejected. Each flag is declared once; a `train` flag takes its default and
+type from its `TrainConfig` field.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import re
@@ -22,6 +26,7 @@ import sys
 from pathlib import Path
 
 from .corpus import (
+    MASK_MODES,
     CorpusError,
     apply_mask,
     check_mask,
@@ -48,7 +53,7 @@ from .encoder import CheckpointError
 from .metrics import pareto_sweep, utility_report, write_pareto_csv
 from .reid import Bm25Reidentifier, NeuralReidentifier, check_bm25, ensemble_evaluate
 from .stopwords import DEFAULT_STOPWORDS, load_stopwords
-from .training import TrainConfig, train
+from .training import MASK_PRIORS, TrainConfig, train
 
 
 class UsageError(Exception):
@@ -69,80 +74,66 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+# each `train` flag's TrainConfig field, whose default and type the flag takes; heldout_fraction has no flag
+_TRAIN_FLAGS = {"epochs": "epochs", "lr": "learning_rate", "clip": "clip_norm", "alpha": "label_smoothing",
+                "mask_prior": "mask_prior", "embed_dim": "embed_dim", "seed": "seed",
+                "profile_epochs": "profile_epochs", "warmup_epochs": "warmup_epochs", "batch_size": "batch_size"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="deident", description="Text deidentification toolkit")
     parser.add_argument("--config", help="JSON file with default values for flags")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {name: sub.add_parser(name, help=command.__doc__) for name, command in _COMMANDS.items()}
+    t, d, b, e, s, _ = commands.values()
+    # a flag that several commands take is declared once, by one loop over them
+    for p in commands.values():
+        p.add_argument("--corpus", required=True, help="corpus JSONL (the profile store)")
 
-    t = sub.add_parser("train", help="train a reidentification model")
-    t.add_argument("--corpus", required=True)
     t.add_argument("--out", required=True, help="checkpoint path (final; best gets .best suffix)")
     t.add_argument("--log", help="training log CSV (default: <out>.log.csv)")
-    t.add_argument("--epochs", type=int, default=60)
-    t.add_argument("--lr", type=float, default=2.0)
-    t.add_argument("--clip", type=float, default=5.0)
-    t.add_argument("--alpha", type=float, default=0.1, help="label smoothing")
-    t.add_argument("--mask-prior", choices=["uniform", "idf", "off"], default="uniform")
-    t.add_argument("--embed-dim", type=int, default=64)
-    t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--profile-epochs", type=int, default=5)
-    t.add_argument("--warmup-epochs", type=int, default=2)
-    t.add_argument("--batch-size", type=int, default=32)
+    for flag, field in _TRAIN_FLAGS.items():
+        default = getattr(TrainConfig, field)
+        t.add_argument("--" + flag.replace("_", "-"), type=type(default), default=default, help=f"TrainConfig.{field}",
+                       choices=MASK_PRIORS if field == "mask_prior" else None)
 
-    d = sub.add_parser("deidentify", help="search for k-anonymizing masks")
-    d.add_argument("--corpus", required=True)
     d.add_argument("--model", required=True, help="guiding model checkpoint")
     d.add_argument("--k", type=int, default=1)
-    d.add_argument("--beam-width", type=int, default=1, help="1 = greedy search")
-    d.add_argument("--out", required=True, help="redacted corpus JSONL")
-    d.add_argument("--sidecar", help="per-document result JSONL")
-    d.add_argument("--mask-mode", choices=["replace", "delete", "collapse"], default="replace")
-    d.add_argument("--include-stopwords", action="store_true")
-    d.add_argument("--stopwords-file")
-    d.add_argument("--limit", type=int)
 
-    b = sub.add_parser("baseline", help="redact with an unsupervised baseline")
-    b.add_argument("--corpus", required=True)
     b.add_argument("--method", choices=["lexical", "idf", "idf-table", "ner"], required=True)
     b.add_argument("--idf-threshold", type=float, default=2.0)
     b.add_argument("--tags-file", help="per-token entity tags for the ner method")
-    b.add_argument("--out", required=True)
-    b.add_argument("--sidecar")
-    b.add_argument("--mask-mode", choices=["replace", "delete", "collapse"], default="replace")
-    b.add_argument("--limit", type=int)
 
-    e = sub.add_parser("evaluate", help="ensemble reidentification + utility of a redaction")
-    e.add_argument("--corpus", required=True, help="original corpus (profile store)")
     e.add_argument("--redacted", required=True, help="redacted JSONL with mask vectors")
-    e.add_argument("--models", nargs="*", default=[], help="neural member checkpoints")
-    e.add_argument("--bm25", action="store_true", help="add a BM25 member")
-    e.add_argument("--bm25-k1", type=float, default=1.5)
-    e.add_argument("--bm25-b", type=float, default=0.75)
     e.add_argument("--report", help="write the ensemble report JSON here")
     e.add_argument("--utility", help="write the utility report JSON here")
     e.add_argument("--sidecar", help="sidecar JSONL from deidentify")
     e.add_argument("--success-only", action="store_true", help="keep only success=true records")
 
-    s = sub.add_parser("sweep", help="privacy/utility curve over a control parameter")
-    s.add_argument("--corpus", required=True)
-    s.add_argument(
-        "--method", choices=["greedy", "beam", "idf", "idf-table", "lexical", "ner"], required=True
-    )
+    s.add_argument("--method", choices=["greedy", "beam", "idf", "idf-table", "lexical", "ner"], required=True)
     s.add_argument("--controls", type=float, nargs="+", default=[1.0])
     s.add_argument("--model", help="guiding checkpoint for greedy/beam")
-    s.add_argument("--models", nargs="*", default=[], help="ensemble member checkpoints")
-    s.add_argument("--bm25", action="store_true")
-    s.add_argument("--bm25-k1", type=float, default=1.5)
-    s.add_argument("--bm25-b", type=float, default=0.75)
-    s.add_argument("--beam-width", type=int, default=4)
-    s.add_argument("--include-stopwords", action="store_true")
-    s.add_argument("--limit", type=int)
     s.add_argument("--out", required=True, help="Pareto CSV path")
 
-    st = sub.add_parser("stats", help="corpus summary")
-    st.add_argument("--corpus", required=True)
+    # the BM25 and mask-mode defaults are the library's own
+    bm25, mask_mode = inspect.signature(Bm25Reidentifier).parameters, inspect.signature(apply_mask).parameters["mode"]
+    for p in (d, b):
+        p.add_argument("--out", required=True, help="redacted corpus JSONL")
+        p.add_argument("--sidecar", help="per-document result JSONL")
+        p.add_argument("--mask-mode", choices=MASK_MODES, default=mask_mode.default)
+    for p in (d, b, s):
+        p.add_argument("--limit", type=int, help="use the first N records only")
+    for p, width in ((d, 1), (s, 4)):
+        p.add_argument("--beam-width", type=int, default=width, help="1 = greedy search")
+        p.add_argument("--include-stopwords", action="store_true")
+        p.add_argument("--stopwords-file")
+    for p in (e, s):
+        p.add_argument("--models", nargs="*", default=[], help="neural member checkpoints")
+        p.add_argument("--bm25", action="store_true", help="add a BM25 member")
+        p.add_argument("--bm25-k1", type=float, default=bm25["k1"].default)
+        p.add_argument("--bm25-b", type=float, default=bm25["b"].default)
 
-    parser.subcommand_parsers = {"train": t, "deidentify": d, "baseline": b, "evaluate": e, "sweep": s, "stats": st}
+    parser.subcommand_parsers = commands
     return parser
 
 
@@ -151,7 +142,7 @@ class ConfigError(ValueError):
 
 
 # the JSON values a config may give a flag of each `type`, and how to name them
-_CONFIG_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"), None: ((str,), "a string")}
+_CONFIG_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"), str: ((str,), "a string")}
 
 
 def _config_value(action: argparse.Action, value):
@@ -165,7 +156,7 @@ def _config_value(action: argparse.Action, value):
     if many and not (isinstance(value, list) and (value or action.nargs == "*")):
         need = "a nonempty list" if action.nargs == "+" else "a list"
         raise ConfigError(f"config key {action.dest!r} needs {need}, got {value!r}")
-    kinds, what = ((bool,), "true or false") if action.nargs == 0 else _CONFIG_KINDS[action.type]
+    kinds, what = ((bool,), "true or false") if action.nargs == 0 else _CONFIG_KINDS[action.type or str]
     items = value if many else [value]
     for item in items:
         if isinstance(item, bool) != (bool in kinds) or not isinstance(item, kinds):
@@ -201,11 +192,9 @@ def _check_limit(args) -> None:
 
 
 def _stopword_set(args) -> frozenset[str]:
-    if getattr(args, "include_stopwords", False):
+    if args.include_stopwords:
         return frozenset()
-    if getattr(args, "stopwords_file", None):
-        return load_stopwords(args.stopwords_file)
-    return DEFAULT_STOPWORDS
+    return load_stopwords(args.stopwords_file) if args.stopwords_file else DEFAULT_STOPWORDS
 
 
 def _write_jsonl(path, rows) -> None:
@@ -260,18 +249,8 @@ def _baseline(method, document, profile, table, threshold, tags=None) -> Redacti
 
 
 def cmd_train(args) -> int:
-    config = TrainConfig(
-        epochs=args.epochs,
-        learning_rate=args.lr,
-        clip_norm=args.clip,
-        label_smoothing=args.alpha,
-        mask_prior=args.mask_prior,
-        embed_dim=args.embed_dim,
-        seed=args.seed,
-        profile_epochs=args.profile_epochs,
-        warmup_epochs=args.warmup_epochs,
-        batch_size=args.batch_size,
-    )
+    """Train a reidentification model."""
+    config = TrainConfig(**{field: getattr(args, flag) for flag, field in _TRAIN_FLAGS.items()})
     config.validate()
     corpus = load_corpus(args.corpus)
     log_path = args.log or f"{args.out}.log.csv"
@@ -281,6 +260,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_deidentify(args) -> int:
+    """Search for k-anonymizing masks."""
     _check_limit(args)
     check_search([args.k], args.beam_width)
     corpus = load_corpus(args.corpus)
@@ -301,6 +281,7 @@ def cmd_deidentify(args) -> int:
 
 
 def cmd_baseline(args) -> int:
+    """Redact with an unsupervised baseline."""
     _check_limit(args)
     check_threshold(args.idf_threshold)
     corpus = load_corpus(args.corpus)
@@ -322,6 +303,7 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    """Ensemble reidentification + utility of a redaction."""
     if args.success_only and not args.sidecar:
         raise ValueError("--success-only requires --sidecar")
     _check_members(args)
@@ -352,6 +334,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    """Privacy/utility curve over a control parameter."""
     _check_limit(args)
     search = args.method in ("greedy", "beam")
     if search:
@@ -389,6 +372,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    """Corpus summary."""
     corpus = load_corpus(args.corpus)
     print(json.dumps(corpus_stats(corpus), sort_keys=True))
     return 0

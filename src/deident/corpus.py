@@ -28,6 +28,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 MASK_TOKEN = "<mask>"
+# How apply_mask renders masked positions; see its docstring.
+MASK_MODES = ("replace", "delete", "collapse")
 
 # Maximum encoded length of a linearized profile, in tokens.
 MAX_PROFILE_TOKENS = 128
@@ -404,7 +406,7 @@ def apply_mask(document: Document, mask: np.ndarray | Sequence[int], mode: str =
     masked words into a single <mask>.
     """
     arr = check_mask(mask, len(document))
-    if mode not in ("replace", "delete", "collapse"):
+    if mode not in MASK_MODES:
         raise ValueError(f"unknown mask mode {mode!r}")
     out: list[str] = []
     for i, (token, bit) in enumerate(zip(document.tokens, arr)):

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 from deident import cli
 from deident.cli import main
-from deident.corpus import CorpusError, Vocabulary, load_corpus, load_redacted
+from deident.corpus import MASK_MODES, CorpusError, Vocabulary, load_corpus, load_redacted
 from deident.encoder import CheckpointError, init_params, save_checkpoint
+from deident.training import MASK_PRIORS, TrainConfig
 
 from conftest import write_jsonl
 from synthdata import make_corpus_rows, write_corpus
@@ -159,6 +160,78 @@ def test_sweep_writes_pareto_csv(tmp_path, cli_corpus, cli_checkpoint):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "method,control,reid_rate,pct_masked,info_loss,success_rate"
     assert len(lines) == 3
+
+
+def test_sweep_masks_as_deidentify_does_under_a_stopword_file(tmp_path, cli_corpus, cli_checkpoint, capsys):
+    # the file keeps every occupation and team word unmasked, so the search has to mask other words
+    rows = [json.loads(line) for line in cli_corpus.read_text(encoding="utf-8").splitlines()]
+    words = {w.casefold() for row in rows for key, value in row["profile"] if key in ("occupation", "team") for w in value.split()}
+    stopwords = tmp_path / "stopwords.txt"
+    stopwords.write_text("\n".join(sorted(words)) + "\n", encoding="utf-8")
+    common = ["--corpus", str(cli_corpus), "--model", str(cli_checkpoint), "--limit", "10"]
+    pct_masked = {}
+    for extra in ([], ["--stopwords-file", str(stopwords)]):
+        pareto = tmp_path / "pareto.csv"
+        argv = ["sweep", *common, "--method", "greedy", "--bm25", "--controls", "4", "--out", str(pareto), *extra]
+        assert main(argv) == 0
+        [point] = csv.DictReader(pareto.open(encoding="utf-8"))
+        pct_masked[bool(extra)] = float(point["pct_masked"])
+    redacted, utility = tmp_path / "redacted.jsonl", tmp_path / "utility.json"
+    assert main(["deidentify", *common, "--k", "4", "--stopwords-file", str(stopwords), "--out", str(redacted)]) == 0
+    assert main(["evaluate", "--corpus", str(cli_corpus), "--redacted", str(redacted), "--bm25", "--utility", str(utility)]) == 0
+    capsys.readouterr()
+    assert pct_masked[True] == json.loads(utility.read_text())["percent_masked"]
+    assert pct_masked[True] != pct_masked[False]
+
+
+@pytest.mark.parametrize("method", ["greedy", "idf"])
+@pytest.mark.parametrize("content, code, kind", [(None, 3, "file-not-found"), (b"the\n\xe9\n", 4, "corpus-format")],
+                         ids=["missing", "bad-utf8"])
+def test_sweep_reads_its_stopword_file_for_every_method(tmp_path, cli_corpus, cli_checkpoint, capsys, method, content, code, kind):
+    stopwords = tmp_path / "stopwords.txt"
+    if content is not None:
+        stopwords.write_bytes(content)
+    out = tmp_path / "pareto.csv"
+    assert main([
+        "sweep", "--corpus", str(cli_corpus), "--method", method, "--model", str(cli_checkpoint), "--bm25",
+        "--stopwords-file", str(stopwords), "--out", str(out),
+    ]) == code
+    assert _one_error_line(capsys)["error"] == kind
+    assert not out.exists()
+
+
+# each command's flags by dest: a command dropped from one of build_parser's loops loses one
+COMMAND_FLAGS = {
+    "train": {"corpus", "out", "log", "epochs", "lr", "clip", "alpha", "mask_prior", "embed_dim", "seed",
+              "profile_epochs", "warmup_epochs", "batch_size"},
+    "deidentify": {"corpus", "model", "k", "beam_width", "out", "sidecar", "mask_mode", "include_stopwords",
+                   "stopwords_file", "limit"},
+    "baseline": {"corpus", "method", "idf_threshold", "tags_file", "out", "sidecar", "mask_mode", "limit"},
+    "evaluate": {"corpus", "redacted", "models", "bm25", "bm25_k1", "bm25_b", "report", "utility", "sidecar",
+                 "success_only"},
+    "sweep": {"corpus", "method", "controls", "model", "models", "bm25", "bm25_k1", "bm25_b", "beam_width",
+              "include_stopwords", "stopwords_file", "limit", "out"},
+    "stats": {"corpus"},
+}
+
+
+def test_each_command_takes_its_flags_and_the_library_defaults(monkeypatch, capsys):
+    parser = cli.build_parser()
+    commands = parser.subcommand_parsers
+    assert {name: {a.dest for a in sub._actions} - {"help"} for name, sub in commands.items()} == COMMAND_FLAGS
+    choices = {(name, a.dest): a.choices for name, sub in commands.items() for a in sub._actions}
+    assert choices["train", "mask_prior"] == MASK_PRIORS
+    assert choices["deidentify", "mask_mode"] == choices["baseline", "mask_mode"] == MASK_MODES
+    args = parser.parse_args(["train", "--corpus", "c", "--out", "o", "--lr", "2.5", "--clip", "2.5", "--alpha", "0.25"])
+    assert (args.lr, args.clip, args.alpha) == (2.5, 2.5, 0.25)
+    configs = []
+    monkeypatch.setattr(cli, "load_corpus", lambda path: None)
+    monkeypatch.setattr(cli, "train", lambda corpus, config, **paths: configs.append(config))
+    assert main(["train", "--corpus", "c", "--out", "o"]) == 0
+    assert main(["train", "--corpus", "c", "--out", "o", "--lr", "2", "--clip", "3", "--alpha", "0"]) == 0
+    capsys.readouterr()
+    assert configs == [TrainConfig(), TrainConfig(learning_rate=2.0, clip_norm=3.0, label_smoothing=0.0)]
+    assert {type(getattr(configs[1], f)) for f in ("learning_rate", "clip_norm", "label_smoothing")} == {float}
 
 
 def test_full_determinism_train_deidentify_sweep(tmp_path, cli_corpus):
@@ -428,58 +501,76 @@ def test_limit_below_one_is_rejected(tmp_path, cli_corpus, cli_checkpoint, capsy
     assert not out.exists()
 
 
+NAN = float("nan")
+# id -> (command line, the bad flag's value as a config would give it, message); a fault that is
+# a missing flag has no bad value, so it has no config form
+BAD_FLAG_VALUES = {
+    "deidentify-limit": (["deidentify", "--model", "absent.ckpt"], {"limit": 0}, "--limit"),
+    "baseline-limit": (["baseline", "--method", "lexical"], {"limit": 0}, "--limit"),
+    "sweep-limit": (["sweep", "--method", "idf", "--bm25"], {"limit": 0}, "--limit"),
+    "sweep-no-model": (["sweep", "--method", "greedy", "--bm25"], {}, "--model"),
+    "sweep-fractional-k": (["sweep", "--method", "greedy", "--model", "absent.ckpt", "--bm25"], {"controls": [2.5]}, "--controls"),
+    "sweep-zero-k": (["sweep", "--method", "beam", "--model", "absent.ckpt", "--bm25"], {"controls": [0]}, "--controls"),
+    "sweep-nan-threshold": (["sweep", "--method", "idf", "--bm25"], {"controls": [NAN]}, "--controls"),
+    "evaluate-success-only": (["evaluate", "--redacted", "absent.jsonl", "--bm25"], {"success_only": True}, "--success-only"),
+    "deidentify-zero-k": (["deidentify", "--model", "absent.ckpt"], {"k": 0}, "k must be >= 1"),
+    "deidentify-zero-width": (["deidentify", "--model", "absent.ckpt"], {"beam_width": 0}, "beam_width must be >= 1"),
+    "sweep-zero-width": (["sweep", "--method", "beam", "--model", "absent.ckpt", "--bm25"], {"beam_width": 0}, "beam_width"),
+    "greedy-sweep-zero-width": (["sweep", "--method", "greedy", "--model", "absent.ckpt", "--bm25"], {"beam_width": 0}, "beam_width"),
+    "idf-sweep-zero-width": (["sweep", "--method", "idf", "--bm25"], {"beam_width": 0}, "beam_width"),
+    "idf-table-sweep-zero-width": (["sweep", "--method", "idf-table", "--bm25"], {"beam_width": 0}, "beam_width"),
+    "lexical-sweep-negative-width": (["sweep", "--method", "lexical", "--bm25"], {"beam_width": -1}, "beam_width"),
+    "ner-sweep-zero-width": (["sweep", "--method", "ner", "--bm25"], {"beam_width": 0}, "beam_width"),
+    "evaluate-no-members": (["evaluate", "--redacted", "absent.jsonl"], {}, "no ensemble members"),
+    "sweep-no-members": (["sweep", "--method", "idf"], {}, "no ensemble members"),
+    "evaluate-nan-k1": (["evaluate", "--redacted", "absent.jsonl", "--bm25"], {"bm25_k1": NAN}, "k1 must be finite"),
+    "sweep-inf-k1": (["sweep", "--method", "idf", "--bm25"], {"bm25_k1": math.inf}, "k1 must be finite"),
+    "evaluate-b-above-one": (["evaluate", "--redacted", "absent.jsonl", "--bm25"], {"bm25_b": 2}, "b must be in [0, 1]"),
+    "baseline-nan-threshold": (["baseline", "--method", "idf"], {"idf_threshold": NAN}, "IDF threshold must not be NaN"),
+    "evaluate-nan-k1-without-bm25": (["evaluate", "--redacted", "absent.jsonl", "--models", "x"], {"bm25_k1": NAN}, "k1 must be finite"),
+    "sweep-b-above-one-without-bm25": (["sweep", "--method", "idf", "--models", "x"], {"bm25_b": 2}, "b must be in [0, 1]"),
+    "lexical-nan-threshold": (["baseline", "--method", "lexical"], {"idf_threshold": NAN}, "IDF threshold must not be NaN"),
+    "train-zero-epochs": (["train"], {"epochs": 0}, "epochs must be >= 1"),
+    "train-zero-batch": (["train"], {"batch_size": 0}, "batch_size must be >= 1"),
+    "train-nan-lr": (["train"], {"lr": NAN}, "learning_rate must be finite"),
+    "train-zero-dim": (["train"], {"embed_dim": 0}, "embed_dim must be >= 1"),
+}
+
+
+def _as_flags(values: dict) -> list[str]:
+    """The command-line form of config values: a switch for true, else the flag and its values."""
+    flags = []
+    for key, value in values.items():
+        flag = "--" + key.replace("_", "-")
+        flags += [flag] if value is True else [flag, *map(str, value if isinstance(value, list) else [value])]
+    return flags
+
+
 @pytest.mark.parametrize(
-    "argv, message",
+    "argv, bad, message, source",
     [
-        (["deidentify", "--model", "absent.ckpt", "--limit", "0"], "--limit"),
-        (["baseline", "--method", "lexical", "--limit", "0"], "--limit"),
-        (["sweep", "--method", "idf", "--bm25", "--limit", "0"], "--limit"),
-        (["sweep", "--method", "greedy", "--bm25"], "--model"),
-        (["sweep", "--method", "greedy", "--model", "absent.ckpt", "--bm25", "--controls", "2.5"], "--controls"),
-        (["sweep", "--method", "beam", "--model", "absent.ckpt", "--bm25", "--controls", "0"], "--controls"),
-        (["sweep", "--method", "idf", "--bm25", "--controls", "nan"], "--controls"),
-        (["evaluate", "--redacted", "absent.jsonl", "--bm25", "--success-only"], "--success-only"),
-        (["deidentify", "--model", "absent.ckpt", "--k", "0"], "k must be >= 1"),
-        (["deidentify", "--model", "absent.ckpt", "--beam-width", "0"], "beam_width must be >= 1"),
-        (["sweep", "--method", "beam", "--model", "absent.ckpt", "--bm25", "--beam-width", "0"], "beam_width"),
-        (["sweep", "--method", "greedy", "--model", "absent.ckpt", "--bm25", "--beam-width", "0"], "beam_width"),
-        (["sweep", "--method", "idf", "--bm25", "--beam-width", "0"], "beam_width"),
-        (["sweep", "--method", "idf-table", "--bm25", "--beam-width", "0"], "beam_width"),
-        (["sweep", "--method", "lexical", "--bm25", "--beam-width", "-1"], "beam_width"),
-        (["sweep", "--method", "ner", "--bm25", "--beam-width", "0"], "beam_width"),
-        (["evaluate", "--redacted", "absent.jsonl"], "no ensemble members"),
-        (["sweep", "--method", "idf"], "no ensemble members"),
-        (["evaluate", "--redacted", "absent.jsonl", "--bm25", "--bm25-k1", "nan"], "k1 must be finite"),
-        (["sweep", "--method", "idf", "--bm25", "--bm25-k1", "inf"], "k1 must be finite"),
-        (["evaluate", "--redacted", "absent.jsonl", "--bm25", "--bm25-b", "2"], "b must be in [0, 1]"),
-        (["baseline", "--method", "idf", "--idf-threshold", "nan"], "IDF threshold must not be NaN"),
-        (["evaluate", "--redacted", "absent.jsonl", "--models", "x", "--bm25-k1", "nan"], "k1 must be finite"),
-        (["sweep", "--method", "idf", "--models", "x", "--bm25-b", "2"], "b must be in [0, 1]"),
-        (["baseline", "--method", "lexical", "--idf-threshold", "nan"], "IDF threshold must not be NaN"),
-        (["train", "--epochs", "0"], "epochs must be >= 1"),
-        (["train", "--batch-size", "0"], "batch_size must be >= 1"),
-        (["train", "--lr", "nan"], "learning_rate must be finite"),
-        (["train", "--embed-dim", "0"], "embed_dim must be >= 1"),
+        pytest.param(argv, bad, message, source, id=name if source == "argv" else f"{name}-from-config")
+        for name, (argv, bad, message) in BAD_FLAG_VALUES.items()
+        for source in (("argv", "config") if bad else ("argv",))
     ],
-    ids=["deidentify-limit", "baseline-limit", "sweep-limit", "sweep-no-model", "sweep-fractional-k",
-         "sweep-zero-k", "sweep-nan-threshold", "evaluate-success-only", "deidentify-zero-k",
-         "deidentify-zero-width", "sweep-zero-width", "greedy-sweep-zero-width", "idf-sweep-zero-width",
-         "idf-table-sweep-zero-width", "lexical-sweep-negative-width", "ner-sweep-zero-width", "evaluate-no-members", "sweep-no-members",
-         "evaluate-nan-k1", "sweep-inf-k1", "evaluate-b-above-one", "baseline-nan-threshold",
-         "evaluate-nan-k1-without-bm25", "sweep-b-above-one-without-bm25", "lexical-nan-threshold",
-         "train-zero-epochs", "train-zero-batch", "train-nan-lr", "train-zero-dim"],
 )
-def test_flag_values_are_checked_before_any_file_is_read(tmp_path, capsys, monkeypatch, argv, message):
+def test_flag_values_are_checked_before_any_file_is_read(tmp_path, capsys, monkeypatch, argv, bad, message, source):
     def no_load(path):
         raise AssertionError(f"{path} was read")
 
+    def run(prefix, flags):
+        out = ["--out", "out"] if argv[0] != "evaluate" else ["--report", "out"]
+        assert main([*prefix, *argv, *flags, "--corpus", "corpus.jsonl", *out]) == 1
+        return _one_error_line(capsys)
+
     monkeypatch.setattr(cli, "load_corpus", no_load)
     monkeypatch.chdir(tmp_path)
-    out = ["--out", "out"] if argv[0] != "evaluate" else ["--report", "out"]
-    assert main([*argv, "--corpus", "corpus.jsonl", *out]) == 1
-    err = _one_error_line(capsys)
+    err = run([], _as_flags(bad))
     assert err["error"] == "error"
     assert message in err["message"]
+    if source == "config":  # the same value from a config fails with the same line
+        (tmp_path / "config.json").write_text(json.dumps(bad))
+        assert run(["--config", "config.json"], []) == err
     assert not (tmp_path / "out").exists()
 
 
