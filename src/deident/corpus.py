@@ -4,14 +4,13 @@ A corpus file is UTF-8 JSONL with one object per line:
 
     {"id": "p17", "document": "raw text ...", "profile": [["name", "Lee Harding"], ...]}
 
-Documents are tokenized at the word level (whitespace split with punctuation
-separated into standalone tokens). Profiles are key/value tables that can be
-linearized into a token sequence for encoding and lexical matching.
+Documents are tokenized at the word level (whitespace split, punctuation runs
+standalone) through one term table per load and held as int32 surface ids; the
+store holds its profiles linearized as term ids. IDF and BM25 count over arrays.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import gc
 import json
@@ -19,9 +18,9 @@ import math
 import re
 import sys
 import zlib
-from collections import Counter
+from array import array
+from itertools import compress, islice
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -48,49 +47,41 @@ class CorpusError(ValueError):
         self.line = line
 
 
-@contextlib.contextmanager
-def _gc_paused():
-    """Pause the cyclic collector for one lexical set-up stage, then restore the caller's state.
-
-    The stages build large graphs of acyclic objects, over which the collector's passes
-    find nothing. The pause is scoped to a stage, not a process: the collection it
-    defers is paid by the caller right after, and a caller's disabled collector stays so.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
-@dataclass(frozen=True, slots=True)
-class Token:
-    """A single word or punctuation run from a document."""
-
-    surface: str
-    normalized: str
-    is_punctuation: bool
-
-
 @dataclass(frozen=True, slots=True)
 class Document:
-    """An ordered token sequence."""
+    """An ordered token sequence: int32 surface ids into the term table it was split through, of which
+    `surfaces()`, `normalized()`, `terms` (term ids) and `punctuation` (flags) are views.
 
-    tokens: tuple[Token, ...]
+    Documents are equal when their surfaces are, which fix their terms and flags, whatever their tables.
+    """
+
+    ids: np.ndarray
+    table: _TermTable
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.ids)
 
-    def __iter__(self) -> Iterator[Token]:
-        return iter(self.tokens)
+    @property
+    def terms(self) -> np.ndarray:
+        return self.table.arrays()[0].take(self.ids)
+
+    @property
+    def punctuation(self) -> np.ndarray:
+        return self.table.arrays()[1].take(self.ids)
 
     def surfaces(self) -> list[str]:
-        return [t.surface for t in self.tokens]
+        return list(map(self.table.surfaces.__getitem__, self.ids.tolist()))
 
     def normalized(self) -> list[str]:
-        return [t.normalized for t in self.tokens]
+        return list(map(self.table.terms.__getitem__, self.terms.tolist()))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Document):
+            return NotImplemented
+        return self.surfaces() == other.surfaces()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.surfaces()))
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,21 +107,22 @@ class AlignedRecord:
 class ProfileStore:
     """Ordered collection of unique profiles, addressable by id or index.
 
-    `terms` holds each profile's linearized normalized terms, in store order. They are
-    computed once, as the store is built, through the load's token table when it is given
-    one, so a profile that does not linearize fails here.
+    `terms` holds the profiles' linearized normalized-term ids back to back, in store order,
+    and `lengths` each one's count. The ids are into `table`, the load's or else the store's own.
+    They are computed once, as the store is built, so a profile that does not linearize fails here.
     """
 
-    def __init__(self, profiles: Sequence[Profile], table: _TokenTable | None = None):
+    def __init__(self, profiles: Sequence[Profile], table: _TermTable | None = None):
         self.profiles: list[Profile] = list(profiles)
         self._index: dict[str, int] = {}
         for i, p in enumerate(self.profiles):
             if p.id in self._index:
                 raise CorpusError(f"duplicate profile id {p.id!r}")
             self._index[p.id] = i
-        table = _TokenTable() if table is None else table
-        with _gc_paused():
-            self.terms = tuple(tuple([t.normalized for t in _linearize(p, table)]) for p in self.profiles)
+        self.table = _TermTable() if table is None else table
+        linearized = [_linearize(p, self.table) for p in self.profiles]
+        self.lengths = np.array(list(map(len, linearized)), dtype=np.int64) // 4
+        self.terms = self.table.arrays()[0].take(np.frombuffer(b"".join(linearized), dtype=np.int32))
 
     def __len__(self) -> int:
         return len(self.profiles)
@@ -158,19 +150,27 @@ class Corpus:
     store: ProfileStore
 
 
-class _TokenTable(dict):
-    """The Tokens of each distinct text, split once; () for a text with none.
+class _TermTable(dict):
+    """One load's term table: surface i is `surfaces[i]`, its casefolded term `terms[norms[i]]`, and `punct[i]`
+    whether it has no letter or digit; `term_ids` maps terms to ids. All but `surfaces` catch up in `arrays()`.
 
-    Its texts are profile keys and values, the whitespace-separated chunks of documents and
-    the surfaces of chunks. A text that is one surface holds that surface's one Token; any
-    other text is the run of its chunks' or surfaces' entries, so each distinct surface gets
-    one Token per table. A (key, value) pair is a profile entry of a load: its key and value
-    are checked once for tokens, and each repeat of the entry (occupations, countries, teams)
-    then holds one shared tuple and strings, not copies of its own. A table lives through
-    one corpus load, its store's linearization included, or through one call; never across calls.
+    As a dict, it maps each distinct text, split once, to its surface ids as packed int32 bytes (b"" for a
+    text with none): profile keys and values, documents' whitespace-separated chunks and their surfaces, a
+    text that is not one surface being the run of its chunks' or surfaces' ids. A (key, value) profile entry
+    is checked once for tokens, and its repeats share one tuple. A table lives as long as the documents and
+    store split through it: one corpus load's, or one call's.
     """
 
-    def __missing__(self, text: str | tuple[str, str]) -> tuple:
+    def __init__(self):
+        self.surfaces: list[str] = []
+        self.terms: list[str] = []
+        self.norms = array("i")
+        self.punct = array("b")
+        self.term_ids: dict[str, int] = {}
+        self.vocabulary_rows: dict[Vocabulary, np.ndarray] = {}  # each Vocabulary's `rows` of this table
+        self._arrays = np.empty(0, dtype=np.int32), np.empty(0, dtype=bool)
+
+    def __missing__(self, text: str | tuple[str, str]) -> bytes | tuple[str, str]:
         if isinstance(text, tuple):
             key, value = text
             if not (self[key] and self[value]):
@@ -179,24 +179,39 @@ class _TokenTable(dict):
             entry = sys.intern(key), value
             self[entry] = entry
             return entry
-        parts = text.split()
-        if parts == [text]:
-            parts = _TOKEN_RE.findall(text)
-        if parts == [text]:
-            tokens = (Token(text, text.casefold(), _ALNUM_RE.search(text) is None),)
-        else:
-            tokens = tuple(chain.from_iterable(map(self.__getitem__, parts)))
-        self[text] = tokens
-        return tokens
+        if _TOKEN_RE.fullmatch(text):  # one surface
+            ids = len(self.surfaces).to_bytes(4, sys.byteorder)
+            self.surfaces.append(text)
+        else:  # the run of its chunks' ids, or of its surfaces' for one chunk
+            parts = text.split()
+            ids = b"".join(map(self.__getitem__, parts if len(parts) > 1 else _TOKEN_RE.findall(text)))
+        self[text] = ids
+        return ids
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """`norms` and `punct` as arrays over the surface ids, once the table has taken in its new surfaces."""
+        new = self.surfaces[len(self.punct):]
+        if new:
+            # a surface that is its own casefolded term is that term's string
+            terms = (surface if surface == term else term for surface, term in zip(new, map(str.casefold, new)))
+            self.norms.extend(self.term_ids.setdefault(term, len(self.term_ids)) for term in terms)
+            self.terms.extend(islice(self.term_ids, len(self.terms), None))
+            self.punct.extend(_ALNUM_RE.search(surface) is None for surface in new)
+            self._arrays = np.array(self.norms, dtype=np.int32), np.array(self.punct, dtype=bool)
+        return self._arrays
+
+    def split(self, texts: Iterable[str]) -> np.ndarray:
+        """The surface ids of the texts' tokens, back to back, split through this table."""
+        return np.frombuffer(b"".join(map(self.__getitem__, texts)), dtype=np.int32)
 
 
-def _tokenize(text: str, table: _TokenTable) -> Document:
+def _tokenize(text: str, table: _TermTable) -> Document:
     # no token spans whitespace, and str.split's whitespace is the pattern's \s, so the
     # tokens of a text are those of its chunks, each of which the table splits once
-    tokens = tuple(chain.from_iterable(map(table.__getitem__, text.split())))
-    if not tokens:
+    ids = table.split(text.split())
+    if not len(ids):
         raise CorpusError("no tokens in input text")
-    return Document(tokens)
+    return Document(ids, table)
 
 
 def tokenize(text: str) -> Document:
@@ -206,11 +221,11 @@ def tokenize(text: str) -> Document:
     tokens, so "John Smith, farmer." yields five tokens. Normalization is
     the casefolded surface. Raises CorpusError when no tokens result.
     """
-    return _tokenize(text, _TokenTable())
+    return _tokenize(text, _TermTable())
 
 
-def _linearize(profile: Profile, table: _TokenTable, max_tokens: int = MAX_PROFILE_TOKENS) -> list[Token]:
-    """Render a profile as the token sequence "key : value | key : value ...", through `table`.
+def _linearize(profile: Profile, table: _TermTable, max_tokens: int = MAX_PROFILE_TOKENS) -> bytes:
+    """Render a profile as the surface ids of "key : value | key : value ...", through `table`, as packed int32 bytes.
 
     Whole trailing entries are dropped until the sequence fits max_tokens.
     The first entry is kept even if it must be clipped hard.
@@ -218,22 +233,24 @@ def _linearize(profile: Profile, table: _TokenTable, max_tokens: int = MAX_PROFI
     if not profile.entries:
         raise CorpusError(f"profile {profile.id!r} has no entries")
     colon, separator = table[":"], table["|"]
-    tokens: list[Token] = []
+    parts: list[bytes] = []
+    kept = 0  # tokens in parts
     full = False
     # every entry is tokenized, kept or not, so a token-less one raises wherever it falls
     for key, value in profile.entries:
-        key_tokens, value_tokens = table[key], table[str(value)]
-        if not (key_tokens and value_tokens):
+        key_ids, value_ids = table[key], table[str(value)]
+        if not (key_ids and value_ids):
             raise CorpusError("no tokens in input text")
-        if tokens:
-            full = full or len(tokens) + len(key_tokens) + len(value_tokens) + 2 > max_tokens
+        tokens = (len(key_ids) + len(value_ids)) // 4 + 1  # key, colon, value
+        if parts:
+            full = full or kept + 1 + tokens > max_tokens
             if full:
                 continue
-            tokens += separator
-        tokens += key_tokens
-        tokens += colon
-        tokens += value_tokens
-    return tokens[:max_tokens]
+            parts.append(separator)
+            kept += 1
+        parts += key_ids, colon, value_ids
+        kept += tokens
+    return b"".join(parts)[: 4 * max_tokens]
 
 
 def _text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
@@ -273,7 +290,7 @@ def _jsonl_rows(path: str | Path, need: str, valid: Callable[[dict], bool]) -> I
         yield line_no, obj
 
 
-def _parse_record(obj: dict, line: int, table: _TokenTable) -> tuple[AlignedRecord, Profile]:
+def _parse_record(obj: dict, line: int, table: _TermTable) -> tuple[AlignedRecord, Profile]:
     for key in ("document", "profile"):
         if key not in obj:
             raise CorpusError(f"missing field {key!r}", line)
@@ -295,24 +312,30 @@ def _parse_record(obj: dict, line: int, table: _TokenTable) -> tuple[AlignedReco
     return AlignedRecord(document, record_id), profile
 
 
-@_gc_paused()
 def load_corpus(path: str | Path) -> Corpus:
     """Load a JSONL corpus file.
 
     Every line must parse, every row needs a nonempty string 'id' used by no
     earlier row, and every profile key and value must hold a token; errors
-    name the offending line.
+    name the offending line. The load's graph of objects has no cycles to find, so it runs
+    with the cyclic collector paused; the caller's state is restored as it returns or raises.
     """
     records: list[AlignedRecord] = []
     profiles: list[Profile] = []
-    table = _TokenTable()
-    for line_no, obj in _jsonl_rows(path, "corpus rows need a nonempty string 'id'", lambda obj: obj["id"] != ""):
-        record, profile = _parse_record(obj, line_no, table)
-        records.append(record)
-        profiles.append(profile)
-    if not records:
-        raise CorpusError(f"no records in {path}")
-    return Corpus(records=records, store=ProfileStore(profiles, table))
+    table = _TermTable()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for line_no, obj in _jsonl_rows(path, "corpus rows need a nonempty string 'id'", lambda obj: obj["id"] != ""):
+            record, profile = _parse_record(obj, line_no, table)
+            records.append(record)
+            profiles.append(profile)
+        if not records:
+            raise CorpusError(f"no records in {path}")
+        return Corpus(records, ProfileStore(profiles, table))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def load_redacted(path: str | Path) -> list[dict]:
@@ -365,18 +388,26 @@ class IdfTable:
     def max_idf(self) -> float:
         return math.log(1 + self.doc_count)
 
-    @classmethod
-    def from_token_documents(cls, docs: Iterable[Sequence[str]]) -> "IdfTable":
-        """Build from an iterable of normalized-term sequences."""
-        docs = list(docs)
-        return cls(doc_count=len(docs), df=Counter(chain.from_iterable(map(set, docs))))
 
-
-@_gc_paused()
 def compute_idf(corpus: Corpus) -> IdfTable:
-    """IDF over the union of documents and linearized profiles."""
-    docs = chain((rec.document.normalized() for rec in corpus.records), corpus.store.terms)
-    return IdfTable.from_token_documents(docs)
+    """IDF over documents and linearized profiles, from term ids in the store's table (a foreign document joins it).
+
+    `df` lists its terms by term id, in the order the table first took them in.
+    """
+    table = corpus.store.table
+    docs = [d.ids if d.table is table else table.split(d.surfaces()) for d in (r.document for r in corpus.records)]
+    ids = np.concatenate([table.arrays()[0].take(np.concatenate([*docs, np.empty(0, np.int32)])), corpus.store.terms])
+    width = len(table.terms)
+    lengths = [*map(len, docs), *corpus.store.lengths.tolist()]
+    keys = np.repeat(np.arange(len(lengths)) * width, lengths)
+    keys += ids
+    keys.sort()  # (document, term) keys, in place
+    repeated = keys[1:] == keys[:-1]
+    keys %= width
+    # each term counts once per document: all its keys, less those repeating the key before them
+    df = (np.bincount(keys, minlength=width) - np.bincount(keys[1:][repeated], minlength=width)).tolist()
+    del keys, repeated  # before the dict is built
+    return IdfTable(len(lengths), dict(zip(compress(table.terms, df), filter(None, df))))
 
 
 def check_mask(mask: np.ndarray | Sequence[int], n: int) -> np.ndarray:
@@ -409,9 +440,9 @@ def apply_mask(document: Document, mask: np.ndarray | Sequence[int], mode: str =
     if mode not in MASK_MODES:
         raise ValueError(f"unknown mask mode {mode!r}")
     out: list[str] = []
-    for i, (token, bit) in enumerate(zip(document.tokens, arr)):
+    for i, (surface, bit) in enumerate(zip(document.surfaces(), arr)):
         if not bit:
-            out.append(token.surface)
+            out.append(surface)
         elif mode == "replace" or (mode == "collapse" and not (i and arr[i - 1])):
             out.append(MASK_TOKEN)
     return " ".join(out)
@@ -475,7 +506,14 @@ class Vocabulary:
         get, mask = self._index.get, self.mask_index
         return np.array([get(t, mask) for t in terms], dtype=np.int64)
 
+    def rows(self, table: _TermTable) -> np.ndarray:
+        """The row of each of table's terms, by term id: `indices(table.terms)`, kept in table until it gains a term."""
+        table.arrays()  # brings table.terms up to date
+        rows = table.vocabulary_rows.get(self)
+        if rows is None or len(rows) != len(table.terms):
+            rows = table.vocabulary_rows[self] = self.indices(table.terms)
+        return rows
+
     @classmethod
     def from_corpus(cls, corpus: Corpus) -> "Vocabulary":
-        terms = {t.normalized for rec in corpus.records for t in rec.document}
-        return cls(sorted(terms.union(*corpus.store.terms)))
+        return cls(sorted(compute_idf(corpus).df))  # the terms of documents and linearized profiles

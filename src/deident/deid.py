@@ -79,12 +79,15 @@ class RedactionResult:
         return obj
 
 
+def _words(document: Document) -> list[tuple[int, str]]:
+    """(position, normalized term) of each position of document that is not punctuation."""
+    words = zip(document.normalized(), document.punctuation.tolist())
+    return [(j, term) for j, (term, punctuation) in enumerate(words) if not punctuation]
+
+
 def candidate_positions(document: Document, stopwords: frozenset[str] = DEFAULT_STOPWORDS) -> list[int]:
     """Positions eligible for search: not stopword, not punctuation."""
-    return [
-        j for j, token in enumerate(document.tokens)
-        if not token.is_punctuation and token.normalized not in stopwords
-    ]
+    return [j for j, term in _words(document) if term not in stopwords]
 
 
 def greedy_deidentify(
@@ -201,11 +204,8 @@ def _search(model, document, true_index, ks, width, stopwords, method) -> list[R
 def lexical_baseline(document: Document, profile: Profile) -> RedactionResult:
     """Mask every non-punctuation word that also occurs in the profile."""
     texts = (text for key, value in profile.entries for text in (key, str(value)))
-    terms = {t.normalized for text in texts for t in tokenize(text)}
-    order = [
-        j for j, token in enumerate(document.tokens)
-        if not token.is_punctuation and token.normalized in terms
-    ]
+    terms = {t for text in texts for t in tokenize(text).normalized()}
+    order = [j for j, term in _words(document) if term in terms]
     return _result("lexical", document, order)
 
 
@@ -239,11 +239,7 @@ def _idf_at_least(document: Document, table: IdfTable, threshold: float, skip=fr
     A NaN threshold would mask nothing without complaint, so it raises ValueError.
     """
     check_threshold(threshold)
-    scored = [
-        (table.idf(token.normalized), j)
-        for j, token in enumerate(document.tokens)
-        if j not in skip and not token.is_punctuation
-    ]
+    scored = [(table.idf(term), j) for j, term in _words(document) if j not in skip]
     return [j for idf, j in sorted(scored, key=lambda pair: (-pair[0], pair[1])) if idf >= threshold]
 
 
@@ -265,16 +261,16 @@ def rule_tags(document: Document) -> list[str]:
     """Heuristic entity tags: gazetteer hits plus capitalized mid-sentence words."""
     tags = []
     sentence_start = True
-    for token in document.tokens:
-        if token.is_punctuation:
+    for surface, term, punctuation in zip(document.surfaces(), document.normalized(), document.punctuation.tolist()):
+        if punctuation:
             tags.append("O")
-            if token.surface in _SENTENCE_END or any(c in _SENTENCE_END for c in token.surface):
+            if surface in _SENTENCE_END or any(c in _SENTENCE_END for c in surface):
                 sentence_start = True
             continue
         tag = "O"
-        if token.normalized in GAZETTEER:
-            tag = GAZETTEER[token.normalized]
-        elif token.surface[:1].isupper() and not sentence_start:
+        if term in GAZETTEER:
+            tag = GAZETTEER[term]
+        elif surface[:1].isupper() and not sentence_start:
             tag = "MISC"
         tags.append(tag)
         sentence_start = False

@@ -8,20 +8,20 @@ of content; a word outside the vocabulary reads as that row too. Match
 scores are plain dot products, normalized with a numerically stable
 softmax.
 
-Each kind of input has one token-mean product. Both bag operators take
-their bags as (flat, lengths): the bags' embedding rows back to back, and
-each bag's count of them. A training batch of documents goes through
-`DenseBags`, a dense (bag x touched rows) weight matrix, so the batch is
-one GEMM. A single document is scored by `reid.DocumentScorer`, the same
-product over its distinct rows. Profile stores, and other sets encoded
-whole, go through `Bags`, a sparse bags-of-rows matrix whose rows do not
-depend on each other; `profile_matrix` projects its means. `Bags`' forward
-product adds one entry position of every bag at a time, over blocks of
-bags sized to stay in cache. Each operator's adjoint maps mean gradients
-back onto embedding rows: `DenseBags`' is one more GEMM, and `Bags`' is
-one `np.bincount` per column over its (bag, row, weight) triples, adding
-each row's in bag order. All three find their touched rows with
-`distinct_rows`, without a sort.
+Each kind of input has one token-mean product. Both bag operators take their
+bags as (flat, lengths): the bags' embedding rows back to back (term ids
+mapped by `Vocabulary.rows`), and each bag's count of them. A training batch
+of documents goes through `DenseBags`, a dense (bag x touched rows) weight
+matrix, so the batch is one GEMM. A single document is scored by
+`reid.DocumentScorer`, the same product over its distinct rows. Profile
+stores, and other sets encoded whole, go through `Bags`, a sparse
+bags-of-rows matrix whose rows do not depend on each other; `profile_matrix`
+projects its means. `Bags`' forward product adds one entry position of every
+bag at a time, over blocks of bags sized to stay in cache. Each operator's
+adjoint maps mean gradients back onto embedding rows: `DenseBags`' is one
+more GEMM, and `Bags`' is one `np.bincount` per column over its (bag, row,
+weight) triples, adding each row's in bag order. All three find their
+touched rows with `distinct_rows`, without a sort.
 
 A checkpoint holds the arrays as raw float32 in one layout, `_layout`, fixed
 by its header's terms and dimensions; the reader accepts no other.
@@ -33,7 +33,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, replace
-from itertools import accumulate, chain
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -220,7 +220,7 @@ class DenseBags:
 
 def profile_bags(vocab: Vocabulary, store: ProfileStore) -> Bags:
     """Bags of the store's linearized profile terms, one per profile in store order."""
-    return Bags(vocab.indices(chain.from_iterable(store.terms)), [len(terms) for terms in store.terms])
+    return Bags(vocab.rows(store.table).take(store.terms), store.lengths)
 
 
 def profile_matrix(params: ModelParams, profiles: Bags) -> np.ndarray:

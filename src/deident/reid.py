@@ -2,7 +2,7 @@
 
 Two reidentifier families share one duck-typed surface, `scores`: a
 neural ranker built from a trained checkpoint, and a BM25 lexical ranker
-over linearized profiles. The neural ranker scores every single document
+over the store's term ids. The neural ranker scores every single document
 through a `DocumentScorer`: `scores` is the audit of the mask's positions,
 the same call each search state makes, so a certificate re-audits through
 the path that produced it. An ensemble report counts a document as
@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Document, IdfTable, ProfileStore, _gc_paused, check_mask
+from .corpus import Document, ProfileStore, check_mask
 from .encoder import ModelParams, build_profile_matrix, distinct_rows, load_checkpoint, rank_of, softmax
 
 
@@ -54,7 +53,7 @@ class DocumentScorer:
 
     def __init__(self, model: NeuralReidentifier, document: Document):
         self._matrix, self._proj, self._n, vocab = model.matrix, model.doc_proj, len(document), model.params.vocab
-        rows = np.append(vocab.indices(document.normalized()), vocab.mask_index)
+        rows = np.append(vocab.rows(document.table).take(document.terms), vocab.mask_index)
         unique, self._slot = distinct_rows(rows)
         self._counts = np.bincount(self._slot, minlength=len(unique))
         self._emb = model.params.embeddings[unique].astype(np.float64)
@@ -89,47 +88,44 @@ def check_bm25(k1: float, b: float) -> None:
 class Bm25Reidentifier:
     """Okapi BM25 over the store's linearized profile terms, `store.terms`, with smoothed nonnegative IDF.
 
-    Query terms are the normalized unmasked document tokens (mask sentinels
-    are excluded); each distinct query term contributes once. Each term's
-    postings list the profiles holding it, in store order, with the term's
-    score contribution to each, so scoring touches only matching profiles.
+    Query terms are the normalized unmasked document tokens (mask sentinels are excluded);
+    each distinct query term contributes once. The postings of the store table's term id t,
+    entries `_bounds[t]` to `_bounds[t + 1]` of `_profiles` and `_weights`, list the profiles
+    holding t, in store order, and t's score contribution to each.
     """
 
-    @_gc_paused()
     def __init__(self, store: ProfileStore, k1: float = 1.5, b: float = 0.75):
         check_bm25(k1, b)
         if len(store) == 0:
             raise ValueError("profile store is empty")
         self.store = store
         n = len(store)
-        lengths = np.array([len(d) for d in store.terms], dtype=np.float64)
-        terms = list(chain.from_iterable(store.terms))
-        ids = {t: i for i, t in enumerate(dict.fromkeys(terms))}
-        term_ids = np.fromiter(map(ids.__getitem__, terms), dtype=np.int64, count=len(terms))
+        lengths = store.lengths.astype(np.float64)
         # one key per distinct (term, profile) pair, sorted by term, then profile
-        profile_ids = np.repeat(np.arange(n), lengths.astype(np.int64))
-        keys, tf = np.unique(term_ids * n + profile_ids, return_counts=True)
+        keys, tf = np.unique(store.terms * np.int64(n) + np.repeat(np.arange(n), store.lengths), return_counts=True)
         term, self._profiles = np.divmod(keys, n)
-        df = np.bincount(term, minlength=len(ids))
-        self.idf_table = IdfTable(doc_count=n, df=dict(zip(ids, df.tolist())))
-        idf = np.array([self.idf_table.idf(t) for t in ids])
+        df = np.bincount(term, minlength=len(store.table.terms))
+        self._bounds = np.append(0, np.cumsum(df))
+        idf = np.zeros(n + 1)
+        for d in np.flatnonzero(np.bincount(df)).tolist():  # IdfTable.idf's math.log, once per distinct df
+            idf[d] = math.log((1 + n) / (1 + d))
         norm = k1 * (1.0 - b + b * lengths / float(lengths.mean()))
         tf = tf.astype(np.float64)
         # the Okapi term of each pair, with the float operations in the order a
         # term-by-term loop uses, so the summed scores match that loop bit for bit
-        self._weights = idf[term] * tf * (k1 + 1.0) / (tf + norm[self._profiles])
-        ends = np.cumsum(df).tolist()
-        self._postings = {t: slice(end - count, end) for t, end, count in zip(ids, ends, df.tolist())}
+        self._weights = idf[df[term]] * tf * (k1 + 1.0) / (tf + norm[self._profiles])
 
     def query_terms(self, document: Document, mask=None) -> list[str]:
         arr = check_mask(np.zeros(len(document)) if mask is None else mask, len(document))
-        return sorted({t.normalized for t, bit in zip(document.tokens, arr) if not bit})
+        return sorted(set(map(document.table.terms.__getitem__, document.terms[arr == 0].tolist())))
 
     def scores(self, document: Document, mask=None) -> np.ndarray:
         scores = np.zeros(len(self.store), dtype=np.float64)
+        get, bounds = self.store.table.term_ids.get, self._bounds
         for term in self.query_terms(document, mask):
-            span = self._postings.get(term)
-            if span is not None:
+            t = get(term, len(bounds))  # a term the table gained after this build has no postings either
+            if t < len(bounds) - 1:
+                span = slice(bounds[t], bounds[t + 1])
                 scores[self._profiles[span]] += self._weights[span]
         return scores
 

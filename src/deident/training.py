@@ -273,7 +273,7 @@ def train(
         vocab, dim=config.embed_dim, seed=config.seed, label_smoothing=config.label_smoothing
     )
     n = len(corpus.records)
-    base_rows = [vocab.indices(rec.document.normalized()) for rec in corpus.records]
+    base_rows = [vocab.rows(rec.document.table).take(rec.document.terms) for rec in corpus.records]
     doc_lengths = np.array([len(r) for r in base_rows])
     true_idx = np.array([corpus.store.index_of(rec.profile_id) for rec in corpus.records])
     profiles = profile_bags(vocab, corpus.store)

@@ -31,6 +31,13 @@ TOY_TRAIN = dict(
 )
 
 
+def store_terms(store) -> list[list[str]]:
+    """Each profile's linearized normalized terms, read off the store's term ids and lengths."""
+    terms = [store.table.terms[i] for i in store.terms.tolist()]
+    ends = np.cumsum(store.lengths).tolist()
+    return [terms[end - n : end] for end, n in zip(ends, store.lengths.tolist())]
+
+
 def write_jsonl(path, rows):
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:

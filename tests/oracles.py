@@ -4,9 +4,10 @@ Each is a plain, per-item composition of what the library computes in
 batched or fused form: one document's softmax over profile scores, a
 smoothed target vector and its cross entropy, a dense embedding gradient,
 a one-batch SGD driver over per-document row arrays, a per-document
-token mean, one document encoded as a one-bag `DenseBags` batch, a
-profile linearized entry by entry, a term-by-term document-frequency
-count, and a search that rebuilds each audited document from a row copy.
+token mean, one document encoded as a one-bag `DenseBags` batch, a text
+split by one plain pattern, a profile linearized entry by entry, a
+term-by-term document-frequency count, BM25 one term and one profile at a
+time, and a search that rebuilds each audited document from a row copy.
 Three more are earlier forms of library kernels, kept verbatim as
 bit-for-bit references: a chunked segment sum, a `np.lexsort` mask draw and
 a `np.unique` dense bag matrix. They live here, apart from the code under test, so that a change to the
@@ -16,22 +17,15 @@ library cannot change its oracle with it.
 from __future__ import annotations
 
 import logging
+import math
+import re
+from collections import Counter
 from itertools import count
 from typing import Sequence
 
 import numpy as np
 
-from deident.corpus import (
-    MAX_PROFILE_TOKENS,
-    CorpusError,
-    Document,
-    Profile,
-    Token,
-    Vocabulary,
-    _tokenize,
-    _TokenTable,
-    check_mask,
-)
+from deident.corpus import MAX_PROFILE_TOKENS, CorpusError, Document, Profile, Vocabulary, check_mask
 from deident.deid import _result, candidate_positions
 from deident.encoder import Bags, DenseBags, ModelParams, profile_bags, rank_of, softmax
 from deident.training import Gradients, TrainConfig, _step
@@ -133,29 +127,33 @@ def mean_rows(embeddings: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return weights @ embeddings[unique].astype(np.float64)
 
 
-def linearize(profile: Profile, max_tokens: int = MAX_PROFILE_TOKENS) -> Document:
-    """`corpus._linearize` built from one Document per key and value, then cut to max_tokens."""
-    table = _TokenTable()
+def split_tokens(text: str) -> list[tuple[str, str, bool]]:
+    """(surface, normalized term, punctuation flag) of each token of text, by one plain pattern split.
+
+    A token is a run of word characters or a run of other non-space characters;
+    its term is its casefolded surface, and it is punctuation when none of its
+    characters is a letter or digit.
+    """
+    return [(s, s.casefold(), not any(c.isalnum() for c in s)) for s in re.findall(r"\w+|[^\w\s]+", text)]
+
+
+def linearize(profile: Profile, max_tokens: int = MAX_PROFILE_TOKENS) -> list[tuple[str, str, bool]]:
+    """The tokens of "key : value | key : value ...", split entry by entry with `split_tokens`, then cut to max_tokens."""
     if not profile.entries:
         raise CorpusError(f"profile {profile.id!r} has no entries")
-    colon = _tokenize(":", table).tokens
-    chunks: list[list[Token]] = []
+    chunks = []
     for key, value in profile.entries:
-        chunk = list(_tokenize(key, table).tokens)
-        chunk.extend(colon)
-        chunk.extend(_tokenize(str(value), table).tokens)
-        chunks.append(chunk)
+        key_tokens, value_tokens = split_tokens(key), split_tokens(str(value))
+        if not (key_tokens and value_tokens):
+            raise CorpusError("no tokens in input text")
+        chunks.append(key_tokens + split_tokens(":") + value_tokens)
 
-    kept: list[Token] = list(chunks[0])
-    separator = _tokenize("|", table).tokens[0]
+    kept = list(chunks[0])
     for chunk in chunks[1:]:
         if len(kept) + 1 + len(chunk) > max_tokens:
             break
-        kept.append(separator)
-        kept.extend(chunk)
-    if len(kept) > max_tokens:
-        kept = kept[:max_tokens]
-    return Document(tokens=tuple(kept))
+        kept += split_tokens("|") + chunk
+    return kept[:max_tokens]
 
 
 def document_frequencies(docs: Sequence[Sequence[str]]) -> tuple[int, dict[str, int]]:
@@ -167,6 +165,32 @@ def document_frequencies(docs: Sequence[Sequence[str]]) -> tuple[int, dict[str, 
         for term in set(doc):
             df[term] = df.get(term, 0) + 1
     return count, df
+
+
+def naive_okapi(store, document, mask, k1, b) -> np.ndarray:
+    """Okapi BM25 of a (masked) document against each profile of store, one term and one profile at a time.
+
+    Profiles are linearized entry by entry and the smoothed IDF is ln((1 + D) / (1 + df)) over the profiles,
+    each distinct unmasked term of the document counting once, in sorted order.
+    """
+    docs = [[term for _, term, _ in linearize(p)] for p in store]
+    term_freqs = [Counter(d) for d in docs]
+    lengths = np.array([len(d) for d in docs], dtype=np.float64)
+    avg_length = float(lengths.mean())
+    n, df = document_frequencies(docs)
+    if mask is None:
+        terms = sorted(set(document.normalized()))
+    else:
+        terms = sorted({t for t, bit in zip(document.normalized(), mask) if not bit})
+    scores = np.zeros(len(store), dtype=np.float64)
+    norm = k1 * (1.0 - b + b * lengths / avg_length)
+    for term in terms:
+        idf = math.log((1 + n) / (1 + df.get(term, 0)))
+        for i, tf_map in enumerate(term_freqs):
+            tf = tf_map.get(term)
+            if tf:
+                scores[i] += idf * tf * (k1 + 1.0) / (tf + norm[i])
+    return scores
 
 
 def score_rows(model, rows: np.ndarray) -> np.ndarray:

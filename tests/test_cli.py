@@ -15,12 +15,13 @@ from hypothesis import strategies as st
 
 from deident import cli
 from deident.cli import main
-from deident.corpus import MASK_MODES, CorpusError, Vocabulary, load_corpus, load_redacted
+from deident.corpus import MASK_MODES, CorpusError, Profile, Vocabulary, load_corpus, load_redacted, tokenize
 from deident.encoder import CheckpointError, init_params, save_checkpoint
 from deident.training import MASK_PRIORS, TrainConfig
 
 from conftest import write_jsonl
-from synthdata import make_corpus_rows, write_corpus
+from oracles import document_frequencies, linearize, naive_okapi, split_tokens
+from synthdata import make_corpus_rows, make_distinct_rows, write_corpus
 
 TRAIN_FLAGS = [
     "--epochs", "30", "--embed-dim", "32",
@@ -54,6 +55,53 @@ def test_stats_reports_counts(tmp_path, capsys):
     assert stats["records"] == 3
     assert stats["idf_documents"] == 6
     assert stats["vocab_size"] > 0
+
+
+def test_lexical_commands_on_distinct_text_match_the_df_and_bm25_oracles(tmp_path, capsys):
+    rows = make_distinct_rows(300, seed=2)
+    path = str(write_jsonl(tmp_path / "distinct.jsonl", rows))
+    tokens = [split_tokens(row["document"]) for row in rows]
+    profiles = [Profile(row["id"], tuple(map(tuple, row["profile"]))) for row in rows]
+    linearized = [[term for _, term, _ in linearize(p)] for p in profiles]
+    count, df = document_frequencies([[term for _, term, _ in doc] for doc in tokens] + linearized)
+    assert sum(n == 1 for n in df.values()) > len(df) / 2  # mostly distinct terms
+
+    assert main(["stats", "--corpus", path]) == 0
+    lengths = [len(doc) for doc in tokens]
+    assert json.loads(capsys.readouterr().out) == {
+        "records": 300, "profiles": 300, "vocab_size": len(df), "idf_documents": count,
+        "mean_doc_tokens": sum(lengths) / 300, "max_doc_tokens": max(lengths), "max_idf": math.log(1 + count),
+    }
+
+    def idf_mask(doc, threshold):
+        return [int(not punct and math.log((1 + count) / (1 + df[term])) >= threshold) for _, term, punct in doc]
+
+    def bm25_rank(i, mask):
+        scores = naive_okapi(profiles, tokenize(rows[i]["document"]), mask, 1.5, 0.75)
+        return 1 + int(np.count_nonzero(scores > scores[i]) + np.count_nonzero(scores[:i] == scores[i]))
+
+    redacted, report = tmp_path / "idf.jsonl", tmp_path / "report.json"
+    argv = ["baseline", "--corpus", path, "--method", "idf", "--idf-threshold", "5.0", "--limit", "40"]
+    assert main([*argv, "--out", str(redacted)]) == 0
+    masks = [row["mask"] for row in load_redacted(redacted)]
+    assert masks == [idf_mask(doc, 5.0) for doc in tokens[:40]]
+    assert 0 < sum(map(sum, masks)) < sum(lengths[:40])
+    argv = ["evaluate", "--corpus", path, "--redacted", str(redacted), "--bm25", "--report", str(report)]
+    assert main(argv) == 0
+    ranks = [bm25_rank(i, mask) for i, mask in enumerate(masks)]
+    assert [doc["ranks"]["bm25"] for doc in json.loads(report.read_text())["per_doc"]] == ranks
+
+    pareto, controls = tmp_path / "pareto.csv", [4.0, 5.5]
+    argv = ["sweep", "--corpus", path, "--method", "idf", "--bm25", "--limit", "30", "--out", str(pareto)]
+    assert main([*argv, "--controls", *map(str, controls)]) == 0
+    capsys.readouterr()
+    with open(pareto, newline="", encoding="utf-8") as fh:
+        points = list(csv.DictReader(fh))
+    for point, control in zip(points, controls, strict=True):
+        masks = [idf_mask(doc, control) for doc in tokens[:30]]
+        reidentified = [bm25_rank(i, mask) == 1 for i, mask in enumerate(masks)]
+        assert float(point["reid_rate"]) == 100.0 * sum(reidentified) / 30
+        assert float(point["pct_masked"]) == pytest.approx(np.mean([100.0 * sum(m) / len(m) for m in masks]), rel=1e-12)
 
 
 def test_train_writes_artifacts(cli_corpus, cli_checkpoint):
@@ -1079,7 +1127,7 @@ def test_infinite_idf_thresholds_mask_nothing_or_every_word(tmp_path, cli_corpus
         argv = ["baseline", "--corpus", str(cli_corpus), "--method", "idf", f"--idf-threshold={threshold}"]
         assert main([*argv, "--out", str(out)]) == 0
         for row, record in zip(load_redacted(out), records, strict=True):
-            words = [int(not t.is_punctuation) for t in record.document]
+            words = (~record.document.punctuation).astype(int).tolist()
             assert row["mask"] == (words if threshold == "-inf" else [0] * len(words))
 
 
@@ -1090,7 +1138,7 @@ def test_a_separate_minus_inf_reads_as_a_number(tmp_path, cli_corpus):
     argv = ["baseline", "--corpus", str(cli_corpus), "--method", "idf", "--idf-threshold", "-inf"]
     assert main([*argv, "--out", str(out)]) == 0
     for row, record in zip(load_redacted(out), records, strict=True):
-        assert row["mask"] == [int(not t.is_punctuation) for t in record.document]
+        assert row["mask"] == (~record.document.punctuation).astype(int).tolist()
     pareto = tmp_path / "pareto.csv"
     code = main([
         "sweep", "--corpus", str(cli_corpus), "--method", "idf", "--controls", "-inf", "2",

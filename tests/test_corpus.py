@@ -9,6 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deident.corpus import (
+    AlignedRecord,
+    Corpus,
     CorpusError,
     Document,
     IdfTable,
@@ -19,7 +21,7 @@ from deident.corpus import (
     Vocabulary,
     apply_mask,
     _TOKEN_RE,
-    _TokenTable,
+    _TermTable,
     _linearize,
     _parse_record,
     _tokenize,
@@ -33,21 +35,21 @@ from deident.corpus import (
 from deident.deid import load_tag_file
 from deident.reid import Bm25Reidentifier
 
-from conftest import write_jsonl
-from oracles import document_frequencies, linearize
+from conftest import store_terms, write_jsonl
+from oracles import document_frequencies, linearize, naive_okapi, split_tokens
 from synthdata import make_corpus_rows, make_distinct_rows
 
 
 def test_tokenize_separates_punctuation():
     doc = tokenize("John Smith, farmer.")
     assert doc.surfaces() == ["John", "Smith", ",", "farmer", "."]
-    assert [t.is_punctuation for t in doc.tokens] == [False, False, True, False, True]
+    assert doc.punctuation.tolist() == [False, False, True, False, True]
 
 
 def test_tokenize_single_token():
     doc = tokenize("a")
     assert len(doc) == 1
-    assert doc.tokens[0].normalized == "a"
+    assert doc.normalized() == ["a"]
 
 
 def test_tokenize_hand_counted_sentence():
@@ -78,19 +80,20 @@ def test_tokenize_deterministic(rng):
         first = tokenize(text)
         second = tokenize(text)
         assert first.surfaces() == second.surfaces()
-        assert [t.normalized for t in first.tokens] == [t.surface.casefold() for t in first.tokens]
+        assert first.normalized() == [s.casefold() for s in first.surfaces()]
 
 
 def test_tokenize_shared_table_gives_equal_documents():
     text = "The farmer, the Farmer and THE farmer."
-    table = _TokenTable()
+    table = _TermTable()
     shared = _tokenize(text, table)
     assert shared == tokenize(text)
     again = _tokenize("the farmer", table)
     assert again == tokenize("the farmer")
-    # each distinct surface is built once per table
-    assert again.tokens[0] is shared.tokens[3]
-    assert again.tokens[1] is shared.tokens[1] is shared.tokens[7]
+    # each distinct surface gets one id per table, and each distinct term one term id
+    assert again.ids[0] == shared.ids[3]
+    assert again.ids[1] == shared.ids[1] == shared.ids[7]
+    assert len(set(shared.terms.tolist())) == 5  # the, farmer, and, "," and "."
 
 
 # Text around the chunk boundaries: the ASCII separators \x1c-\x1f, NEL and Unicode
@@ -105,10 +108,10 @@ _SPLIT_TEXT = st.one_of(st.text(), st.lists(st.one_of(_SPLIT_PIECES, st.text(max
 @settings(max_examples=400, deadline=None)
 @given(texts=st.lists(_SPLIT_TEXT, min_size=1, max_size=4))
 def test_tokenize_through_the_chunk_memo_matches_the_pattern(texts):
-    table = _TokenTable()  # shared by the texts, as one corpus load shares it
+    table = _TermTable()  # shared by the texts, as one corpus load shares it
     for text in texts:
         want = _TOKEN_RE.findall(text)
-        assert [t.surface for t in table[text]] == want
+        assert [table.surfaces[i] for i in np.frombuffer(table[text], dtype=np.int32)] == want
         if want:
             assert _tokenize(text, table).surfaces() == want
         else:
@@ -177,7 +180,7 @@ def test_load_corpus_matches_per_call_tokenization(tmp_path):
     corpus = load_corpus(write_jsonl(tmp_path / "t.jsonl", rows))
     for record, row in zip(corpus.records, rows, strict=True):
         assert record.document == tokenize(row["document"])
-    assert corpus.store.terms == tuple(tuple(_linearized(p).normalized()) for p in corpus.store)
+    assert store_terms(corpus.store) == [_linearized(p).normalized() for p in corpus.store]
 
 
 def test_load_corpus_three_records(tmp_path):
@@ -258,8 +261,9 @@ def test_distinct_rows_are_seeded_and_mostly_distinct(tmp_path):
 
 
 def _linearized(profile, max_tokens=MAX_PROFILE_TOKENS) -> Document:
-    """The profile's tokens as `ProfileStore` linearizes them, through a fresh token table."""
-    return Document(tuple(_linearize(profile, _TokenTable(), max_tokens)))
+    """The profile's tokens as `ProfileStore` linearizes them, through a fresh term table."""
+    table = _TermTable()
+    return Document(np.frombuffer(_linearize(profile, table, max_tokens), dtype=np.int32), table)
 
 
 def test_linearize_profile_two_entries():
@@ -329,11 +333,12 @@ def _outcome(linearize_fn, *args):
 def test_linearize_profile_matches_the_per_entry_oracle(entries, max_tokens):
     profile = Profile(id="x", entries=tuple(entries))
     got, want = _outcome(_linearized, profile, max_tokens), _outcome(linearize, profile, max_tokens)
-    assert got == want
     if isinstance(want, str):
+        assert got == want
         return
-    assert got.surfaces() == want.surfaces()
-    assert got.normalized() == want.normalized()
+    assert got.surfaces() == [surface for surface, _, _ in want]
+    assert got.normalized() == [term for _, term, _ in want]
+    assert got.punctuation.tolist() == [punctuation for _, _, punctuation in want]
     assert len(got) <= max_tokens
 
 
@@ -341,7 +346,7 @@ def test_linearize_profile_matches_the_per_entry_oracle(entries, max_tokens):
 @given(profiles=st.lists(_PROFILE_ENTRIES, min_size=1, max_size=5), warm=st.booleans())
 def test_store_linearized_matches_the_per_entry_oracle(profiles, warm):
     profiles = [Profile(id=f"p{i}", entries=tuple(entries)) for i, entries in enumerate(profiles)]
-    table = _TokenTable()
+    table = _TermTable()
     if warm:  # as a load leaves it: every key and value already split
         for profile in profiles:
             for key, value in profile.entries:
@@ -353,7 +358,54 @@ def test_store_linearized_matches_the_per_entry_oracle(profiles, warm):
             ProfileStore(profiles, table)
         assert f"CorpusError: {info.value}" == errors[0]
         return
-    assert ProfileStore(profiles, table).terms == tuple(tuple(d.normalized()) for d in want)
+    assert store_terms(ProfileStore(profiles, table)) == [[term for _, term, _ in w] for w in want]
+
+
+# Corpus rows for the term-table properties: words in mixed case and with non-ASCII letters, punctuation
+# runs glued to them, stray characters and Unicode whitespace between them, from pools small enough that
+# chunks and whole profile entries repeat across rows as well as differ.
+_WORD = st.sampled_from(["Ann", "ann", "ANN", "Straße", "STRASSE", "É", "é", "Ωmega", "ωMEGA", "İzmir", "ﬁsh", "1984", "a_b"])
+_GLUE = st.sampled_from(["", "", ",", ".", "--", "!?", "«", "»", "'", ":", "|"])
+_SPACE = st.sampled_from([" ", " ", "  ", "\t", "\n", "\u00a0", "\u2003", "\u3000", "\x85", "\x1c"])
+_CHUNK = st.tuples(_GLUE, _WORD, _GLUE, st.one_of(st.just(""), st.text(max_size=2))).map("".join)
+_TEXT = st.lists(st.tuples(_CHUNK, _SPACE).map("".join), min_size=1, max_size=8).map("".join)
+_ROW = st.fixed_dictionaries({
+    "document": _TEXT,
+    "profile": st.lists(
+        st.tuples(st.sampled_from(["name", "Name", "city", "born"]), st.one_of(st.sampled_from(["Ann", "ann Lee."]), _TEXT)),
+        min_size=1, max_size=4, unique_by=lambda entry: entry[0],
+    ),
+})
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(_ROW, min_size=1, max_size=6), bits=st.lists(st.integers(0, 1), min_size=1, max_size=16))
+def test_a_load_s_term_ids_match_a_plain_split_of_its_text(tmp_path_factory, rows, bits):
+    rows = [dict(row, id=f"r{i}") for i, row in enumerate(rows)]
+    corpus = load_corpus(write_jsonl(tmp_path_factory.mktemp("terms") / "c.jsonl", rows))
+    for record, row in zip(corpus.records, rows, strict=True):
+        got = zip(record.document.surfaces(), record.document.normalized(), record.document.punctuation.tolist())
+        assert list(got) == split_tokens(row["document"])
+    profiles = [Profile(row["id"], tuple(row["profile"])) for row in rows]
+    linearized = [[term for _, term, _ in linearize(p)] for p in profiles]
+    assert store_terms(corpus.store) == linearized
+    documents = [[term for _, term, _ in split_tokens(row["document"])] for row in rows]
+    count, df = document_frequencies(documents + linearized)
+    idf = compute_idf(corpus)
+    assert (idf.doc_count, idf.df) == (count, df)
+    assert Vocabulary.from_corpus(corpus).terms == tuple(sorted(df))
+    # a store built without the load's table, and documents split apart, give the same terms, IDF and scores;
+    # the own store's table takes in the documents' terms after its ranker is built
+    own = ProfileStore(corpus.store.profiles)
+    assert store_terms(own) == linearized
+    rankers = Bm25Reidentifier(corpus.store), Bm25Reidentifier(own)
+    apart = compute_idf(Corpus(corpus.records, own))
+    assert (apart.doc_count, apart.df) == (count, df)
+    for record, row in zip(corpus.records, rows):
+        mask = np.resize(np.array(bits, dtype=np.int8), len(record.document))
+        want = naive_okapi(profiles, record.document, mask, 1.5, 0.75).tobytes()
+        for document in (record.document, tokenize(row["document"])):
+            assert [ranker.scores(document, mask).tobytes() for ranker in rankers] == [want, want]
 
 
 @pytest.mark.parametrize("entry, part", [
@@ -376,7 +428,7 @@ def test_profile_duplicate_keys_rejected():
 
 
 def test_idf_term_in_every_document_is_zero():
-    table = IdfTable.from_token_documents([["x", "a"], ["x", "b"], ["x", "c"], ["x", "d"]])
+    table = IdfTable(*document_frequencies([["x", "a"], ["x", "b"], ["x", "c"], ["x", "d"]]))
     assert table.idf("x") == pytest.approx(math.log(5 / 5), abs=0)
     assert table.idf("x") == 0.0
 
@@ -384,7 +436,7 @@ def test_idf_term_in_every_document_is_zero():
 def test_idf_rare_term_value():
     docs = [["common"] for _ in range(99)]
     docs[0] = ["common", "rare"]
-    table = IdfTable.from_token_documents(docs)
+    table = IdfTable(*document_frequencies(docs))
     assert table.doc_count == 99
     assert table.idf("rare") == pytest.approx(3.912023005428146, abs=1e-12)
 
@@ -392,11 +444,18 @@ def test_idf_rare_term_value():
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.lists(st.sampled_from(["a", "b", "c", "d", "e", "f", "g"]), max_size=8), max_size=12))
 def test_idf_counting_matches_the_term_by_term_loop(docs):
-    table = IdfTable.from_token_documents(iter(docs))
-    count, df = document_frequencies(docs)
+    store = ProfileStore([Profile("p", (("name", "a b"),))])
+    # a document without words can only be built by hand, as an empty run of ids into a table
+    documents = [tokenize(" ".join(doc)) if doc else Document(np.empty(0, dtype=np.int32), store.table) for doc in docs]
+    table = compute_idf(Corpus([AlignedRecord(document, "p") for document in documents], store))
+    profile = ["name", ":", "a", "b"]
+    count, df = document_frequencies(docs + [profile])
     assert table.doc_count == count
     assert table.df == df
-    assert list(table.df) == list(df)
+    # terms come in the order the store's table first took them in: the linearization's ":" and "|",
+    # then the profile's terms, then the documents' in record order
+    seen = dict.fromkeys([":", "|", *profile, *(term for doc in docs for term in doc)])
+    assert list(table.df) == [term for term in seen if term in df]
 
 
 def test_idf_rarest_term_is_maximal(tmp_path):

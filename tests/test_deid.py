@@ -173,9 +173,8 @@ def test_greedy_masks_only_grow_and_steps_match():
     for j in result.order:
         assert j not in seen
         seen.add(j)
-        token = doc.tokens[j]
-        assert not token.is_punctuation
-        assert token.normalized not in DEFAULT_STOPWORDS
+        assert not doc.punctuation[j]
+        assert doc.normalized()[j] not in DEFAULT_STOPWORDS
 
 
 def test_greedy_success_audited_by_rescoring(toy_corpus, toy_model):
@@ -202,7 +201,7 @@ def test_greedy_include_stopwords_flag(toy_corpus, toy_model):
     true_index = toy_corpus.store.index_of(rec.profile_id)
     no_stop = greedy_deidentify(toy_model, rec.document, true_index, k=2, stopwords=frozenset())
     for j in no_stop.order:
-        assert not rec.document.tokens[j].is_punctuation  # punctuation still excluded
+        assert not rec.document.punctuation[j]  # punctuation still excluded
 
 
 def test_greedy_rejects_bad_arguments(toy_corpus, toy_model):
@@ -483,7 +482,7 @@ def test_idf_baseline_extremes(toy_corpus):
     doc = toy_corpus.records[0].document
     assert idf_baseline(doc, table, float("inf")).mask.sum() == 0
     full = idf_baseline(doc, table, 0.0)
-    n_non_punct = sum(not t.is_punctuation for t in doc.tokens)
+    n_non_punct = int((~doc.punctuation).sum())
     assert full.mask.sum() == n_non_punct
     assert np.array_equal(idf_baseline(doc, table, -float("inf")).mask, full.mask)
     profile = toy_corpus.store.get(toy_corpus.records[0].profile_id)
@@ -496,14 +495,11 @@ def test_idf_baseline_extremes(toy_corpus):
 def test_idf_baseline_median_threshold_matches_filter(toy_corpus):
     table = compute_idf(toy_corpus)
     doc = toy_corpus.records[1].document
-    values = sorted(table.idf(t.normalized) for t in doc.tokens if not t.is_punctuation)
+    words = [(j, t) for j, (t, punctuation) in enumerate(zip(doc.normalized(), doc.punctuation)) if not punctuation]
+    values = sorted(table.idf(t) for _, t in words)
     threshold = values[len(values) // 2]
     result = idf_baseline(doc, table, threshold)
-    expected = {
-        j
-        for j, t in enumerate(doc.tokens)
-        if not t.is_punctuation and table.idf(t.normalized) >= threshold
-    }
+    expected = {j for j, t in words if table.idf(t) >= threshold}
     assert set(np.flatnonzero(result.mask)) == expected
 
 
@@ -534,7 +530,7 @@ def test_idf_table_aware_order_is_nonincreasing_idf(toy_corpus):
     profile = toy_corpus.store.get(rec.profile_id)
     result = idf_table_aware_baseline(rec.document, profile, table, 1.0)
     lexical_count = len(lexical_baseline(rec.document, profile).order)
-    idf_sequence = [table.idf(rec.document.tokens[j].normalized) for j in result.order[lexical_count:]]
+    idf_sequence = [table.idf(rec.document.normalized()[j]) for j in result.order[lexical_count:]]
     assert idf_sequence == sorted(idf_sequence, reverse=True)
 
 
@@ -554,7 +550,7 @@ def test_ner_baseline_tag_length_mismatch():
 def test_rule_tagger_masks_capitalized_non_initial():
     doc = tokenize("He played for Chelsea in London")
     result = ner_baseline(doc)
-    masked_surfaces = {doc.tokens[j].surface for j in np.flatnonzero(result.mask)}
+    masked_surfaces = {doc.surfaces()[j] for j in np.flatnonzero(result.mask)}
     assert masked_surfaces == {"Chelsea", "London"}
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from deident.corpus import Profile, ProfileStore, Vocabulary, _linearize, _TokenTable, tokenize
+from deident.corpus import Profile, ProfileStore, Vocabulary, tokenize
 from deident.encoder import (
     Bags,
     CheckpointError,
@@ -20,7 +20,14 @@ from deident.encoder import (
 )
 from deident.reid import NeuralReidentifier
 
-from oracles import ChunkedSegmentSum, UniqueDenseBags, document_row_indices, mean_rows, score_and_normalize
+from oracles import (
+    ChunkedSegmentSum,
+    UniqueDenseBags,
+    document_row_indices,
+    linearize,
+    mean_rows,
+    score_and_normalize,
+)
 
 
 def small_vocab(extra=()):
@@ -98,10 +105,10 @@ def test_encode_profile_identity_and_difference(params):
 def test_encode_profile_truncation_equivalence(params):
     long_value = " ".join(["alpha"] * 300)
     profile = Profile(id="a", entries=(("name", long_value), ("extra", "beta")))
-    truncated = _linearize(profile, _TokenTable())
+    truncated = linearize(profile)
     assert len(truncated) <= 128
     direct = build_profile_matrix(params, ProfileStore([profile]))
-    rows = params.vocab.indices([t.normalized for t in truncated])
+    rows = params.vocab.indices([term for _, term, _ in truncated])
     manual = Bags(rows, [len(rows)]).mean(params.embeddings) @ params.profile_proj.astype(np.float64)
     assert np.array_equal(direct, manual)
 

@@ -1,5 +1,4 @@
 import json
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,9 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deident.cli import _write_jsonl
-from deident.corpus import IdfTable, Profile, ProfileStore, Vocabulary, _linearize, _TokenTable, tokenize
+from deident.corpus import IdfTable, Profile, ProfileStore, Vocabulary, tokenize
 from deident.encoder import init_params, rank_of
 from deident.reid import Bm25Reidentifier, NeuralReidentifier, ensemble_evaluate
+
+from conftest import store_terms
+from oracles import document_frequencies, naive_okapi
 
 
 @pytest.fixture()
@@ -68,7 +70,8 @@ def test_bm25_nonnegative_and_zero_iff_no_overlap(hand_store, rng):
     # terms present in every profile (df == D) have smoothed idf exactly 0
     # and cannot contribute, so overlap is judged on positive-idf terms
     model = Bm25Reidentifier(hand_store)
-    profile_terms = [set(terms) for terms in hand_store.terms]
+    profile_terms = [set(terms) for terms in store_terms(hand_store)]
+    idf_table = IdfTable(*document_frequencies(store_terms(hand_store)))
     pool = ["fenwick", "dover", "farmer", "qqq", "zzz", "name", "the"]
     for _ in range(40):
         words = [pool[int(rng.integers(len(pool)))] for _ in range(5)]
@@ -77,31 +80,9 @@ def test_bm25_nonnegative_and_zero_iff_no_overlap(hand_store, rng):
         assert np.all(scores >= 0)
         for i, terms in enumerate(profile_terms):
             overlap = {
-                t for t in terms & set(doc.normalized()) if model.idf_table.idf(t) > 0
+                t for t in terms & set(doc.normalized()) if idf_table.idf(t) > 0
             }
             assert (scores[i] > 0) == bool(overlap)
-
-
-def naive_okapi(store, document, mask, k1, b):
-    """Okapi BM25 one term and one profile at a time, as a plain loop."""
-    docs = [[t.normalized for t in _linearize(p, _TokenTable())] for p in store]
-    term_freqs = [Counter(d) for d in docs]
-    lengths = np.array([len(d) for d in docs], dtype=np.float64)
-    avg_length = float(lengths.mean())
-    idf_table = IdfTable.from_token_documents(docs)
-    if mask is None:
-        terms = sorted(set(document.normalized()))
-    else:
-        terms = sorted({t.normalized for t, bit in zip(document.tokens, mask) if not bit})
-    scores = np.zeros(len(store), dtype=np.float64)
-    norm = k1 * (1.0 - b + b * lengths / avg_length)
-    for term in terms:
-        idf = idf_table.idf(term)
-        for i, tf_map in enumerate(term_freqs):
-            tf = tf_map.get(term)
-            if tf:
-                scores[i] += idf * tf * (k1 + 1.0) / (tf + norm[i])
-    return scores
 
 
 # "qqq" and "zzz" are never in a profile; ":" is in every one (df = D)
