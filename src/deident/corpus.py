@@ -6,7 +6,7 @@ A corpus file is UTF-8 JSONL with one object per line:
 
 Documents are tokenized at the word level (whitespace split, punctuation runs
 standalone) through one term table per load and held as int32 surface ids; the
-store holds its profiles linearized as term ids. IDF and BM25 count over arrays.
+store holds its profiles linearized as term ids. IDF counts by term id; BM25 shares its formula.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import re
 import sys
 import zlib
 from array import array
-from itertools import compress, islice
+from itertools import islice
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -167,7 +167,6 @@ class _TermTable(dict):
         self.norms = array("i")
         self.punct = array("b")
         self.term_ids: dict[str, int] = {}
-        self.vocabulary_rows: dict[Vocabulary, np.ndarray] = {}  # each Vocabulary's `rows` of this table
         self._arrays = np.empty(0, dtype=np.int32), np.empty(0, dtype=bool)
 
     def __missing__(self, text: str | tuple[str, str]) -> bytes | tuple[str, str]:
@@ -224,10 +223,10 @@ def tokenize(text: str) -> Document:
     return _tokenize(text, _TermTable())
 
 
-def _linearize(profile: Profile, table: _TermTable, max_tokens: int = MAX_PROFILE_TOKENS) -> bytes:
+def _linearize(profile: Profile, table: _TermTable) -> bytes:
     """Render a profile as the surface ids of "key : value | key : value ...", through `table`, as packed int32 bytes.
 
-    Whole trailing entries are dropped until the sequence fits max_tokens.
+    Whole trailing entries are dropped until the sequence fits MAX_PROFILE_TOKENS.
     The first entry is kept even if it must be clipped hard.
     """
     if not profile.entries:
@@ -243,14 +242,14 @@ def _linearize(profile: Profile, table: _TermTable, max_tokens: int = MAX_PROFIL
             raise CorpusError("no tokens in input text")
         tokens = (len(key_ids) + len(value_ids)) // 4 + 1  # key, colon, value
         if parts:
-            full = full or kept + 1 + tokens > max_tokens
+            full = full or kept + 1 + tokens > MAX_PROFILE_TOKENS
             if full:
                 continue
             parts.append(separator)
             kept += 1
         parts += key_ids, colon, value_ids
         kept += tokens
-    return b"".join(parts)[: 4 * max_tokens]
+    return b"".join(parts)[: 4 * MAX_PROFILE_TOKENS]
 
 
 def _text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
@@ -370,30 +369,39 @@ def load_sidecar(path: str | Path, redacted: list[dict]) -> list[dict]:
     return rows
 
 
-class IdfTable:
-    """Smoothed inverse document frequency statistics.
+def smoothed_idf(doc_count: int, df: np.ndarray) -> np.ndarray:
+    """ln((1 + D) / (1 + d)) of each count d in df, over D = doc_count documents: one `math.log` per distinct d."""
+    by_count = np.zeros(doc_count + 1)
+    for d in np.flatnonzero(np.bincount(df)).tolist():
+        by_count[d] = math.log((1 + doc_count) / (1 + d))
+    return by_count[df]
 
-    idf(t) = ln((1 + D) / (1 + df(t))), which is 0 for a term present in
-    every document and maximal (ln(1 + D)) for unseen terms.
+
+class IdfTable:
+    """Smoothed inverse document frequency statistics over the term ids of `table`.
+
+    `df[t]` counts the documents holding term id t; idf(t) is `smoothed_idf` of that count, 0 for a term in every
+    document. A term in none, or that the table lacks or took in after the count, reads `max_idf`, ln(1 + D).
     """
 
-    def __init__(self, doc_count: int, df: dict[str, int]):
+    def __init__(self, doc_count: int, df: np.ndarray, table: _TermTable):
         self.doc_count = doc_count
         self.df = df
+        self.table = table
+        self._idf = smoothed_idf(doc_count, np.append(df, 0)).tolist()  # by term id, then an unseen term's
+        self.max_idf = self._idf[-1]
 
     def idf(self, term: str) -> float:
-        return math.log((1 + self.doc_count) / (1 + self.df.get(term, 0)))
+        return self._idf[min(self.table.term_ids.get(term, len(self.df)), len(self.df))]
 
     @property
-    def max_idf(self) -> float:
-        return math.log(1 + self.doc_count)
+    def terms(self) -> list[str]:
+        """The counted terms, those of df > 0, in term-id order."""
+        return list(map(self.table.terms.__getitem__, np.flatnonzero(self.df).tolist()))
 
 
 def compute_idf(corpus: Corpus) -> IdfTable:
-    """IDF over documents and linearized profiles, from term ids in the store's table (a foreign document joins it).
-
-    `df` lists its terms by term id, in the order the table first took them in.
-    """
+    """IDF over documents and linearized profiles, by term id in the store's table (a foreign document joins it)."""
     table = corpus.store.table
     docs = [d.ids if d.table is table else table.split(d.surfaces()) for d in (r.document for r in corpus.records)]
     ids = np.concatenate([table.arrays()[0].take(np.concatenate([*docs, np.empty(0, np.int32)])), corpus.store.terms])
@@ -405,9 +413,8 @@ def compute_idf(corpus: Corpus) -> IdfTable:
     repeated = keys[1:] == keys[:-1]
     keys %= width
     # each term counts once per document: all its keys, less those repeating the key before them
-    df = (np.bincount(keys, minlength=width) - np.bincount(keys[1:][repeated], minlength=width)).tolist()
-    del keys, repeated  # before the dict is built
-    return IdfTable(len(lengths), dict(zip(compress(table.terms, df), filter(None, df))))
+    df = np.bincount(keys, minlength=width) - np.bincount(keys[1:][repeated], minlength=width)
+    return IdfTable(len(lengths), df, table)
 
 
 def check_mask(mask: np.ndarray | Sequence[int], n: int) -> np.ndarray:
@@ -468,7 +475,7 @@ def corpus_stats(corpus: Corpus) -> dict:
     return {
         "records": len(corpus.records),
         "profiles": len(corpus.store),
-        "vocab_size": len(idf.df),
+        "vocab_size": len(idf.terms),
         "idf_documents": idf.doc_count,
         "mean_doc_tokens": sum(lengths) / len(lengths),
         "max_doc_tokens": max(lengths),
@@ -506,14 +513,6 @@ class Vocabulary:
         get, mask = self._index.get, self.mask_index
         return np.array([get(t, mask) for t in terms], dtype=np.int64)
 
-    def rows(self, table: _TermTable) -> np.ndarray:
-        """The row of each of table's terms, by term id: `indices(table.terms)`, kept in table until it gains a term."""
-        table.arrays()  # brings table.terms up to date
-        rows = table.vocabulary_rows.get(self)
-        if rows is None or len(rows) != len(table.terms):
-            rows = table.vocabulary_rows[self] = self.indices(table.terms)
-        return rows
-
     @classmethod
     def from_corpus(cls, corpus: Corpus) -> "Vocabulary":
-        return cls(sorted(compute_idf(corpus).df))  # the terms of documents and linearized profiles
+        return cls(sorted(compute_idf(corpus).terms))  # the terms of documents and linearized profiles

@@ -9,8 +9,8 @@ scores are plain dot products, normalized with a numerically stable
 softmax.
 
 Each kind of input has one token-mean product. Both bag operators take their
-bags as (flat, lengths): the bags' embedding rows back to back (term ids
-mapped by `Vocabulary.rows`), and each bag's count of them. A training batch
+bags as (flat, lengths): the bags' embedding rows back to back (terms
+mapped by `Vocabulary.indices`), and each bag's count of them. A training batch
 of documents goes through `DenseBags`, a dense (bag x touched rows) weight
 matrix, so the batch is one GEMM. A single document is scored by
 `reid.DocumentScorer`, the same product over its distinct rows. Profile
@@ -220,7 +220,7 @@ class DenseBags:
 
 def profile_bags(vocab: Vocabulary, store: ProfileStore) -> Bags:
     """Bags of the store's linearized profile terms, one per profile in store order."""
-    return Bags(vocab.rows(store.table).take(store.terms), store.lengths)
+    return Bags(vocab.indices(store.table.terms).take(store.terms), store.lengths)
 
 
 def profile_matrix(params: ModelParams, profiles: Bags) -> np.ndarray:

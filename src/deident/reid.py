@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Document, ProfileStore, check_mask
+from .corpus import Document, ProfileStore, check_mask, smoothed_idf
 from .encoder import ModelParams, build_profile_matrix, distinct_rows, load_checkpoint, rank_of, softmax
 
 
@@ -53,7 +53,7 @@ class DocumentScorer:
 
     def __init__(self, model: NeuralReidentifier, document: Document):
         self._matrix, self._proj, self._n, vocab = model.matrix, model.doc_proj, len(document), model.params.vocab
-        rows = np.append(vocab.rows(document.table).take(document.terms), vocab.mask_index)
+        rows = np.append(vocab.indices(document.normalized()), vocab.mask_index)
         unique, self._slot = distinct_rows(rows)
         self._counts = np.bincount(self._slot, minlength=len(unique))
         self._emb = model.params.embeddings[unique].astype(np.float64)
@@ -106,14 +106,11 @@ class Bm25Reidentifier:
         term, self._profiles = np.divmod(keys, n)
         df = np.bincount(term, minlength=len(store.table.terms))
         self._bounds = np.append(0, np.cumsum(df))
-        idf = np.zeros(n + 1)
-        for d in np.flatnonzero(np.bincount(df)).tolist():  # IdfTable.idf's math.log, once per distinct df
-            idf[d] = math.log((1 + n) / (1 + d))
         norm = k1 * (1.0 - b + b * lengths / float(lengths.mean()))
         tf = tf.astype(np.float64)
         # the Okapi term of each pair, with the float operations in the order a
         # term-by-term loop uses, so the summed scores match that loop bit for bit
-        self._weights = idf[df[term]] * tf * (k1 + 1.0) / (tf + norm[self._profiles])
+        self._weights = smoothed_idf(n, df)[term] * tf * (k1 + 1.0) / (tf + norm[self._profiles])
 
     def query_terms(self, document: Document, mask=None) -> list[str]:
         arr = check_mask(np.zeros(len(document)) if mask is None else mask, len(document))

@@ -79,6 +79,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.embed_dim < 1:
             raise ValueError("embed_dim must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 0.0 <= self.heldout_fraction < 1.0:
             raise ValueError("heldout_fraction must be in [0, 1)")
 
@@ -273,7 +275,7 @@ def train(
         vocab, dim=config.embed_dim, seed=config.seed, label_smoothing=config.label_smoothing
     )
     n = len(corpus.records)
-    base_rows = [vocab.rows(rec.document.table).take(rec.document.terms) for rec in corpus.records]
+    base_rows = [vocab.indices(rec.document.normalized()) for rec in corpus.records]
     doc_lengths = np.array([len(r) for r in base_rows])
     true_idx = np.array([corpus.store.index_of(rec.profile_id) for rec in corpus.records])
     profiles = profile_bags(vocab, corpus.store)

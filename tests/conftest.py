@@ -38,6 +38,11 @@ def store_terms(store) -> list[list[str]]:
     return [terms[end - n : end] for end, n in zip(ends, store.lengths.tolist())]
 
 
+def idf_counts(idf) -> dict[str, int]:
+    """The oracle's {term: df} of an IdfTable: each term it counted, in term-id order, with its count."""
+    return {idf.table.terms[t]: d for t, d in enumerate(idf.df.tolist()) if d}
+
+
 def write_jsonl(path, rows):
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:

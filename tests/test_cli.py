@@ -582,6 +582,7 @@ BAD_FLAG_VALUES = {
     "train-zero-batch": (["train"], {"batch_size": 0}, "batch_size must be >= 1"),
     "train-nan-lr": (["train"], {"lr": NAN}, "learning_rate must be finite"),
     "train-zero-dim": (["train"], {"embed_dim": 0}, "embed_dim must be >= 1"),
+    "train-negative-seed": (["train"], {"seed": -1}, "seed must be >= 0"),
 }
 
 

@@ -32,10 +32,12 @@ from deident.corpus import (
     load_sidecar,
     tokenize,
 )
+import deident.corpus
 from deident.deid import load_tag_file
-from deident.reid import Bm25Reidentifier
+from deident.encoder import init_params
+from deident.reid import Bm25Reidentifier, NeuralReidentifier
 
-from conftest import store_terms, write_jsonl
+from conftest import idf_counts, store_terms, write_jsonl
 from oracles import document_frequencies, linearize, naive_okapi, split_tokens
 from synthdata import make_corpus_rows, make_distinct_rows
 
@@ -256,14 +258,17 @@ def test_load_corpus_synthetic_thousand(tmp_path):
 def test_distinct_rows_are_seeded_and_mostly_distinct(tmp_path):
     rows = make_distinct_rows(200, seed=3)
     assert rows == make_distinct_rows(200, seed=3) != make_distinct_rows(200, seed=4)
-    df = compute_idf(load_corpus(write_jsonl(tmp_path / "d.jsonl", rows))).df
+    df = idf_counts(compute_idf(load_corpus(write_jsonl(tmp_path / "d.jsonl", rows))))
     assert sum(count == 1 for count in df.values()) > len(df) / 2
 
 
 def _linearized(profile, max_tokens=MAX_PROFILE_TOKENS) -> Document:
-    """The profile's tokens as `ProfileStore` linearizes them, through a fresh term table."""
+    """The profile's tokens as `ProfileStore` linearizes them, through a fresh term table, under max_tokens."""
     table = _TermTable()
-    return Document(np.frombuffer(_linearize(profile, table, max_tokens), dtype=np.int32), table)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(deident.corpus, "MAX_PROFILE_TOKENS", max_tokens)
+        ids = _linearize(profile, table)
+    return Document(np.frombuffer(ids, dtype=np.int32), table)
 
 
 def test_linearize_profile_two_entries():
@@ -392,20 +397,37 @@ def test_a_load_s_term_ids_match_a_plain_split_of_its_text(tmp_path_factory, row
     documents = [[term for _, term, _ in split_tokens(row["document"])] for row in rows]
     count, df = document_frequencies(documents + linearized)
     idf = compute_idf(corpus)
-    assert (idf.doc_count, idf.df) == (count, df)
-    assert Vocabulary.from_corpus(corpus).terms == tuple(sorted(df))
+    assert (idf.doc_count, idf_counts(idf)) == (count, df)
+    for term, d in df.items():
+        assert idf.idf(term) == math.log((1 + count) / (1 + d))
+    vocab = Vocabulary.from_corpus(corpus)
+    assert vocab.terms == tuple(sorted(df))
     # a store built without the load's table, and documents split apart, give the same terms, IDF and scores;
     # the own store's table takes in the documents' terms after its ranker is built
     own = ProfileStore(corpus.store.profiles)
     assert store_terms(own) == linearized
     rankers = Bm25Reidentifier(corpus.store), Bm25Reidentifier(own)
+    params = init_params(vocab, dim=4)
+    neural = NeuralReidentifier(params, corpus.store), NeuralReidentifier(params, own)
     apart = compute_idf(Corpus(corpus.records, own))
-    assert (apart.doc_count, apart.df) == (count, df)
+    assert (apart.doc_count, idf_counts(apart)) == (count, df)
     for record, row in zip(corpus.records, rows):
         mask = np.resize(np.array(bits, dtype=np.int8), len(record.document))
         want = naive_okapi(profiles, record.document, mask, 1.5, 0.75).tobytes()
-        for document in (record.document, tokenize(row["document"])):
+        twin = tokenize(row["document"])
+        for document in (record.document, twin):
             assert [ranker.scores(document, mask).tobytes() for ranker in rankers] == [want, want]
+        # an untrained model scores a loaded document and its tokenize twin alike, under either store
+        for model in neural:
+            assert model.scores(record.document, mask).tobytes() == model.scores(twin, mask).tobytes()
+    # terms the table never saw read max_idf, and so do they once the store's table takes them in after the count
+    unseen = ["q" * (1 + max(map(len, corpus.store.table.terms))) + end for end in "ab"]
+    assert idf.max_idf == math.log(1 + count)
+    assert [idf.idf(term) for term in unseen] == [idf.max_idf] * 2
+    corpus.store.table.split(unseen)
+    corpus.store.table.arrays()
+    assert set(unseen) <= corpus.store.table.term_ids.keys()
+    assert [idf.idf(term) for term in unseen] == [idf.max_idf] * 2
 
 
 @pytest.mark.parametrize("entry, part", [
@@ -427,8 +449,15 @@ def test_profile_duplicate_keys_rejected():
         Profile(id="x", entries=(("k", "1"), ("k", "2")))
 
 
+def _idf_of(docs) -> IdfTable:
+    """compute_idf over token documents alone, with a store of no profiles, checked against the oracle's counts."""
+    table = compute_idf(Corpus([AlignedRecord(tokenize(" ".join(doc)), "p") for doc in docs], ProfileStore([])))
+    assert (table.doc_count, idf_counts(table)) == document_frequencies(docs)
+    return table
+
+
 def test_idf_term_in_every_document_is_zero():
-    table = IdfTable(*document_frequencies([["x", "a"], ["x", "b"], ["x", "c"], ["x", "d"]]))
+    table = _idf_of([["x", "a"], ["x", "b"], ["x", "c"], ["x", "d"]])
     assert table.idf("x") == pytest.approx(math.log(5 / 5), abs=0)
     assert table.idf("x") == 0.0
 
@@ -436,7 +465,7 @@ def test_idf_term_in_every_document_is_zero():
 def test_idf_rare_term_value():
     docs = [["common"] for _ in range(99)]
     docs[0] = ["common", "rare"]
-    table = IdfTable(*document_frequencies(docs))
+    table = _idf_of(docs)
     assert table.doc_count == 99
     assert table.idf("rare") == pytest.approx(3.912023005428146, abs=1e-12)
 
@@ -451,11 +480,11 @@ def test_idf_counting_matches_the_term_by_term_loop(docs):
     profile = ["name", ":", "a", "b"]
     count, df = document_frequencies(docs + [profile])
     assert table.doc_count == count
-    assert table.df == df
+    assert idf_counts(table) == df
     # terms come in the order the store's table first took them in: the linearization's ":" and "|",
     # then the profile's terms, then the documents' in record order
     seen = dict.fromkeys([":", "|", *profile, *(term for doc in docs for term in doc)])
-    assert list(table.df) == [term for term in seen if term in df]
+    assert list(idf_counts(table)) == [term for term in seen if term in df]
 
 
 def test_idf_rarest_term_is_maximal(tmp_path):
@@ -470,7 +499,7 @@ def test_idf_rarest_term_is_maximal(tmp_path):
     for doc in token_docs:
         for term in set(doc):
             df[term] = df.get(term, 0) + 1
-    assert df == table.df
+    assert df == idf_counts(table)
     rarest = min(df, key=lambda t: (df[t], t))
     assert table.idf(rarest) == max(table.idf(t) for t in df)
     for term, count in df.items():

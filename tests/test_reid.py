@@ -6,11 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deident.cli import _write_jsonl
-from deident.corpus import IdfTable, Profile, ProfileStore, Vocabulary, tokenize
+from deident.corpus import Corpus, Profile, ProfileStore, Vocabulary, compute_idf, tokenize
 from deident.encoder import init_params, rank_of
 from deident.reid import Bm25Reidentifier, NeuralReidentifier, ensemble_evaluate
 
-from conftest import store_terms
+from conftest import idf_counts, store_terms
 from oracles import document_frequencies, naive_okapi
 
 
@@ -71,7 +71,8 @@ def test_bm25_nonnegative_and_zero_iff_no_overlap(hand_store, rng):
     # and cannot contribute, so overlap is judged on positive-idf terms
     model = Bm25Reidentifier(hand_store)
     profile_terms = [set(terms) for terms in store_terms(hand_store)]
-    idf_table = IdfTable(*document_frequencies(store_terms(hand_store)))
+    idf_table = compute_idf(Corpus([], hand_store))  # over the profiles alone
+    assert (idf_table.doc_count, idf_counts(idf_table)) == document_frequencies(store_terms(hand_store))
     pool = ["fenwick", "dover", "farmer", "qqq", "zzz", "name", "the"]
     for _ in range(40):
         words = [pool[int(rng.integers(len(pool)))] for _ in range(5)]
