@@ -1,23 +1,31 @@
-"""Lexical set-up timing: milliseconds of each stage an IDF + BM25 sweep runs first.
+"""Lexical set-up timing: milliseconds and peak traced memory of each stage an IDF + BM25 sweep runs first.
 
 Loads the corpus (which linearizes its profile store), builds the IDF table
 over documents and profiles and builds the BM25 ranker, timing each stage on
 its own: `load_corpus`, `compute_idf` and `Bm25Reidentifier`. Each repeat
-starts from a fresh load. Prints one JSON line with every repeat's
-milliseconds per stage, their medians and the process's peak RSS in MB
-(`ru_maxrss`), so both come from the same run. BLAS runs on one thread.
-`tests/synthdata.py` writes the corpora: `write_corpus(path, 10000, seed=1)`
-for repetitive text, `make_rows=make_distinct_rows` for mostly distinct text.
+starts from a fresh load, and a full collection after the load, untimed,
+settles the garbage its paused collector leaves, which would otherwise be
+charged to `compute_idf`. One more pass, untimed, runs under `tracemalloc`,
+started just before its load, and records each stage's peak traced MB: what
+the pass holds at its highest during the stage, earlier stages' results
+included. Prints one JSON line with every repeat's milliseconds per stage,
+their medians, the traced peaks and the process's peak RSS in MB
+(`ru_maxrss`, read before the traced pass), so all come from the same run.
+BLAS runs on one thread. `tests/synthdata.py` writes the corpora:
+`write_corpus(path, 10000, seed=1)` for repetitive text,
+`make_rows=make_distinct_rows` for mostly distinct text.
 
     PYTHONPATH=src python3 scripts/lexical_setup_ms.py --corpus big.jsonl --repeats 7
 """
 
 import argparse
+import gc
 import json
 import os
 import resource
 import statistics
 import time
+import tracemalloc
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -33,6 +41,7 @@ def one_pass(path: str) -> dict[str, float]:
     start = time.perf_counter()
     corpus = load_corpus(path)
     seconds["load_corpus"] = time.perf_counter() - start
+    gc.collect()
     start = time.perf_counter()
     compute_idf(corpus)
     seconds["compute_idf"] = time.perf_counter() - start
@@ -40,6 +49,27 @@ def one_pass(path: str) -> dict[str, float]:
     Bm25Reidentifier(corpus.store)
     seconds["bm25"] = time.perf_counter() - start
     return {stage: 1e3 * s for stage, s in seconds.items()}
+
+
+def traced_pass(path: str) -> dict[str, float]:
+    peaks = {}
+
+    def traced(stage, build):
+        tracemalloc.reset_peak()
+        result = build()
+        peaks[stage] = round(tracemalloc.get_traced_memory()[1] / 2**20, 2)
+        return result
+
+    tracemalloc.start()
+    try:
+        corpus = traced("load_corpus", lambda: load_corpus(path))
+        gc.collect()
+        idf = traced("compute_idf", lambda: compute_idf(corpus))
+        traced("bm25", lambda: Bm25Reidentifier(corpus.store))  # with the IDF table held, as a sweep holds it
+        del idf
+    finally:
+        tracemalloc.stop()
+    return peaks
 
 
 def main() -> None:
@@ -55,6 +85,7 @@ def main() -> None:
         "median_ms": {stage: round(statistics.median(p[stage] for p in passes), 2) for stage in STAGES},
         "median_total_ms": round(statistics.median(sum(p.values()) for p in passes), 2),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "traced_peak_mb": traced_pass(args.corpus),
     }))
 
 

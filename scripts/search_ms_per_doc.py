@@ -24,7 +24,7 @@ import time
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-from deident.corpus import Vocabulary, load_corpus  # noqa: E402  (imports numpy)
+from deident.corpus import Vocabulary, compute_idf, load_corpus  # noqa: E402  (imports numpy)
 from deident.deid import _search  # noqa: E402
 from deident.encoder import init_params, load_checkpoint  # noqa: E402
 from deident.reid import NeuralReidentifier  # noqa: E402
@@ -48,7 +48,7 @@ def main() -> None:
     if args.model:
         params = load_checkpoint(args.model)
     else:
-        params = init_params(Vocabulary.from_corpus(corpus), dim=args.untrained_dim, seed=0)
+        params = init_params(Vocabulary.from_idf(compute_idf(corpus)), dim=args.untrained_dim, seed=0)
     model = NeuralReidentifier(params, corpus.store)
     records = [(r.document, corpus.store.index_of(r.profile_id)) for r in corpus.records[: args.records]]
     method = "greedy" if args.beam_width == 1 else "beam"

@@ -32,6 +32,7 @@ MASK_MODES = ("replace", "delete", "collapse")
 
 # Maximum encoded length of a linearized profile, in tokens.
 MAX_PROFILE_TOKENS = 128
+_IDF_BLOCK = 1 << 16  # compute_idf counts the items whose keys start in one window of this many keys at a time
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]+")
 _ALNUM_RE = re.compile(r"[^\W_]")
@@ -400,21 +401,31 @@ class IdfTable:
         return list(map(self.table.terms.__getitem__, np.flatnonzero(self.df).tolist()))
 
 
+def distinct_pairs(ids: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct (term, item) keys term * len(lengths) + item of items whose term ids lie back to back in `ids`,
+    ascending, and flags of where each one's run starts among all keys, which are one int64 array sorted in place."""
+    keys = ids.astype(np.int64)
+    keys *= len(lengths)
+    keys += np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)
+    keys.sort()
+    first = np.append(True, keys[1:] != keys[:-1])
+    return keys[first], first
+
+
 def compute_idf(corpus: Corpus) -> IdfTable:
-    """IDF over documents and linearized profiles, by term id in the store's table (a foreign document joins it)."""
-    table = corpus.store.table
+    """IDF over documents and linearized profiles, by term id in the store's table (a foreign document joins it).
+    Each term counts once per document: the distinct (term, document) pairs of one block at a time add to df."""
+    store, table = corpus.store, corpus.store.table
     docs = [d.ids if d.table is table else table.split(d.surfaces()) for d in (r.document for r in corpus.records)]
-    ids = np.concatenate([table.arrays()[0].take(np.concatenate([*docs, np.empty(0, np.int32)])), corpus.store.terms])
-    width = len(table.terms)
-    lengths = [*map(len, docs), *corpus.store.lengths.tolist()]
-    keys = np.repeat(np.arange(len(lengths)) * width, lengths)
-    keys += ids
-    keys.sort()  # (document, term) keys, in place
-    repeated = keys[1:] == keys[:-1]
-    keys %= width
-    # each term counts once per document: all its keys, less those repeating the key before them
-    df = np.bincount(keys, minlength=width) - np.bincount(keys[1:][repeated], minlength=width)
-    return IdfTable(len(lengths), df, table)
+    terms, offsets, none = table.arrays()[0], np.append(0, np.cumsum(store.lengths)), np.empty(0, np.int32)
+    lengths = np.append(np.fromiter(map(len, docs), np.int64, len(docs)), store.lengths)  # documents, then profiles
+    df = np.zeros(len(table.terms), dtype=np.int64)
+    cuts = np.flatnonzero(np.diff((np.cumsum(lengths) - lengths) // _IDF_BLOCK, prepend=-1)).tolist()
+    for a, b in zip(cuts, [*cuts[1:], len(lengths)]):
+        profiles = store.terms[offsets[max(a - len(docs), 0)] : offsets[max(b - len(docs), 0)]]
+        ids = np.append(terms.take(np.concatenate([*docs[a:b], none])), profiles)
+        np.add.at(df, distinct_pairs(ids, lengths[a:b])[0] // (b - a), 1)
+    return IdfTable(len(docs) + len(store), df, table)
 
 
 def check_mask(mask: np.ndarray | Sequence[int], n: int) -> np.ndarray:
@@ -514,5 +525,5 @@ class Vocabulary:
         return np.array([get(t, mask) for t in terms], dtype=np.int64)
 
     @classmethod
-    def from_corpus(cls, corpus: Corpus) -> "Vocabulary":
-        return cls(sorted(compute_idf(corpus).terms))  # the terms of documents and linearized profiles
+    def from_idf(cls, idf: IdfTable) -> "Vocabulary":
+        return cls(sorted(idf.terms))  # the counted terms of documents and linearized profiles

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Document, ProfileStore, check_mask, smoothed_idf
+from .corpus import Document, ProfileStore, check_mask, distinct_pairs, smoothed_idf
 from .encoder import ModelParams, build_profile_matrix, distinct_rows, load_checkpoint, rank_of, softmax
 
 
@@ -88,10 +88,10 @@ def check_bm25(k1: float, b: float) -> None:
 class Bm25Reidentifier:
     """Okapi BM25 over the store's linearized profile terms, `store.terms`, with smoothed nonnegative IDF.
 
-    Query terms are the normalized unmasked document tokens (mask sentinels are excluded);
-    each distinct query term contributes once. The postings of the store table's term id t,
-    entries `_bounds[t]` to `_bounds[t + 1]` of `_profiles` and `_weights`, list the profiles
-    holding t, in store order, and t's score contribution to each.
+    Query terms are the normalized unmasked document tokens (mask sentinels are excluded); each distinct query term
+    contributes once. The postings of the store table's term id t, entries `_bounds[t]` to `_bounds[t + 1]` of
+    `_profiles` and `_weights`, list the profiles holding t, in store order, and t's score contribution to each.
+    They are built in place from one sorted int64 array of (term, profile) keys, one per entry of `store.terms`.
     """
 
     def __init__(self, store: ProfileStore, k1: float = 1.5, b: float = 0.75):
@@ -100,17 +100,20 @@ class Bm25Reidentifier:
             raise ValueError("profile store is empty")
         self.store = store
         n = len(store)
-        lengths = store.lengths.astype(np.float64)
-        # one key per distinct (term, profile) pair, sorted by term, then profile
-        keys, tf = np.unique(store.terms * np.int64(n) + np.repeat(np.arange(n), store.lengths), return_counts=True)
-        term, self._profiles = np.divmod(keys, n)
+        keys, first = distinct_pairs(store.terms, store.lengths)  # by term, then profile
+        tf = np.diff(np.flatnonzero(np.append(first, True))).astype(np.float64)  # each pair's entries
+        term = keys // n
+        self._profiles = np.subtract(keys, term * n, out=keys)  # each pair's profile, in place
         df = np.bincount(term, minlength=len(store.table.terms))
         self._bounds = np.append(0, np.cumsum(df))
-        norm = k1 * (1.0 - b + b * lengths / float(lengths.mean()))
-        tf = tf.astype(np.float64)
-        # the Okapi term of each pair, with the float operations in the order a
-        # term-by-term loop uses, so the summed scores match that loop bit for bit
-        self._weights = smoothed_idf(n, df)[term] * tf * (k1 + 1.0) / (tf + norm[self._profiles])
+        norm = k1 * (1.0 - b + b * store.lengths / float(store.lengths.mean()))
+        # the Okapi term of each pair, idf * tf * (k1 + 1) / (tf + norm), built in place with the float operations
+        # in the order a term-by-term loop uses, so the summed scores match that loop bit for bit
+        self._weights = smoothed_idf(n, df)[term]
+        del term  # before the gather of norm, so four pair-sized arrays at most are held
+        self._weights *= tf
+        self._weights *= k1 + 1.0
+        self._weights /= np.add(tf, norm[self._profiles], out=tf)
 
     def query_terms(self, document: Document, mask=None) -> list[str]:
         arr = check_mask(np.zeros(len(document)) if mask is None else mask, len(document))

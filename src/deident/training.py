@@ -270,7 +270,8 @@ def train(
     if len(corpus.store) < 2:
         raise ValueError("need at least 2 profiles to train")
     rng = np.random.default_rng(config.seed)
-    vocab = Vocabulary.from_corpus(corpus)
+    idf = compute_idf(corpus)  # one count gives the vocabulary its terms and an IDF mask prior its weights
+    vocab = Vocabulary.from_idf(idf)
     params = init_params(
         vocab, dim=config.embed_dim, seed=config.seed, label_smoothing=config.label_smoothing
     )
@@ -282,9 +283,8 @@ def train(
 
     idf_weights = None
     if config.mask_prior == "idf":
-        table = compute_idf(corpus)
         idf_weights = [
-            np.array([table.idf(t) for t in rec.document.normalized()], dtype=np.float64)
+            np.array([idf.idf(t) for t in rec.document.normalized()], dtype=np.float64)
             for rec in corpus.records
         ]
 

@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 
 from deident import cli
 from deident.cli import main
-from deident.corpus import MASK_MODES, CorpusError, Profile, Vocabulary, load_corpus, load_redacted, tokenize
+from deident.corpus import (
+    MASK_MODES, CorpusError, Profile, Vocabulary, compute_idf, load_corpus, load_redacted, tokenize,
+)
 from deident.encoder import CheckpointError, init_params, save_checkpoint
 from deident.training import MASK_PRIORS, TrainConfig
 
@@ -1091,7 +1093,7 @@ def test_evaluate_writes_a_null_utility_when_no_record_is_left(tmp_path, cli_cor
 def test_evaluate_reports_a_null_rate_when_no_record_is_certified(tmp_path, cli_corpus, capsys):
     # an untrained guide at K = 999 certifies nothing, so --success-only keeps no record
     guide = tmp_path / "untrained.ckpt"
-    save_checkpoint(init_params(Vocabulary.from_corpus(load_corpus(cli_corpus)), dim=8, seed=0), guide)
+    save_checkpoint(init_params(Vocabulary.from_idf(compute_idf(load_corpus(cli_corpus))), dim=8, seed=0), guide)
     redacted, sidecar = tmp_path / "redacted.jsonl", tmp_path / "sidecar.jsonl"
     assert main([
         "deidentify", "--corpus", str(cli_corpus), "--model", str(guide), "--k", "999",
@@ -1267,7 +1269,7 @@ def tiny_inputs(tmp_path_factory):
     corpus_path = write_jsonl(root / "corpus.jsonl", make_corpus_rows(4, seed=5))
     redacted, sidecar = _unmasked_redaction(root, corpus_path)
     checkpoint = root / "model.ckpt"
-    vocab = Vocabulary.from_corpus(load_corpus(corpus_path))
+    vocab = Vocabulary.from_idf(compute_idf(load_corpus(corpus_path)))
     save_checkpoint(init_params(vocab, dim=4, seed=0), checkpoint)
     return {
         "root": root, "corpus": corpus_path, "redacted": redacted, "sidecar": sidecar, "checkpoint": checkpoint,

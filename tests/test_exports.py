@@ -8,7 +8,7 @@ from types import ModuleType
 
 import deident
 import deident.cli  # noqa: F401  (the benchmark driver reaches the CLI as deident.cli)
-from deident.corpus import Vocabulary, load_corpus
+from deident.corpus import Vocabulary, compute_idf, load_corpus
 from deident.encoder import init_params, save_checkpoint
 
 from conftest import write_jsonl
@@ -50,7 +50,7 @@ print(json.dumps(sorted(loaded - set(sys.stdlib_module_names) - {"numpy", "deide
 def test_cli_runtime_imports_only_the_standard_library_and_numpy(tmp_path):
     corpus = write_jsonl(tmp_path / "corpus.jsonl", make_corpus_rows(6, seed=2))
     checkpoint = tmp_path / "model.ckpt"
-    save_checkpoint(init_params(Vocabulary.from_corpus(load_corpus(corpus)), dim=4), checkpoint)
+    save_checkpoint(init_params(Vocabulary.from_idf(compute_idf(load_corpus(corpus))), dim=4), checkpoint)
     commands = [
         ["stats", "--corpus", str(corpus)],
         ["deidentify", "--corpus", str(corpus), "--model", str(checkpoint), "--k", "2",

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deident import training
-from deident.corpus import Profile, ProfileStore, Vocabulary, load_corpus, tokenize
+from deident.corpus import Profile, ProfileStore, Vocabulary, compute_idf, load_corpus, tokenize
 from deident.encoder import (
     Bags,
     build_profile_matrix,
@@ -65,6 +65,16 @@ def test_sample_mask_off_prior(tmp_path, monkeypatch):
         calls.clear()
         train(corpus, TrainConfig(epochs=2, embed_dim=8, batch_size=4, heldout_fraction=0.2, mask_prior=prior))
         assert calls == draws
+
+
+def test_idf_prior_training_counts_idf_once(tmp_path, monkeypatch):
+    # one IdfTable gives the vocabulary its terms and the IDF mask prior its weights
+    corpus = load_corpus(write_jsonl(tmp_path / "c.jsonl", make_corpus_rows(12, seed=1)))
+    tables = []
+    monkeypatch.setattr(training, "compute_idf", lambda c: tables.append(compute_idf(c)) or tables[-1])
+    params = train(corpus, TrainConfig(epochs=2, embed_dim=8, batch_size=4, heldout_fraction=0.2, mask_prior="idf"))
+    assert len(tables) == 1
+    assert params.vocab.terms == Vocabulary.from_idf(compute_idf(corpus)).terms
 
 
 def test_sample_mask_count_distribution(rng):
@@ -608,7 +618,7 @@ def test_training_is_deterministic(tmp_path, toy_corpus):
 
 
 def test_profile_index_matrix_matches_row_encoding(toy_corpus):
-    vocab = Vocabulary.from_corpus(toy_corpus)
+    vocab = Vocabulary.from_idf(compute_idf(toy_corpus))
     params = init_params(vocab, dim=16, seed=2)
     bags = profile_bags(vocab, toy_corpus.store)
     fast = bags.mean(params.embeddings) @ params.profile_proj.astype(np.float64)
