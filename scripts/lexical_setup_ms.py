@@ -65,7 +65,7 @@ def traced_pass(path: str) -> dict[str, float]:
         corpus = traced("load_corpus", lambda: load_corpus(path))
         gc.collect()
         idf = traced("compute_idf", lambda: compute_idf(corpus))
-        traced("bm25", lambda: Bm25Reidentifier(corpus.store))  # with the IDF table held, as a sweep holds it
+        traced("bm25", lambda: Bm25Reidentifier(corpus.store))  # with the IDF table still held
         del idf
     finally:
         tracemalloc.stop()

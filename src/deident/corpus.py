@@ -417,13 +417,14 @@ def compute_idf(corpus: Corpus) -> IdfTable:
     Each term counts once per document: the distinct (term, document) pairs of one block at a time add to df."""
     store, table = corpus.store, corpus.store.table
     docs = [d.ids if d.table is table else table.split(d.surfaces()) for d in (r.document for r in corpus.records)]
-    terms, offsets, none = table.arrays()[0], np.append(0, np.cumsum(store.lengths)), np.empty(0, np.int32)
+    terms = table.arrays()[0]  # read once every foreign document is split
+    offsets = np.append(0, np.cumsum(store.lengths))
     lengths = np.append(np.fromiter(map(len, docs), np.int64, len(docs)), store.lengths)  # documents, then profiles
     df = np.zeros(len(table.terms), dtype=np.int64)
     cuts = np.flatnonzero(np.diff((np.cumsum(lengths) - lengths) // _IDF_BLOCK, prepend=-1)).tolist()
     for a, b in zip(cuts, [*cuts[1:], len(lengths)]):
         profiles = store.terms[offsets[max(a - len(docs), 0)] : offsets[max(b - len(docs), 0)]]
-        ids = np.append(terms.take(np.concatenate([*docs[a:b], none])), profiles)
+        ids = np.append(terms.take(np.concatenate([*docs[a:b], np.empty(0, np.int32)])), profiles)
         np.add.at(df, distinct_pairs(ids, lengths[a:b])[0] // (b - a), 1)
     return IdfTable(len(docs) + len(store), df, table)
 

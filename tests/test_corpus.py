@@ -459,8 +459,8 @@ def _idf_of(docs) -> IdfTable:
 
 
 def test_lexical_set_up_holds_no_full_size_key_array(tmp_path):
-    # peak traced bytes per corpus entry (document tokens plus linearized profile terms); the former builds, with an
-    # int64 key per entry and copies of the ids, read 15.7 for compute_idf and 14.0 for BM25 on this corpus
+    # peak traced bytes per corpus entry (document tokens plus linearized profile terms): builds that hold an int64 key
+    # per entry beside copies of the ids read above both bounds, 15.7 for compute_idf and 14.0 for BM25 on this corpus
     corpus = load_corpus(write_corpus(tmp_path / "c.jsonl", 5000, seed=1))
     entries = sum(len(record.document) for record in corpus.records) + len(corpus.store.terms)
     per_entry = {}
@@ -468,17 +468,16 @@ def test_lexical_set_up_holds_no_full_size_key_array(tmp_path):
     for stage, build in stages.items():
         tracemalloc.start()
         try:
-            built = build()
+            build()
             per_entry[stage] = tracemalloc.get_traced_memory()[1] / entries
         finally:
             tracemalloc.stop()
-        del built
     assert per_entry["compute_idf"] < 10 and per_entry["bm25"] < 12, per_entry
 
 
 def test_smoothed_idf_takes_math_log_bit_for_bit():
     # np.log is not bit-identical to math.log on every argument, and the IDF mask prior's checkpoints and the BM25
-    # scores depend on which one runs; (20, 19), (40, 34) and (41, 39) are such (documents, count) pairs
+    # scores depend on which one runs; (20, 19), (40, 34) and (41, 39) were such (documents, count) pairs with numpy 2.4
     differ = {}
     for doc_count in range(1, 64):
         for d in range(doc_count + 1):
