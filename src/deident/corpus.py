@@ -389,11 +389,11 @@ class IdfTable:
         self.doc_count = doc_count
         self.df = df
         self.table = table
-        self._idf = smoothed_idf(doc_count, np.append(df, 0)).tolist()  # by term id, then an unseen term's
-        self.max_idf = self._idf[-1]
+        self._idf = smoothed_idf(doc_count, np.append(df, 0))  # by term id, then an unseen term's
+        self.max_idf = self._idf.item(-1)
 
     def idf(self, term: str) -> float:
-        return self._idf[min(self.table.term_ids.get(term, len(self.df)), len(self.df))]
+        return self._idf.item(min(self.table.term_ids.get(term, len(self.df)), len(self.df)))
 
     @property
     def terms(self) -> list[str]:

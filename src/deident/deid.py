@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import CorpusError, Document, IdfTable, Profile, _jsonl_rows, tokenize
+from .corpus import CorpusError, Document, IdfTable, Profile, _jsonl_rows
 from .encoder import rank_of, softmax
 from .stopwords import DEFAULT_STOPWORDS
 
@@ -202,11 +202,14 @@ def _search(model, document, true_index, ks, width, stopwords, method) -> list[R
 
 
 def lexical_baseline(document: Document, profile: Profile) -> RedactionResult:
-    """Mask every non-punctuation word that also occurs in the profile."""
-    texts = (text for key, value in profile.entries for text in (key, str(value)))
-    terms = {t for text in texts for t in tokenize(text).normalized()}
-    order = [j for j, term in _words(document) if term in terms]
-    return _result("lexical", document, order)
+    """Mask every non-punctuation word whose term occurs in a key or value of the profile, each split through
+    the document's table (a loaded profile's fields are in its memo); a field with no tokens raises CorpusError."""
+    fields = [document.table[text] for key, value in profile.entries for text in (key, str(value))]
+    if not all(fields):
+        raise CorpusError("no tokens in input text")
+    terms = document.table.arrays()[0].take(np.frombuffer(b"".join(fields), dtype=np.int32))
+    overlap = np.isin(document.terms, terms) & ~document.punctuation
+    return _result("lexical", document, np.flatnonzero(overlap).tolist())
 
 
 def _result(

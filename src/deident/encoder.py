@@ -62,7 +62,6 @@ class ModelParams:
     embeddings: np.ndarray
     doc_proj: np.ndarray
     profile_proj: np.ndarray
-    label_smoothing: float = 0.0
 
     @property
     def dim(self) -> int:
@@ -80,7 +79,6 @@ def init_params(
     vocab: Vocabulary,
     dim: int = 64,
     seed: int = 0,
-    label_smoothing: float = 0.0,
     dtype: np.dtype = np.float32,
 ) -> ModelParams:
     """Randomly initialize parameters; deterministic for a fixed seed.
@@ -96,13 +94,7 @@ def init_params(
     embeddings = rng.standard_normal((vocab.n_rows, dim)).astype(dtype)
     doc_proj = (rng.standard_normal((dim, dim)) * proj_scale).astype(dtype)
     profile_proj = (rng.standard_normal((dim, dim)) * proj_scale).astype(dtype)
-    return ModelParams(
-        vocab=vocab,
-        embeddings=embeddings,
-        doc_proj=doc_proj,
-        profile_proj=profile_proj,
-        label_smoothing=label_smoothing,
-    )
+    return ModelParams(vocab=vocab, embeddings=embeddings, doc_proj=doc_proj, profile_proj=profile_proj)
 
 
 def distinct_rows(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -269,7 +261,6 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
         "version": CHECKPOINT_VERSION,
         "dim": params.dim,
         "out_dim": params.out_dim,
-        "label_smoothing": params.label_smoothing,
         "terms": list(params.vocab.terms),
         "arrays": _layout([arr.shape for arr in arrays]),
     }
@@ -281,7 +272,10 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
-    """Load a checkpoint; reject unknown versions, `arrays` but `_layout`, payloads not that size, non-finite values."""
+    """Load a checkpoint; reject unknown versions, `arrays` but `_layout`, payloads not that size, non-finite values.
+
+    Only the header keys it needs are read, so an older writer's `label_smoothing` is ignored.
+    """
     with open(path, "rb") as fh:
         header_line = fh.readline()
         try:
@@ -312,10 +306,7 @@ def load_checkpoint(path: str | Path) -> ModelParams:
             fh.readinto(arr.data.cast("B"))
             if not np.isfinite(arr).all():
                 raise CheckpointError(f"array {name!r} has non-finite values")
-    label_smoothing = header.get("label_smoothing")
-    if not isinstance(label_smoothing, (int, float)) or isinstance(label_smoothing, bool):
-        raise CheckpointError("checkpoint header field 'label_smoothing' is missing or not a number")
-    return ModelParams(vocab, *arrays, label_smoothing=float(label_smoothing))
+    return ModelParams(vocab, *arrays)
 
 
 def _header_vocabulary(header: dict) -> Vocabulary:

@@ -272,9 +272,7 @@ def train(
     rng = np.random.default_rng(config.seed)
     idf = compute_idf(corpus)  # one count gives the vocabulary its terms and an IDF mask prior its weights
     vocab = Vocabulary.from_idf(idf)
-    params = init_params(
-        vocab, dim=config.embed_dim, seed=config.seed, label_smoothing=config.label_smoothing
-    )
+    params = init_params(vocab, dim=config.embed_dim, seed=config.seed)
     n = len(corpus.records)
     base_rows = [vocab.indices(rec.document.normalized()) for rec in corpus.records]
     doc_lengths = np.array([len(r) for r in base_rows])

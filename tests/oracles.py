@@ -6,7 +6,8 @@ smoothed target vector and its cross entropy, a dense embedding gradient,
 a one-batch SGD driver over per-document row arrays, a per-document
 token mean, one document encoded as a one-bag `DenseBags` batch, a text
 split by one plain pattern, a profile linearized entry by entry, a
-term-by-term document-frequency count, BM25 one term and one profile at a
+profile's overlap with a document field by field, a term-by-term
+document-frequency count, BM25 one term and one profile at a
 time, and a search that rebuilds each audited document from a row copy.
 Three more are earlier forms of library kernels, kept verbatim as
 bit-for-bit references: a chunked segment sum, a `np.lexsort` mask draw and
@@ -25,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from deident.corpus import MAX_PROFILE_TOKENS, CorpusError, Document, Profile, Vocabulary, check_mask
+from deident.corpus import MAX_PROFILE_TOKENS, CorpusError, Document, Profile, Vocabulary, check_mask, tokenize
 from deident.deid import _result, candidate_positions
 from deident.encoder import Bags, DenseBags, ModelParams, profile_bags, rank_of, softmax
 from deident.training import Gradients, TrainConfig, _step
@@ -154,6 +155,14 @@ def linearize(profile: Profile, max_tokens: int = MAX_PROFILE_TOKENS) -> list[tu
             break
         kept += split_tokens("|") + chunk
     return kept[:max_tokens]
+
+
+def lexical_overlap(document: Document, profile: Profile) -> list[int]:
+    """Positions of the document's non-punctuation words whose term is among those of the profile's keys and values,
+    each field split on its own by `tokenize`, which raises CorpusError for a field with no tokens."""
+    terms = {t for key, value in profile.entries for text in (key, str(value)) for t in tokenize(text).normalized()}
+    words = zip(document.normalized(), document.punctuation.tolist())
+    return [j for j, (term, punctuation) in enumerate(words) if not punctuation and term in terms]
 
 
 def document_frequencies(docs: Sequence[Sequence[str]]) -> tuple[int, dict[str, int]]:

@@ -18,11 +18,13 @@ from deident.cli import main
 from deident.corpus import (
     MASK_MODES, CorpusError, Profile, Vocabulary, compute_idf, load_corpus, load_redacted, tokenize,
 )
+from deident.deid import beam_deidentify, greedy_deidentify
 from deident.encoder import CheckpointError, init_params, save_checkpoint
+from deident.reid import NeuralReidentifier
 from deident.training import MASK_PRIORS, TrainConfig
 
 from conftest import write_jsonl
-from oracles import document_frequencies, linearize, naive_okapi, split_tokens
+from oracles import document_frequencies, lexical_overlap, linearize, naive_okapi, split_tokens
 from synthdata import make_corpus_rows, make_distinct_rows, write_corpus
 
 TRAIN_FLAGS = [
@@ -166,6 +168,27 @@ def test_baseline_command_lexical(tmp_path, cli_corpus):
     corpus = load_corpus(cli_corpus)
     row = rows[0]
     assert len(row["mask"]) == len(corpus.records[0].document)
+
+
+@pytest.mark.parametrize("method", ["idf", "idf-table"])
+def test_idf_baselines_list_equal_idf_positions_in_ascending_order(tmp_path, cli_corpus, method):
+    redacted, sidecar = tmp_path / "redacted.jsonl", tmp_path / "sidecar.jsonl"
+    assert main([
+        "baseline", "--corpus", str(cli_corpus), "--method", method, "--idf-threshold", "0",
+        "--out", str(redacted), "--sidecar", str(sidecar),
+    ]) == 0
+    corpus = load_corpus(cli_corpus)
+    table = compute_idf(corpus)
+    ties = 0
+    for record, row in zip(corpus.records, map(json.loads, sidecar.read_text().splitlines())):
+        idf = [table.idf(term) for term in record.document.normalized()]
+        overlap = lexical_overlap(record.document, corpus.store.get(record.profile_id)) if method == "idf-table" else []
+        assert row["order"][: len(overlap)] == overlap
+        rarest_first = row["order"][len(overlap) :]
+        for a, b in zip(rarest_first, rarest_first[1:]):
+            assert idf[a] > idf[b] or (idf[a] == idf[b] and a < b), (record.profile_id, a, b)
+            ties += idf[a] == idf[b]
+    assert ties  # the order has equal-IDF neighbours to check
 
 
 def test_baseline_command_ner_with_tag_file(tmp_path, cli_corpus):
@@ -745,7 +768,7 @@ def test_written_formats_have_their_pinned_keys(tmp_path, cli_corpus, cli_checkp
         frozenset({"id", "method", "k", "steps", "final_rank", "final_prob", "success", "mask", "order"})
     }
     header = json.loads(cli_checkpoint.read_bytes().split(b"\n", 1)[0])
-    assert set(header) == {"version", "dim", "out_dim", "label_smoothing", "terms", "arrays"}
+    assert set(header) == {"version", "dim", "out_dim", "terms", "arrays"}
     assert [set(spec) for spec in header["arrays"]] == [{"name", "shape", "offset", "bytes"}] * 3
     report, utility, pareto = tmp_path / "report.json", tmp_path / "utility.json", tmp_path / "pareto.csv"
     assert main([
@@ -893,13 +916,10 @@ def _fill(name, value):
         _narrow("profile_proj"),
         _fill("embeddings", np.nan),
         _fill("doc_proj", np.inf),
-        lambda h, p: h.update(label_smoothing=None),
-        lambda h, p: h.pop("label_smoothing"),
     ],
     ids=[
         "no-terms", "no-arrays", "terms-str", "arrays-dict", "no-shape",
-        "doc-proj-narrow", "profile-proj-narrow", "nan-embeddings", "inf-doc-proj", "smoothing-null",
-        "no-smoothing",
+        "doc-proj-narrow", "profile-proj-narrow", "nan-embeddings", "inf-doc-proj",
     ],
 )
 def test_incomplete_checkpoint_header_exit_code(tmp_path, cli_corpus, cli_checkpoint, capsys, edit):
@@ -918,6 +938,41 @@ def test_incomplete_checkpoint_header_exit_code(tmp_path, cli_corpus, cli_checkp
     assert len(err_lines) == 1
     assert json.loads(err_lines[0])["error"] == "checkpoint"
     assert not out.exists()
+
+
+def test_deidentify_reads_a_checkpoint_whose_header_carries_label_smoothing(tmp_path, cli_corpus, cli_checkpoint):
+    # earlier writers put the training's label smoothing in the header; the redactions are the same without it
+    header, payload = cli_checkpoint.read_bytes().split(b"\n", 1)
+    old = tmp_path / "old.ckpt"
+    old.write_bytes(json.dumps({**json.loads(header), "label_smoothing": 0.1}, sort_keys=True).encode() + b"\n" + payload)
+    outputs = {}
+    for name, checkpoint in (("current", cli_checkpoint), ("old", old)):
+        redacted, sidecar = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.sidecar.jsonl"
+        assert main([
+            "deidentify", "--corpus", str(cli_corpus), "--model", str(checkpoint), "--k", "2", "--limit", "4",
+            "--out", str(redacted), "--sidecar", str(sidecar),
+        ]) == 0
+        outputs[name] = redacted.read_bytes(), sidecar.read_bytes()
+    assert outputs["old"] == outputs["current"]
+
+
+def test_deidentify_beam_width_two_runs_the_beam_search(tmp_path, cli_corpus, cli_checkpoint):
+    redacted, sidecar = tmp_path / "redacted.jsonl", tmp_path / "sidecar.jsonl"
+    assert main([
+        "deidentify", "--corpus", str(cli_corpus), "--model", str(cli_checkpoint), "--k", "2", "--beam-width", "2",
+        "--limit", "10", "--out", str(redacted), "--sidecar", str(sidecar),
+    ]) == 0
+    rows, sides = load_redacted(redacted), [json.loads(line) for line in sidecar.read_text().splitlines()]
+    assert [row["method"] for row in rows] == [side["method"] for side in sides] == ["beam"] * 10
+    corpus = load_corpus(cli_corpus)
+    model = NeuralReidentifier.from_checkpoint(cli_checkpoint, corpus.store)
+    differs = 0
+    for record, row in zip(corpus.records, rows):
+        index = corpus.store.index_of(record.profile_id)
+        beam = beam_deidentify(model, record.document, index, 2, beam_width=2).mask.tolist()
+        assert row["mask"] == beam
+        differs += beam != greedy_deidentify(model, record.document, index, 2).mask.tolist()
+    assert differs  # on some document width 2 finds another mask than greedy
 
 
 def test_idf_bm25_sweep_linearizes_each_profile_once(tmp_path, cli_corpus, capsys, monkeypatch):

@@ -475,6 +475,20 @@ def test_lexical_set_up_holds_no_full_size_key_array(tmp_path):
     assert per_entry["compute_idf"] < 10 and per_entry["bm25"] < 12, per_entry
 
 
+def test_idf_table_keeps_its_values_as_one_float_array(tmp_path):
+    # what compute_idf leaves held per counted term: df and the IDF by term id, 8 bytes each as int64 and float64;
+    # one Python float object per term, as a list holds them, reads about 40
+    corpus = load_corpus(write_corpus(tmp_path / "c.jsonl", 500, seed=1, make_rows=make_distinct_rows))
+    tracemalloc.start()
+    try:
+        idf = compute_idf(corpus)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept / len(idf.terms) < 24, kept / len(idf.terms)
+    assert type(idf.max_idf) is float and all(type(idf.idf(term)) is float for term in idf.terms[:50])
+
+
 def test_smoothed_idf_takes_math_log_bit_for_bit():
     # np.log is not bit-identical to math.log on every argument, and the IDF mask prior's checkpoints and the BM25
     # scores depend on which one runs; (20, 19), (40, 34) and (41, 39) were such (documents, count) pairs with numpy 2.4

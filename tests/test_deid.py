@@ -1,9 +1,12 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from deident.corpus import CorpusError, Profile, ProfileStore, Vocabulary, compute_idf, tokenize
+from deident.corpus import CorpusError, Profile, ProfileStore, Vocabulary, compute_idf, load_corpus, tokenize
 from deident.deid import (
     _search,
     beam_deidentify,
@@ -24,7 +27,15 @@ from deident.encoder import (
 from deident.reid import NeuralReidentifier
 from deident.stopwords import DEFAULT_STOPWORDS
 
-from oracles import document_row_indices, encode_document, reference_search, score_and_normalize, score_rows
+from conftest import write_jsonl
+from oracles import (
+    document_row_indices,
+    encode_document,
+    lexical_overlap,
+    reference_search,
+    score_and_normalize,
+    score_rows,
+)
 
 
 def random_instance(seed, n_profiles=10, n_words=8):
@@ -462,6 +473,50 @@ def test_lexical_baseline_disjoint_vocabulary():
     doc = tokenize("alpha beta gamma")
     profile = Profile(id="x", entries=(("name", "Zeta Omega"),))
     assert lexical_baseline(doc, profile).mask.sum() == 0
+
+
+# words whose terms meet under casefolding ("Straße" and "STRASSE"), punctuation runs, and digits
+LEXICAL_WORDS = ["John", "john", "JOHN", "Smith", "Straße", "STRASSE", "ß", "née", "NÉE", "ǅ", "ǆ", "x-ray", "42", "-", ","]
+# texts whose words are glued ("John," is two tokens, "JohnSmith" one) or set apart by whitespace
+LEXICAL_TEXTS = st.lists(
+    st.tuples(st.sampled_from(LEXICAL_WORDS), st.sampled_from([" ", "", "\t"])), min_size=1, max_size=6
+).map(lambda parts: "".join(word + gap for word, gap in parts))
+LEXICAL_ENTRIES = st.lists(
+    st.tuples(st.sampled_from(["name", "Name", "city", "note"]), st.one_of(LEXICAL_TEXTS, st.just("John Smith"))),
+    min_size=1, max_size=4, unique_by=lambda entry: entry[0],
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.lists(st.tuples(LEXICAL_TEXTS, LEXICAL_ENTRIES), min_size=1, max_size=3), foreign=LEXICAL_ENTRIES)
+@example(  # repeated fields: one value under two keys and in two profiles, and a key that is another's value
+    rows=[("john smith, JOHN", [("name", "John Smith"), ("note", "John Smith")]), ("city name", [("city", "name")])],
+    foreign=[("name", "Straße -")],
+)
+def test_lexical_baseline_matches_the_per_field_overlap(rows, foreign):
+    with tempfile.TemporaryDirectory() as tmp:
+        records = [{"id": f"r{i}", "document": text, "profile": entries} for i, (text, entries) in enumerate(rows)]
+        corpus = load_corpus(write_jsonl(Path(tmp) / "corpus.jsonl", records))
+    table = corpus.store.table
+    before = len(table), len(table.surfaces)
+    for record, (text, _) in zip(corpus.records, rows):
+        profile = corpus.store.get(record.profile_id)
+        expected = lexical_overlap(record.document, profile)
+        assert lexical_baseline(record.document, profile).order == expected
+        # the same words split through a table of their own, which the loaded profile's fields join
+        assert lexical_baseline(tokenize(text), profile).order == expected
+    assert (len(table), len(table.surfaces)) == before  # a loaded profile's fields were all in the load's memo
+    other = Profile("other", tuple(foreign))  # a profile from elsewhere adds its surfaces to the load's table
+    for record in corpus.records:
+        assert lexical_baseline(record.document, other).order == lexical_overlap(record.document, other)
+
+
+@pytest.mark.parametrize("entries", [(("name", " \t"),), (("", "Ann"),), (("name", "Ann"), ("note", ""))])
+def test_lexical_baseline_refuses_a_field_without_tokens(entries):
+    document, profile = tokenize("Ann is here ."), Profile("x", entries)
+    for overlap in (lexical_baseline, lexical_overlap):
+        with pytest.raises(CorpusError, match="^no tokens in input text$"):
+            overlap(document, profile)
 
 
 def test_lexical_baseline_mean_fraction_reported(desk_corpus):

@@ -280,7 +280,24 @@ def test_checkpoint_round_trip(tmp_path, params):
     assert np.array_equal(loaded.doc_proj, params.doc_proj)
     assert np.array_equal(loaded.profile_proj, params.profile_proj)
     assert loaded.vocab.terms == params.vocab.terms
-    assert loaded.label_smoothing == params.label_smoothing
+
+
+def test_checkpoint_whose_header_carries_label_smoothing_loads_the_same(tmp_path, params):
+    # earlier writers put the training's label smoothing in the header, between "dim" and "out_dim" in key order
+    path, old, again = tmp_path / "model.ckpt", tmp_path / "old.ckpt", tmp_path / "again.ckpt"
+    save_checkpoint(params, path)
+    header, payload = path.read_bytes().split(b"\n", 1)
+    header = {**json.loads(header), "label_smoothing": 0.15}
+    old.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+    current, loaded = load_checkpoint(path), load_checkpoint(old)
+    assert loaded.vocab.terms == current.vocab.terms
+    for name in ("embeddings", "doc_proj", "profile_proj"):
+        assert getattr(loaded, name).tobytes() == getattr(current, name).tobytes()
+    document = tokenize("alpha gamma beta")
+    scores = [small_reidentifier(model).scores(document).tobytes() for model in (current, loaded)]
+    assert scores[0] == scores[1]
+    save_checkpoint(loaded, again)  # saved again, it is the current format
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_checkpoint_save_is_byte_stable(tmp_path, params):

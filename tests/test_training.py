@@ -15,7 +15,9 @@ from deident.encoder import (
     build_profile_matrix,
     init_params,
     profile_bags,
+    profile_matrix,
     rank_of,
+    save_checkpoint,
 )
 from deident.training import (
     TrainConfig,
@@ -583,6 +585,41 @@ def test_training_log_gradient_columns(tmp_path, toy_corpus, monkeypatch):
         assert float(row["grad_norm_p50"]) == np.median(epoch_norms)
         assert float(row["grad_norm_max"]) == epoch_norms.max()
         assert float(row["clip_fraction"]) == np.mean(epoch_norms > config.clip_norm)
+
+
+def test_training_log_lr_follows_warmup_then_linear_decay(tmp_path, toy_corpus):
+    log_path = tmp_path / "log.csv"
+    config = TrainConfig(epochs=8, embed_dim=8, seed=0, learning_rate=1.5, warmup_epochs=3)
+    train(toy_corpus, config, log_path=log_path)
+    lrs = [float(row["lr"]) for row in csv.DictReader(open(log_path))]
+    warmup, last = config.warmup_epochs, config.epochs - 1
+    expected = [1.5 * (e + 1) / warmup if e < warmup else 1.5 * (1 - 0.9 * (e - warmup) / (last - warmup))
+                for e in range(config.epochs)]
+    assert lrs == pytest.approx(expected, rel=1e-12, abs=0)
+    assert lrs[warmup - 1] == 1.5 and lrs[-1] == pytest.approx(0.15, rel=1e-12)
+
+
+def test_best_checkpoint_holds_the_first_epoch_with_the_highest_masked_accuracy(tmp_path, toy_corpus, monkeypatch):
+    # each epoch's parameters, as its held-out evaluation's profile_matrix call sees them (the first call is set-up)
+    seen = []
+
+    def capturing(params, profiles):
+        seen.append(params.copy())
+        return profile_matrix(params, profiles)
+
+    monkeypatch.setattr(training, "profile_matrix", capturing)
+    config = TrainConfig(epochs=8, embed_dim=16, seed=0, batch_size=4, heldout_fraction=0.1)
+    path, log_path = tmp_path / "model.ckpt", tmp_path / "log.csv"
+    train(toy_corpus, config, checkpoint_path=path, log_path=log_path)
+    acc30 = [float(row["heldout_acc_30"]) for row in csv.DictReader(open(log_path))]
+    epochs = seen[1:]
+    assert len(epochs) == config.epochs
+    best = [e for e, acc in enumerate(acc30) if acc == max(acc30)]
+    assert len(best) >= 2, acc30  # the log ties at its best
+    save_checkpoint(epochs[best[0]], tmp_path / "first.ckpt")
+    assert (tmp_path / "model.ckpt.best").read_bytes() == (tmp_path / "first.ckpt").read_bytes()
+    save_checkpoint(epochs[best[1]], tmp_path / "tied.ckpt")
+    assert (tmp_path / "tied.ckpt").read_bytes() != (tmp_path / "first.ckpt").read_bytes()
 
 
 def test_profile_epoch_budget_respected(tmp_path, toy_corpus):
