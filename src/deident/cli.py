@@ -226,14 +226,15 @@ def _check_members(args) -> None:
 
 
 def _build_members(args, store) -> dict:
-    members: dict[str, object] = {}
-    for path in args.models:
-        name = Path(path).stem
-        if name in members:
-            name = f"{name}:{len(members)}"
-        members[name] = NeuralReidentifier.from_checkpoint(path, store)
+    """Checkpoints named by file stem, then BM25 as `bm25`; a name already taken gains `:N`, N the members before it."""
+    named = [(Path(path).stem, NeuralReidentifier.from_checkpoint(path, store)) for path in args.models]
     if args.bm25:
-        members["bm25"] = Bm25Reidentifier(store, k1=args.bm25_k1, b=args.bm25_b)
+        named.append(("bm25", Bm25Reidentifier(store, k1=args.bm25_k1, b=args.bm25_b)))
+    members: dict[str, object] = {}
+    for name, member in named:
+        while name in members:
+            name = f"{name}:{len(members)}"
+        members[name] = member
     return members
 
 

@@ -87,12 +87,17 @@ class Document:
 
 @dataclass(frozen=True, slots=True)
 class Profile:
-    """A key/value table describing one person."""
+    """One person's key/value table: nonempty, a token in every key and value, no key twice; else CorpusError."""
 
     id: str
     entries: tuple[tuple[str, str], ...]
 
     def __post_init__(self) -> None:
+        if not self.entries:
+            raise CorpusError(f"profile {self.id!r} has no entries")
+        for key, value in self.entries:  # a text holds a token exactly when it is not all whitespace
+            if not (key.strip() and str(value).strip()):
+                raise CorpusError(f"profile entry {key!r} has no tokens in its {'value' if key.strip() else 'key'}")
         if len({k for k, _ in self.entries}) != len(self.entries):
             raise CorpusError(f"profile {self.id!r} has duplicate keys")
 
@@ -110,7 +115,7 @@ class ProfileStore:
 
     `terms` holds the profiles' linearized normalized-term ids back to back, in store order,
     and `lengths` each one's count. The ids are into `table`, the load's or else the store's own.
-    They are computed once, as the store is built, so a profile that does not linearize fails here.
+    They are computed once, as the store is built.
     """
 
     def __init__(self, profiles: Sequence[Profile], table: _TermTable | None = None):
@@ -158,8 +163,8 @@ class _TermTable(dict):
     As a dict, it maps each distinct text, split once, to its surface ids as packed int32 bytes (b"" for a
     text with none): profile keys and values, documents' whitespace-separated chunks and their surfaces, a
     text that is not one surface being the run of its chunks' or surfaces' ids. A (key, value) profile entry
-    is checked once for tokens, and its repeats share one tuple. A table lives as long as the documents and
-    store split through it: one corpus load's, or one call's.
+    maps to itself with its key interned, so its repeats share one tuple. A table lives as long as the documents
+    and store split through it: one corpus load's, or one call's.
     """
 
     def __init__(self):
@@ -172,11 +177,7 @@ class _TermTable(dict):
 
     def __missing__(self, text: str | tuple[str, str]) -> bytes | tuple[str, str]:
         if isinstance(text, tuple):
-            key, value = text
-            if not (self[key] and self[value]):
-                part = "value" if self[key] else "key"
-                raise CorpusError(f"profile entry {key!r} has no tokens in its {part}")
-            entry = sys.intern(key), value
+            entry = sys.intern(text[0]), text[1]
             self[entry] = entry
             return entry
         if _TOKEN_RE.fullmatch(text):  # one surface
@@ -230,17 +231,12 @@ def _linearize(profile: Profile, table: _TermTable) -> bytes:
     Whole trailing entries are dropped until the sequence fits MAX_PROFILE_TOKENS.
     The first entry is kept even if it must be clipped hard.
     """
-    if not profile.entries:
-        raise CorpusError(f"profile {profile.id!r} has no entries")
     colon, separator = table[":"], table["|"]
     parts: list[bytes] = []
     kept = 0  # tokens in parts
     full = False
-    # every entry is tokenized, kept or not, so a token-less one raises wherever it falls
     for key, value in profile.entries:
         key_ids, value_ids = table[key], table[str(value)]
-        if not (key_ids and value_ids):
-            raise CorpusError("no tokens in input text")
         tokens = (len(key_ids) + len(value_ids)) // 4 + 1  # key, colon, value
         if parts:
             full = full or kept + 1 + tokens > MAX_PROFILE_TOKENS
@@ -305,8 +301,8 @@ def _parse_record(obj: dict, line: int, table: _TermTable) -> tuple[AlignedRecor
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise CorpusError("profile entries must be [key, value] pairs")
             pairs.append(table[str(pair[0]), str(pair[1])])
-        document = _tokenize(text, table)
         profile = Profile(record_id, tuple(pairs))
+        document = _tokenize(text, table)
     except CorpusError as exc:
         raise CorpusError(str(exc), line) from exc
     return AlignedRecord(document, record_id), profile

@@ -203,10 +203,8 @@ def _search(model, document, true_index, ks, width, stopwords, method) -> list[R
 
 def lexical_baseline(document: Document, profile: Profile) -> RedactionResult:
     """Mask every non-punctuation word whose term occurs in a key or value of the profile, each split through
-    the document's table (a loaded profile's fields are in its memo); a field with no tokens raises CorpusError."""
+    the document's table (a loaded profile's fields are in its memo)."""
     fields = [document.table[text] for key, value in profile.entries for text in (key, str(value))]
-    if not all(fields):
-        raise CorpusError("no tokens in input text")
     terms = document.table.arrays()[0].take(np.frombuffer(b"".join(fields), dtype=np.int32))
     overlap = np.isin(document.terms, terms) & ~document.punctuation
     return _result("lexical", document, np.flatnonzero(overlap).tolist())

@@ -675,6 +675,27 @@ def test_evaluate_builds_each_member_matrix_once(tmp_path, cli_corpus, cli_check
     assert set(json.loads(report.read_text())["per_member"]) == {"model", "model:1", "bm25"}
 
 
+def test_evaluate_keeps_a_neural_member_named_bm25_beside_the_bm25_member(tmp_path, cli_corpus, cli_checkpoint, capsys):
+    redacted, named = tmp_path / "lexical.jsonl", tmp_path / "bm25.ckpt"
+    assert main([
+        "baseline", "--corpus", str(cli_corpus), "--method", "lexical", "--out", str(redacted), "--limit", "20",
+    ]) == 0
+    named.write_bytes(cli_checkpoint.read_bytes())
+
+    def ranks(*members):
+        report = tmp_path / "report.json"
+        assert main(["evaluate", "--corpus", str(cli_corpus), "--redacted", str(redacted), *members,
+                     "--report", str(report)]) == 0
+        return [doc["ranks"] for doc in json.loads(report.read_text())["per_doc"]]
+
+    neural, bm25 = ranks("--models", str(named)), ranks("--bm25")
+    capsys.readouterr()
+    # every member, BM25 included, takes `:N` when its name is taken
+    both = [{"bm25": n["bm25"], "bm25:1": b["bm25"]} for n, b in zip(neural, bm25, strict=True)]
+    assert ranks("--models", str(named), "--bm25") == both
+    assert neural != bm25
+
+
 def test_evaluate_rejects_a_redacted_row_that_is_not_an_object(tmp_path, cli_corpus, capsys):
     redacted = tmp_path / "redacted.jsonl"
     redacted.write_text("5\n")

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -307,7 +308,7 @@ def test_linearize_profile_clips_oversized_first_entry():
 
 
 def test_linearize_empty_profile_raises():
-    with pytest.raises(CorpusError):
+    with pytest.raises(CorpusError, match="^profile 'x' has no entries$"):
         _linearized(Profile(id="x", entries=()))
 
 
@@ -325,12 +326,21 @@ _FIELD_TEXT = st.one_of(
 _PROFILE_ENTRIES = st.lists(st.tuples(_FIELD_TEXT, _FIELD_TEXT), max_size=6, unique_by=lambda e: e[0])
 
 
-def _outcome(linearize_fn, *args):
-    """The Document made, or the CorpusError message raised."""
+def _outcome(make, *args):
+    """What `make()` returns, or the CorpusError message raised."""
     try:
-        return linearize_fn(*args)
+        return make(*args)
     except CorpusError as exc:
         return f"CorpusError: {exc}"
+
+
+def _linearized_from(linearize_fn, entries, *args, profile_id="x"):
+    """The outcome of building a Profile of entries and linearizing it with linearize_fn, once it is checked that
+    Profile refuses exactly the entries on which the oracle, given them unchecked, raises."""
+    unchecked = _outcome(linearize, SimpleNamespace(id=profile_id, entries=tuple(entries)))
+    outcome = _outcome(lambda: linearize_fn(Profile(profile_id, tuple(entries)), *args))
+    assert isinstance(outcome, str) == isinstance(unchecked, str)
+    return outcome
 
 
 @settings(max_examples=300, deadline=None)
@@ -338,8 +348,7 @@ def _outcome(linearize_fn, *args):
 @example(entries=[("a", "b"), ("c", "d")], max_tokens=6)  # the second entry misses by one token
 @example(entries=[("a", "b"), ("c", "d")], max_tokens=7)  # the second entry fits exactly
 def test_linearize_profile_matches_the_per_entry_oracle(entries, max_tokens):
-    profile = Profile(id="x", entries=tuple(entries))
-    got, want = _outcome(_linearized, profile, max_tokens), _outcome(linearize, profile, max_tokens)
+    got, want = _linearized_from(_linearized, entries, max_tokens), _linearized_from(linearize, entries, max_tokens)
     if isinstance(want, str):
         assert got == want
         return
@@ -352,20 +361,22 @@ def test_linearize_profile_matches_the_per_entry_oracle(entries, max_tokens):
 @settings(max_examples=150, deadline=None)
 @given(profiles=st.lists(_PROFILE_ENTRIES, min_size=1, max_size=5), warm=st.booleans())
 def test_store_linearized_matches_the_per_entry_oracle(profiles, warm):
-    profiles = [Profile(id=f"p{i}", entries=tuple(entries)) for i, entries in enumerate(profiles)]
-    table = _TermTable()
-    if warm:  # as a load leaves it: every key and value already split
-        for profile in profiles:
-            for key, value in profile.entries:
-                table[key], table[value]
-    want = [_outcome(linearize, p) for p in profiles]
+    def store():
+        table = _TermTable()
+        if warm:  # as a load leaves it: every key and value already split
+            for entries in profiles:
+                for key, value in entries:
+                    table[key], table[value]
+        return ProfileStore([Profile(f"p{i}", tuple(entries)) for i, entries in enumerate(profiles)], table)
+
+    want = [_linearized_from(linearize, entries, profile_id=f"p{i}") for i, entries in enumerate(profiles)]
     errors = [w for w in want if isinstance(w, str)]
-    if errors:  # the store linearizes as it is built
+    if errors:  # the first profile that cannot be built stops the store
         with pytest.raises(CorpusError) as info:
-            ProfileStore(profiles, table)
+            store()
         assert f"CorpusError: {info.value}" == errors[0]
         return
-    assert store_terms(ProfileStore(profiles, table)) == [[term for _, term, _ in w] for w in want]
+    assert store_terms(store()) == [[term for _, term, _ in w] for w in want]
 
 
 # Corpus rows for the term-table properties: words in mixed case and with non-ASCII letters, punctuation
@@ -449,6 +460,21 @@ def test_load_corpus_rejects_a_profile_field_without_tokens(tmp_path, entry, par
 def test_profile_duplicate_keys_rejected():
     with pytest.raises(CorpusError):
         Profile(id="x", entries=(("k", "1"), ("k", "2")))
+
+
+@pytest.mark.parametrize("entries, message", [
+    ((), "profile 'x' has no entries"),
+    ((("name", "Ann"), ("city", "\u3000\n")), "profile entry 'city' has no tokens in its value"),
+    ((("\u00a0", "Paris"),), "profile entry '\\xa0' has no tokens in its key"),
+    ((("k", 7), ("", " ")), "profile entry '' has no tokens in its key"),  # 7 holds a token as str; keys go first
+    ((("k", " "), ("k", "1")), "profile entry 'k' has no tokens in its value"),  # tokens before duplicate keys
+    ((("k", "1"), ("k", " ")), "profile entry 'k' has no tokens in its value"),
+    ((("k", "-"), ("k", "2")), "profile 'x' has duplicate keys"),  # punctuation alone is a token
+])
+def test_profile_refuses_what_it_cannot_linearize_as_it_is_built(entries, message):
+    with pytest.raises(CorpusError) as info:
+        Profile("x", entries)
+    assert (str(info.value), info.value.line) == (message, None)
 
 
 def _idf_of(docs) -> IdfTable:

@@ -1,5 +1,6 @@
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from deident.deid import (
     _search,
     beam_deidentify,
     candidate_positions,
+    check_search,
     greedy_deidentify,
     idf_baseline,
     idf_table_aware_baseline,
@@ -20,6 +22,7 @@ from deident.deid import (
     rule_tags,
 )
 from deident.encoder import (
+    ModelParams,
     build_profile_matrix,
     init_params,
     rank_of,
@@ -232,6 +235,32 @@ def test_beam_width_one_equals_greedy():
         assert np.array_equal(greedy.mask, beam.mask), f"seed {seed}"
         assert greedy.success == beam.success
         assert greedy.steps == beam.steps
+
+
+def test_beam_keeps_the_tied_child_of_the_lower_order():
+    # integer embeddings and identity projections over bags of 4 and 8 tokens score exactly, so two states that
+    # mask different words can tie bit for bit; of tied children the beam keeps the lower (probability, order)
+    vocab = Vocabulary((":", "a", "b", "c", "d", "name", "|"))
+    embeddings = np.array([[0, 1], [1, -2], [1, 2], [1, 0], [2, 1], [-2, 2], [2, 0], [-2, 0]], dtype=np.float32)
+    identity = np.eye(2, dtype=np.float32)
+    values = ["b d", "b b", "b d", "b a", "a d"]
+    store = ProfileStore([Profile(f"p{i}", (("name", value),)) for i, value in enumerate(values)])
+    model = NeuralReidentifier(ModelParams(vocab, embeddings, identity, identity), store)
+    doc = tokenize("c b a b b a a c")
+    result = beam_deidentify(model, doc, 2, 4, beam_width=3, stopwords=frozenset())
+    assert result.order == [1, 3, 0, 7] and result.success
+    tied = np.zeros(len(doc), dtype=np.int8)
+    tied[[1, 3, 4, 2]] = 1  # what keeping tied children by insertion would return
+    assert model.distribution(doc, tied)[2] == result.final_prob
+    assert result.to_json() == reference_search(model, doc, 2, [4], 3, frozenset(), "beam")[0].to_json()
+
+
+def test_an_empty_k_list_is_refused():
+    model, doc, true_index = random_instance(0)
+    with pytest.raises(ValueError, match="^k must be >= 1$"):
+        check_search([], 1)
+    with pytest.raises(ValueError, match="^k must be >= 1$"):
+        _search(model, doc, true_index, [], 1, DEFAULT_STOPWORDS, "greedy")
 
 
 def test_beam_satisfies_k_anonymity_audit():
@@ -511,12 +540,21 @@ def test_lexical_baseline_matches_the_per_field_overlap(rows, foreign):
         assert lexical_baseline(record.document, other).order == lexical_overlap(record.document, other)
 
 
-@pytest.mark.parametrize("entries", [(("name", " \t"),), (("", "Ann"),), (("name", "Ann"), ("note", ""))])
-def test_lexical_baseline_refuses_a_field_without_tokens(entries):
-    document, profile = tokenize("Ann is here ."), Profile("x", entries)
-    for overlap in (lexical_baseline, lexical_overlap):
+@pytest.mark.parametrize("entries, message", [
+    ((("name", " \t"),), "profile entry 'name' has no tokens in its value"),
+    ((("", "Ann"),), "profile entry '' has no tokens in its key"),
+    ((("name", "Ann"), ("note", "")), "profile entry 'note' has no tokens in its value"),
+    ((), "profile 'x' has no entries"),
+], ids=[f"entries{i}" for i in range(4)])
+def test_lexical_baseline_refuses_a_field_without_tokens(entries, message):
+    # the Profile refuses the field as it is built, so no baseline sees it; the oracle, given the unchecked
+    # entries, refuses a field without tokens too
+    with pytest.raises(CorpusError) as info:
+        Profile("x", entries)
+    assert str(info.value) == message
+    if entries:
         with pytest.raises(CorpusError, match="^no tokens in input text$"):
-            overlap(document, profile)
+            lexical_overlap(tokenize("Ann is here ."), SimpleNamespace(id="x", entries=entries))
 
 
 def test_lexical_baseline_mean_fraction_reported(desk_corpus):

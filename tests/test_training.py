@@ -69,6 +69,25 @@ def test_sample_mask_off_prior(tmp_path, monkeypatch):
         assert calls == draws
 
 
+def test_heldout_masks_are_drawn_over_the_heldout_ids_in_ascending_order(tmp_path, monkeypatch):
+    # document i holds i + 1 words, so the held-out draw's lengths name the documents it masks, in its order
+    rows = [{"id": f"r{i}", "document": " ".join(f"w{j}" for j in range(i + 1)), "profile": [["name", f"p{i}"]]}
+            for i in range(20)]
+    corpus = load_corpus(write_jsonl(tmp_path / "c.jsonl", rows))
+    seen = []
+
+    def spy(rng, lengths, counts=None, weights=None):
+        seen.append(np.asarray(lengths).tolist())
+        return draw_masks(rng, lengths, counts, weights)
+
+    monkeypatch.setattr(training, "draw_masks", spy)
+    config = TrainConfig(epochs=1, embed_dim=4, batch_size=8, heldout_fraction=0.25, seed=3)
+    train(corpus, config)
+    drawn = np.random.default_rng(config.seed).choice(20, size=5, replace=False)  # train's first draw
+    assert (drawn + 1).tolist() != sorted(drawn + 1)  # the draw's own order would differ
+    assert seen[0] == (np.sort(drawn) + 1).tolist()
+
+
 def test_idf_prior_training_counts_idf_once(tmp_path, monkeypatch):
     # one IdfTable gives the vocabulary its terms and the IDF mask prior its weights
     corpus = load_corpus(write_jsonl(tmp_path / "c.jsonl", make_corpus_rows(12, seed=1)))
