@@ -47,7 +47,8 @@ MUTANTS = [
     Mutant("warmup-one-epoch-late", "training.py",
            "return peak * (epoch + 1) / warmup", "return peak * epoch / warmup"),
     Mutant("idf-ties-descending", "deid.py",
-           "key=lambda pair: (-pair[0], pair[1])", "key=lambda pair: (-pair[0], -pair[1])"),
+           'positions[np.argsort(-idf[positions], kind="stable")]',
+           'positions[::-1][np.argsort(-idf[positions[::-1]], kind="stable")]'),
     Mutant("beam-width-2-runs-greedy", "cli.py", "if args.beam_width > 1:", "if args.beam_width > 2:"),
     Mutant("held-out-unsorted", "training.py",
            "held = np.sort(rng.choice(n, size=n_held, replace=False))",
@@ -66,6 +67,13 @@ MUTANTS = [
     Mutant("profile-accepts-whitespace-value", "corpus.py",
            "if not (key.strip() and str(value).strip()):", "if not (key.strip() and str(value)):"),
     Mutant("bm25-member-overwrites", "cli.py", "while name in members:", 'while name in members and name != "bm25":'),
+    Mutant("forked-results-in-share-order", "cli.py",
+           "return [shares[i % workers][i // workers] for i in range(len(items))]",
+           "return [result for share in shares for result in share]"),
+    Mutant("forked-drops-a-childs-exception", "cli.py", "raise share", "share = []"),
+    Mutant("forked-parent-skips-its-share", "cli.py",
+           "shares = [[work(item) for item in items[::workers]]]",
+           "shares = [[work(item) for item in items[::workers]] if workers == 1 else [None] * len(items[::workers])]"),
 ]
 
 

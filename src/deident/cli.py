@@ -21,7 +21,10 @@ import argparse
 import inspect
 import json
 import math
+import os
+import pickle
 import re
+import signal
 import sys
 from pathlib import Path
 
@@ -218,6 +221,53 @@ def _write_redactions(args, corpus, selected, results) -> None:
         _write_jsonl(args.sidecar, rows)
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on, or 1 where it cannot fork: the most workers `_forked` runs."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
+
+
+def _forked(work, items: list) -> list:
+    """[work(item) for item in items], item i done by worker i mod W = min(_cpus(), len(items)). This process is worker
+    0 and forks the others; a child's exception is raised here, and a child that exits without its results fails the
+    call. Every pipe is closed, and every child killed and reaped, before this returns. At W = 1 nothing is forked."""
+    workers, pids, reads = min(_cpus(), len(items)), [], []
+    try:
+        for w in range(1, workers):
+            read, write = os.pipe()
+            reads.append(read)
+            try:
+                if (pid := os.fork()) == 0:  # the child sends (True, results) or (False, exception), then exits
+                    try:
+                        try:
+                            sent = True, [work(item) for item in items[w::workers]]
+                        except BaseException as exc:
+                            sent = False, exc
+                        with open(write, "wb") as fh:
+                            pickle.dump(sent, fh)
+                    finally:
+                        os._exit(0)
+            finally:
+                os.close(write)
+            pids.append(pid)
+        shares = [[work(item) for item in items[::workers]]]
+        for w, read in enumerate(reads, 1):
+            with open(read, "rb", closefd=False) as fh:
+                try:
+                    sent, share = pickle.load(fh)
+                except (EOFError, pickle.UnpicklingError):  # cut short: the child died before it sent all
+                    raise ChildProcessError(f"search worker {w} of {workers} exited without its results") from None
+            if not sent:
+                raise share
+            shares.append(share)
+    finally:
+        for read in reads:
+            os.close(read)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [shares[i % workers][i // workers] for i in range(len(items))]
+
+
 def _check_members(args) -> None:
     """Check the ensemble flags, before any file is read."""
     if not (args.models or args.bm25):
@@ -268,13 +318,14 @@ def cmd_deidentify(args) -> int:
     selected = corpus.records[: args.limit]
     model = NeuralReidentifier.from_checkpoint(args.model, corpus.store)
     stopwords = _stopword_set(args)
-    results = []
-    for record in selected:
+
+    def search(record):
         true_index = corpus.store.index_of(record.profile_id)
         if args.beam_width > 1:
-            results.append(beam_deidentify(model, record.document, true_index, args.k, args.beam_width, stopwords))
-        else:
-            results.append(greedy_deidentify(model, record.document, true_index, args.k, stopwords))
+            return beam_deidentify(model, record.document, true_index, args.k, args.beam_width, stopwords)
+        return greedy_deidentify(model, record.document, true_index, args.k, stopwords)
+
+    results = _forked(search, selected)
     _write_redactions(args, corpus, selected, results)
     n_success = sum(r.success for r in results)
     print(json.dumps({"documents": len(results), "success": n_success, "out": args.out}))
@@ -356,10 +407,7 @@ def cmd_sweep(args) -> int:
     if search:
         guide = NeuralReidentifier.from_checkpoint(args.model, corpus.store)
         width = args.beam_width if args.method == "beam" else 1
-        results = [
-            _search(guide, document, true_index, ks, width, stopwords, args.method)
-            for _, document, true_index in records
-        ]
+        results = _forked(lambda r: _search(guide, r[1], r[2], ks, width, stopwords, args.method), records)
     else:
         table = compute_idf(corpus) if args.method in ("idf", "idf-table") else None
         results = [

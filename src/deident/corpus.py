@@ -96,6 +96,8 @@ class Profile:
         if not self.entries:
             raise CorpusError(f"profile {self.id!r} has no entries")
         for key, value in self.entries:  # a text holds a token exactly when it is not all whitespace
+            if not isinstance(key, str):
+                raise CorpusError(f"profile {self.id!r} has a key that is not a string: {key!r}")
             if not (key.strip() and str(value).strip()):
                 raise CorpusError(f"profile entry {key!r} has no tokens in its {'value' if key.strip() else 'key'}")
         if len({k for k, _ in self.entries}) != len(self.entries):
@@ -390,6 +392,11 @@ class IdfTable:
 
     def idf(self, term: str) -> float:
         return self._idf.item(min(self.table.term_ids.get(term, len(self.df)), len(self.df)))
+
+    def of(self, document: Document) -> np.ndarray:
+        """Each position's idf, read by term id; a document of another table is split through this one first."""
+        ids = document.ids if document.table is self.table else self.table.split(document.surfaces())
+        return self._idf.take(np.minimum(self.table.arrays()[0].take(ids), len(self.df)))
 
     @property
     def terms(self) -> list[str]:

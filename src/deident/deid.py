@@ -79,15 +79,10 @@ class RedactionResult:
         return obj
 
 
-def _words(document: Document) -> list[tuple[int, str]]:
-    """(position, normalized term) of each position of document that is not punctuation."""
-    words = zip(document.normalized(), document.punctuation.tolist())
-    return [(j, term) for j, (term, punctuation) in enumerate(words) if not punctuation]
-
-
 def candidate_positions(document: Document, stopwords: frozenset[str] = DEFAULT_STOPWORDS) -> list[int]:
     """Positions eligible for search: not stopword, not punctuation."""
-    return [j for j, term in _words(document) if term not in stopwords]
+    words = zip(document.normalized(), document.punctuation.tolist())
+    return [j for j, (term, punctuation) in enumerate(words) if not (punctuation or term in stopwords)]
 
 
 def greedy_deidentify(
@@ -235,13 +230,13 @@ def check_threshold(threshold: float) -> None:
 
 
 def _idf_at_least(document: Document, table: IdfTable, threshold: float, skip=frozenset()) -> list[int]:
-    """Non-punctuation positions outside skip whose IDF reaches threshold, by (idf desc, position asc).
-
-    A NaN threshold would mask nothing without complaint, so it raises ValueError.
-    """
+    """Non-punctuation positions outside skip whose IDF reaches threshold, by (idf desc, position asc). A NaN
+    threshold would mask nothing without complaint, so it raises ValueError."""
     check_threshold(threshold)
-    scored = [(table.idf(term), j) for j, term in _words(document) if j not in skip]
-    return [j for idf, j in sorted(scored, key=lambda pair: (-pair[0], pair[1])) if idf >= threshold]
+    idf, keep = table.of(document), ~document.punctuation
+    keep[list(skip)] = False
+    positions = np.flatnonzero(keep & (idf >= threshold))
+    return positions[np.argsort(-idf[positions], kind="stable")].tolist()
 
 
 def idf_baseline(document: Document, table: IdfTable, threshold: float) -> RedactionResult:

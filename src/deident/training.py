@@ -279,12 +279,7 @@ def train(
     true_idx = np.array([corpus.store.index_of(rec.profile_id) for rec in corpus.records])
     profiles = profile_bags(vocab, corpus.store)
 
-    idf_weights = None
-    if config.mask_prior == "idf":
-        idf_weights = [
-            np.array([idf.idf(t) for t in rec.document.normalized()], dtype=np.float64)
-            for rec in corpus.records
-        ]
+    idf_weights = [idf.of(rec.document) for rec in corpus.records] if config.mask_prior == "idf" else None
 
     n_held = 0
     if config.heldout_fraction > 0 and n >= 2:

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -1107,11 +1108,12 @@ def test_sweep_rejects_a_nan_idf_threshold_up_front(tmp_path, cli_corpus, capsys
 def test_a_search_sweep_searches_each_record_once_and_each_row_matches_a_one_control_sweep(
     tmp_path, cli_corpus, cli_checkpoint, monkeypatch, method
 ):
-    calls = []
+    log = tmp_path / "calls.jsonl"  # one line per call, from whichever process made it
     search = cli._search
 
     def counting(*args):
-        calls.append(args[3])
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(args[3]) + "\n")
         return search(*args)
 
     monkeypatch.setattr(cli, "_search", counting)
@@ -1121,14 +1123,158 @@ def test_a_search_sweep_searches_each_record_once_and_each_row_matches_a_one_con
     ]
     controls = ["64", "1", "8", "8"]
     out = tmp_path / "all.csv"
-    assert main([*argv, "--controls", *controls, "--out", str(out)]) == 0
-    assert calls == [[64, 1, 8, 8]] * 6
-    header, *rows = out.read_text().splitlines()
-    assert [row.split(",")[1] for row in rows] == ["64.0", "1.0", "8.0", "8.0"]
-    for k, row in zip(controls, rows):
-        single = tmp_path / f"k{k}.csv"
-        assert main([*argv, "--controls", k, "--out", str(single)]) == 0
-        assert single.read_text().splitlines() == [header, row]
+    for workers in (1, 2):
+        monkeypatch.setattr(cli, "_cpus", lambda: workers)
+        log.unlink(missing_ok=True)
+        assert main([*argv, "--controls", *controls, "--out", str(out)]) == 0
+        calls = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+        assert calls == [[64, 1, 8, 8]] * 6
+        header, *rows = out.read_text().splitlines()
+        assert [row.split(",")[1] for row in rows] == ["64.0", "1.0", "8.0", "8.0"]
+        for k, row in zip(controls, rows):
+            single = tmp_path / f"k{k}.csv"
+            assert main([*argv, "--controls", k, "--out", str(single)]) == 0
+            assert single.read_text().splitlines() == [header, row]
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of each child forked from this process while the test runs."""
+    pids, fork = [], os.fork
+
+    def recording():
+        pid = fork()
+        if pid:  # in the parent; a child returns 0 and has its own copy of the list
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
+
+
+def _reaped(pids) -> None:
+    """Each pid is no longer a child of this process: not running, and not an exit left for waitpid to collect."""
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_forked_returns_each_result_in_item_order_and_does_share_zero_itself(monkeypatch, forks):
+    monkeypatch.setattr(cli, "_cpus", lambda: 3)
+    results = cli._forked(lambda item: (item, os.getpid()), list(range(8)))
+    assert [item for item, _ in results] == list(range(8))
+    pids = [pid for _, pid in results]
+    assert [pid == os.getpid() for pid in pids] == [i % 3 == 0 for i in range(8)]
+    assert pids == [pids[i % 3] for i in range(8)] and set(pids[1:3]) == set(forks)  # worker i mod 3 does item i
+    assert cli._forked(lambda item: (item, os.getpid()), [5]) == [(5, os.getpid())]  # one item: nothing forked
+    assert len(forks) == 2
+    _reaped(forks)
+
+
+def test_forked_forks_one_child_per_cpu_but_one_and_none_beyond_the_items(monkeypatch, forks):
+    for cpus, items, children in ((1, 5, 0), (4, 2, 1), (3, 7, 2)):
+        forks.clear()
+        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        assert cli._forked(lambda item: -item, list(range(items))) == [-item for item in range(items)]
+        assert len(forks) == children
+        _reaped(forks)
+
+
+def test_forked_raises_a_childs_exception_and_leaves_no_child_behind(monkeypatch, forks):
+    def work(item):
+        if item == 3:
+            raise CorpusError("bad item", line=7)
+        return item
+
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    with pytest.raises(CorpusError) as info:
+        cli._forked(work, list(range(6)))
+    assert (str(info.value), info.value.line) == ("line 7: bad item", 7)
+    assert len(forks) == 1
+    _reaped(forks)
+
+    def slow_child(item):
+        if item == 0:
+            raise ValueError("the parent's share failed")
+        time.sleep(60)
+
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="parent's share"):
+        cli._forked(slow_child, [0, 1])
+    assert time.perf_counter() - start < 30  # the busy child was killed, not waited for
+    assert len(forks) == 2
+    _reaped(forks)
+
+
+SEARCHES = {
+    "greedy": ["deidentify", "--k", "2"],
+    "beam": ["deidentify", "--k", "2", "--beam-width", "3"],
+    "greedy-sweep": ["sweep", "--method", "greedy", "--controls", "64", "1", "8", "8", "--bm25"],
+    "beam-sweep": ["sweep", "--method", "beam", "--controls", "64", "1", "8", "8", "--bm25"],
+}
+
+
+@pytest.mark.parametrize("command", SEARCHES.values(), ids=SEARCHES)
+def test_search_outputs_are_the_same_at_any_worker_count(tmp_path, cli_corpus, cli_checkpoint, capsys, monkeypatch,
+                                                         forks, command):
+    out, sidecar = tmp_path / "out", tmp_path / "sidecar.jsonl"
+    argv = [*command, "--corpus", str(cli_corpus), "--model", str(cli_checkpoint), "--out", str(out)]
+    argv += ["--sidecar", str(sidecar)] if command[0] == "deidentify" else []
+    outputs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(cli, "_cpus", lambda: workers)
+        assert main(argv) == 0
+        outputs.append((capsys.readouterr().out, out.read_bytes(), sidecar.exists() and sidecar.read_bytes()))
+    assert outputs == [outputs[0]] * 3
+    assert len(forks) == 1 + 2
+    _reaped(forks)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_search_that_raises_fails_the_command_as_at_one_worker(tmp_path, cli_corpus, cli_checkpoint, capsys,
+                                                                 monkeypatch, forks, workers):
+    second = load_corpus(cli_corpus).records[1].document  # searched by the child at two workers
+
+    def failing(model, document, *args):
+        if document == second:
+            raise CorpusError("no search for the second record")
+        return greedy_deidentify(model, document, *args)
+
+    monkeypatch.setattr(cli, "greedy_deidentify", failing)
+    monkeypatch.setattr(cli, "_cpus", lambda: workers)
+    out = tmp_path / "out.jsonl"
+    code = main([
+        "deidentify", "--corpus", str(cli_corpus), "--model", str(cli_checkpoint), "--k", "2", "--limit", "4",
+        "--out", str(out),
+    ])
+    assert code == 4
+    assert _one_error_line(capsys) == {"error": "corpus-format", "message": "no search for the second record"}
+    assert not out.exists()
+    assert len(forks) == workers - 1
+    _reaped(forks)
+
+
+def test_a_search_worker_that_dies_fails_the_command_as_one_error_line(tmp_path, cli_corpus, cli_checkpoint, capsys,
+                                                                       monkeypatch, forks):
+    parent, search = os.getpid(), cli._search
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return search(*args)
+
+    monkeypatch.setattr(cli, "_search", dying)
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    out = tmp_path / "pareto.csv"
+    code = main([
+        "sweep", "--corpus", str(cli_corpus), "--method", "greedy", "--model", str(cli_checkpoint), "--bm25",
+        "--controls", "2", "--limit", "4", "--out", str(out),
+    ])
+    assert code == 1
+    assert _one_error_line(capsys) == {"error": "error", "message": "search worker 1 of 2 exited without its results"}
+    assert not out.exists()
+    assert len(forks) == 1
+    _reaped(forks)
 
 
 @pytest.mark.parametrize("success_only", [True, False])

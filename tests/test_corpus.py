@@ -470,6 +470,8 @@ def test_profile_duplicate_keys_rejected():
     ((("k", " "), ("k", "1")), "profile entry 'k' has no tokens in its value"),  # tokens before duplicate keys
     ((("k", "1"), ("k", " ")), "profile entry 'k' has no tokens in its value"),
     ((("k", "-"), ("k", "2")), "profile 'x' has duplicate keys"),  # punctuation alone is a token
+    (((1, "a"),), "profile 'x' has a key that is not a string: 1"),
+    (((b"k", "v"),), "profile 'x' has a key that is not a string: b'k'"),  # no str method would refuse bytes
 ])
 def test_profile_refuses_what_it_cannot_linearize_as_it_is_built(entries, message):
     with pytest.raises(CorpusError) as info:
