@@ -49,7 +49,17 @@ MUTANTS = [
     Mutant("idf-ties-descending", "deid.py",
            'positions[np.argsort(-idf[positions], kind="stable")]',
            'positions[::-1][np.argsort(-idf[positions[::-1]], kind="stable")]'),
-    Mutant("beam-width-2-runs-greedy", "cli.py", "if args.beam_width > 1:", "if args.beam_width > 2:"),
+    Mutant("beam-width-2-runs-greedy", "cli.py",
+           '"beam" if args.beam_width > 1 else "greedy"', '"beam" if args.beam_width > 2 else "greedy"'),
+    Mutant("greedy-sweep-at-beam-width", "cli.py",
+           'width = [int(c) for c in controls], args.beam_width if method == "beam" else 1',
+           "width = [int(c) for c in controls], args.beam_width"),
+    Mutant("tags-file-ignored", "cli.py",
+           "return ner_baseline(document, None if tags is None else tags[profile.id])",
+           "return ner_baseline(document, None)"),
+    Mutant("tags-file-read-for-ner-only", "cli.py",
+           "tags = load_tag_file(tags_file) if tags_file else None",
+           'tags = load_tag_file(tags_file) if tags_file and method == "ner" else None'),
     Mutant("held-out-unsorted", "training.py",
            "held = np.sort(rng.choice(n, size=n_held, replace=False))",
            "held = np.asarray(rng.choice(n, size=n_held, replace=False))"),

@@ -42,10 +42,8 @@ from .corpus import (
 from .deid import (
     RedactionResult,
     _search,
-    beam_deidentify,
     check_search,
     check_threshold,
-    greedy_deidentify,
     idf_baseline,
     idf_table_aware_baseline,
     lexical_baseline,
@@ -206,21 +204,6 @@ def _write_jsonl(path, rows) -> None:
         fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
 
 
-def _write_redactions(args, corpus, selected, results) -> None:
-    """Write each record's redacted row to --out and, with --sidecar, its result's row there."""
-    rows = [result.to_json(doc_id=record.profile_id) for record, result in zip(selected, results)]
-    _write_jsonl(args.out, (
-        dict(
-            {key: row[key] for key in ("id", "mask", "method", "k")},
-            document=apply_mask(record.document, row["mask"], mode=args.mask_mode),
-            profile=corpus.store.get(record.profile_id).entries,  # (key, value) tuples write as JSON lists
-        )
-        for record, row in zip(selected, rows)
-    ))
-    if args.sidecar:
-        _write_jsonl(args.sidecar, rows)
-
-
 def _cpus() -> int:
     """The CPUs this process may run on, or 1 where it cannot fork: the most workers `_forked` runs."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
@@ -289,14 +272,53 @@ def _build_members(args, store) -> dict:
 
 
 def _baseline(method, document, profile, table, threshold, tags=None) -> RedactionResult:
-    """Run one of the baseline methods (`lexical`, `idf`, `idf-table`, `ner`) on a document."""
+    """Run one of the baseline methods (`lexical`, `idf`, `idf-table`, `ner`) on a document; `ner` takes its
+    profile's row of the tags, when given, else the rule tagger's."""
     if method == "lexical":
         return lexical_baseline(document, profile)
     if method == "idf":
         return idf_baseline(document, table, threshold)
     if method == "idf-table":
         return idf_table_aware_baseline(document, profile, table, threshold)
-    return ner_baseline(document, tags)
+    if tags is not None and profile.id not in tags:
+        raise CorpusError(f"no tags for record {profile.id!r}")
+    return ner_baseline(document, None if tags is None else tags[profile.id])
+
+
+def _redactions(args, corpus, records, method, controls, stopwords, tags_file=None) -> list[list[RedactionResult]]:
+    """Each record's redaction at each control, in order; a record is (id, document, store index).
+
+    A search's controls are Ks, all settled by one search per record in `_forked`'s workers, guided by --model
+    at --beam-width for beam and 1 for greedy. A baseline runs once per control, a threshold; a given tags file
+    is read whatever the method.
+    """
+    if method in ("greedy", "beam"):
+        guide = NeuralReidentifier.from_checkpoint(args.model, corpus.store)
+        ks, width = [int(c) for c in controls], args.beam_width if method == "beam" else 1
+        return _forked(lambda r: _search(guide, r[1], r[2], ks, width, stopwords, method), records)
+    table = compute_idf(corpus) if method in ("idf", "idf-table") else None
+    tags = load_tag_file(tags_file) if tags_file else None
+    return [[_baseline(method, document, corpus.store[index], table, c, tags) for c in controls]
+            for _, document, index in records]
+
+
+def _redact(args, corpus, method, control, stopwords=None, tags_file=None) -> list[RedactionResult]:
+    """Redact the first --limit records at one control: each one's redacted row goes to --out and, with
+    --sidecar, its result's row there."""
+    records = [(r.profile_id, r.document, corpus.store.index_of(r.profile_id)) for r in corpus.records[: args.limit]]
+    results = [result for result, in _redactions(args, corpus, records, method, [control], stopwords, tags_file)]
+    rows = [result.to_json(doc_id=doc_id) for (doc_id, _, _), result in zip(records, results)]
+    _write_jsonl(args.out, (
+        dict(
+            {key: row[key] for key in ("id", "mask", "method", "k")},
+            document=apply_mask(document, row["mask"], mode=args.mask_mode),
+            profile=corpus.store[index].entries,  # (key, value) tuples write as JSON lists
+        )
+        for (_, document, index), row in zip(records, rows)
+    ))
+    if args.sidecar:
+        _write_jsonl(args.sidecar, rows)
+    return results
 
 
 def cmd_train(args) -> int:
@@ -315,20 +337,9 @@ def cmd_deidentify(args) -> int:
     _check_limit(args)
     check_search([args.k], args.beam_width)
     corpus = load_corpus(args.corpus)
-    selected = corpus.records[: args.limit]
-    model = NeuralReidentifier.from_checkpoint(args.model, corpus.store)
-    stopwords = _stopword_set(args)
-
-    def search(record):
-        true_index = corpus.store.index_of(record.profile_id)
-        if args.beam_width > 1:
-            return beam_deidentify(model, record.document, true_index, args.k, args.beam_width, stopwords)
-        return greedy_deidentify(model, record.document, true_index, args.k, stopwords)
-
-    results = _forked(search, selected)
-    _write_redactions(args, corpus, selected, results)
-    n_success = sum(r.success for r in results)
-    print(json.dumps({"documents": len(results), "success": n_success, "out": args.out}))
+    method = "beam" if args.beam_width > 1 else "greedy"
+    results = _redact(args, corpus, method, args.k, _stopword_set(args))
+    print(json.dumps({"documents": len(results), "success": sum(r.success for r in results), "out": args.out}))
     return 0
 
 
@@ -336,20 +347,7 @@ def cmd_baseline(args) -> int:
     """Redact with an unsupervised baseline."""
     _check_limit(args)
     check_threshold(args.idf_threshold)
-    corpus = load_corpus(args.corpus)
-    selected = corpus.records[: args.limit]
-    table = compute_idf(corpus) if args.method in ("idf", "idf-table") else None
-    tags = load_tag_file(args.tags_file) if args.tags_file else None
-    results = []
-    for record in selected:
-        doc_tags = None
-        if args.method == "ner" and tags is not None:
-            doc_tags = tags.get(record.profile_id)
-            if doc_tags is None:
-                raise CorpusError(f"no tags for record {record.profile_id!r}")
-        profile = corpus.store.get(record.profile_id)
-        results.append(_baseline(args.method, record.document, profile, table, args.idf_threshold, doc_tags))
-    _write_redactions(args, corpus, selected, results)
+    results = _redact(args, load_corpus(args.corpus), args.method, args.idf_threshold, tags_file=args.tags_file)
     print(json.dumps({"documents": len(results), "method": args.method, "out": args.out}))
     return 0
 
@@ -404,16 +402,7 @@ def cmd_sweep(args) -> int:
     members = _build_members(args, corpus.store)
     stopwords = _stopword_set(args)
     records = [(r.profile_id, r.document, corpus.store.index_of(r.profile_id)) for r in corpus.records[: args.limit]]
-    if search:
-        guide = NeuralReidentifier.from_checkpoint(args.model, corpus.store)
-        width = args.beam_width if args.method == "beam" else 1
-        results = _forked(lambda r: _search(guide, r[1], r[2], ks, width, stopwords, args.method), records)
-    else:
-        table = compute_idf(corpus) if args.method in ("idf", "idf-table") else None
-        results = [
-            [_baseline(args.method, document, corpus.store.get(doc_id), table, c) for c in args.controls]
-            for doc_id, document, _ in records
-        ]
+    results = _redactions(args, corpus, records, args.method, args.controls, stopwords)
     points = pareto_sweep(args.method, args.controls, records, results, members)
     write_pareto_csv(points, args.out)
     print(json.dumps({"points": len(points), "out": args.out}))

@@ -180,6 +180,7 @@ class _TermTable(dict):
     def __missing__(self, text: str | tuple[str, str]) -> bytes | tuple[str, str]:
         if isinstance(text, tuple):
             entry = sys.intern(text[0]), text[1]
+            list(map(self.__getitem__, entry))  # split before any document's equal text, so the table keeps these
             self[entry] = entry
             return entry
         if _TOKEN_RE.fullmatch(text):  # one surface

@@ -274,6 +274,20 @@ def test_sweep_reads_its_stopword_file_for_every_method(tmp_path, cli_corpus, cl
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["deidentify", "--k", "2"], ["sweep", "--method", "greedy", "--bm25"]],
+                         ids=["deidentify", "sweep"])
+def test_a_search_reads_its_stopword_file_before_its_guide(tmp_path, cli_corpus, capsys, command):
+    guide = tmp_path / "guide.ckpt"
+    guide.write_bytes(b'{"version": 99}\n')
+    out = tmp_path / "out"
+    assert main([
+        *command, "--corpus", str(cli_corpus), "--model", str(guide),
+        "--stopwords-file", str(tmp_path / "missing.txt"), "--out", str(out),
+    ]) == 3
+    assert _one_error_line(capsys)["error"] == "file-not-found"
+    assert not out.exists()
+
+
 # each command's flags by dest: a command dropped from one of build_parser's loops loses one
 COMMAND_FLAGS = {
     "train": {"corpus", "out", "log", "epochs", "lr", "clip", "alpha", "mask_prior", "embed_dim", "seed",
@@ -1113,7 +1127,7 @@ def test_a_search_sweep_searches_each_record_once_and_each_row_matches_a_one_con
 
     def counting(*args):
         with open(log, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(args[3]) + "\n")
+            fh.write(json.dumps(args[3:5]) + "\n")  # the Ks and the width
         return search(*args)
 
     monkeypatch.setattr(cli, "_search", counting)
@@ -1128,7 +1142,7 @@ def test_a_search_sweep_searches_each_record_once_and_each_row_matches_a_one_con
         log.unlink(missing_ok=True)
         assert main([*argv, "--controls", *controls, "--out", str(out)]) == 0
         calls = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
-        assert calls == [[64, 1, 8, 8]] * 6
+        assert calls == [[[64, 1, 8, 8], 4 if method == "beam" else 1]] * 6  # greedy runs at width 1, not --beam-width
         header, *rows = out.read_text().splitlines()
         assert [row.split(",")[1] for row in rows] == ["64.0", "1.0", "8.0", "8.0"]
         for k, row in zip(controls, rows):
@@ -1234,13 +1248,14 @@ def test_search_outputs_are_the_same_at_any_worker_count(tmp_path, cli_corpus, c
 def test_a_search_that_raises_fails_the_command_as_at_one_worker(tmp_path, cli_corpus, cli_checkpoint, capsys,
                                                                  monkeypatch, forks, workers):
     second = load_corpus(cli_corpus).records[1].document  # searched by the child at two workers
+    search = cli._search
 
     def failing(model, document, *args):
         if document == second:
             raise CorpusError("no search for the second record")
-        return greedy_deidentify(model, document, *args)
+        return search(model, document, *args)
 
-    monkeypatch.setattr(cli, "greedy_deidentify", failing)
+    monkeypatch.setattr(cli, "_search", failing)
     monkeypatch.setattr(cli, "_cpus", lambda: workers)
     out = tmp_path / "out.jsonl"
     code = main([
@@ -1408,7 +1423,7 @@ def cli_redacted(tmp_path_factory, cli_corpus):
     return _unmasked_redaction(tmp_path_factory.mktemp("cli_redacted"), cli_corpus)
 
 
-@pytest.mark.parametrize("kind", ["corpus", "redacted", "sidecar", "tags", "stopwords", "config"])
+@pytest.mark.parametrize("kind", ["corpus", "redacted", "sidecar", "tags", "tags-for-idf", "stopwords", "config"])
 def test_invalid_utf8_input_exit_code(tmp_path, cli_corpus, cli_checkpoint, cli_redacted, capsys, kind):
     bad = tmp_path / "bad.jsonl"
     bad.write_bytes(b'\n{"id": "caf\xe9"}\n')
@@ -1423,6 +1438,10 @@ def test_invalid_utf8_input_exit_code(tmp_path, cli_corpus, cli_checkpoint, cli_
         "tags": [
             "baseline", "--corpus", str(cli_corpus), "--method", "ner", "--tags-file", str(bad),
             "--out", str(tmp_path / "ner.jsonl"),
+        ],
+        "tags-for-idf": [  # a given tags file is read whatever the method
+            "baseline", "--corpus", str(cli_corpus), "--method", "idf", "--tags-file", str(bad),
+            "--out", str(tmp_path / "idf.jsonl"),
         ],
         "stopwords": [
             "deidentify", "--corpus", str(cli_corpus), "--model", str(cli_checkpoint), "--stopwords-file", str(bad),

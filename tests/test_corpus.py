@@ -201,6 +201,15 @@ def test_load_corpus_three_records(tmp_path):
     assert corpus.store.index_of("b") == 1
 
 
+def test_load_corpus_keeps_one_copy_of_a_one_word_profile_value(tmp_path):
+    # the document's equal string is another object; the table keeps the profile's
+    rows = [{"id": "a", "document": "Ann is a farmer.", "profile": [["job", "farmer"], ["name", "Ann"]]}]
+    corpus = load_corpus(write_jsonl(tmp_path / "c.jsonl", rows))
+    table = corpus.store.table
+    for key, value in corpus.store.get("a").entries:
+        assert table.surfaces[np.frombuffer(table[value], dtype=np.int32)[0]] is value
+
+
 def test_load_corpus_duplicate_id_names_line(tmp_path):
     rows = [
         {"id": "a", "document": "Ann is here.", "profile": [["name", "Ann"]]},
