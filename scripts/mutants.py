@@ -64,15 +64,15 @@ MUTANTS = [
            "held = np.sort(rng.choice(n, size=n_held, replace=False))",
            "held = np.asarray(rng.choice(n, size=n_held, replace=False))"),
     Mutant("beam-ties-by-insertion", "deid.py",
-           "sorted(children.values())[:width]", "sorted(children.values(), key=lambda child: child[0])[:width]"),
+           "sorted(children.values())[:beam_width]",
+           "sorted(children.values(), key=lambda child: child[0])[:beam_width]"),
     Mutant("beam-dedupe-le", "deid.py",
            "child_key not in children or child < children[child_key]",
            "child_key not in children or child <= children[child_key]",
            "equivalent: two children with one key and equal (probability, order) are the same child"),
-    Mutant("search-ranks-raw-scores", "deid.py",
-           "return scores, rank_of(dist, true_index)", "return scores, rank_of(scores, true_index)",
-           "undecided: softmax keeps the order of finite scores unless probabilities round together; "
-           "ROADMAP item 10 fixes the rank space"),
+    Mutant("search-ranks-softmax", "deid.py",
+           "return scores, rank_of(scores, true_index)",
+           "return scores, rank_of(np.exp(scores - scores.max()) / np.exp(scores - scores.max()).sum(), true_index)"),
     Mutant("empty-k-list-accepted", "deid.py", "if min(ks, default=0) < 1:", "if min(ks, default=1) < 1:"),
     Mutant("profile-accepts-whitespace-value", "corpus.py",
            "if not (key.strip() and str(value).strip()):", "if not (key.strip() and str(value)):"),

@@ -25,10 +25,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 from deident.corpus import Vocabulary, compute_idf, load_corpus  # noqa: E402  (imports numpy)
-from deident.deid import _search  # noqa: E402
+from deident.deid import search  # noqa: E402
 from deident.encoder import init_params, load_checkpoint  # noqa: E402
 from deident.reid import NeuralReidentifier  # noqa: E402
-from deident.stopwords import DEFAULT_STOPWORDS  # noqa: E402
 
 REPEATS = 3
 
@@ -51,12 +50,11 @@ def main() -> None:
         params = init_params(Vocabulary.from_idf(compute_idf(corpus)), dim=args.untrained_dim, seed=0)
     model = NeuralReidentifier(params, corpus.store)
     records = [(r.document, corpus.store.index_of(r.profile_id)) for r in corpus.records[: args.records]]
-    method = "greedy" if args.beam_width == 1 else "beam"
     ms_per_doc = []
     for _ in range(REPEATS):
         start = time.perf_counter()
         for document, true_index in records:
-            _search(model, document, true_index, args.k, args.beam_width, DEFAULT_STOPWORDS, method)
+            search(model, document, true_index, args.k, args.beam_width)
         ms_per_doc.append(1e3 * (time.perf_counter() - start) / len(records))
     print(json.dumps({
         "records": len(records),

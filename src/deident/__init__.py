@@ -17,12 +17,11 @@ from .corpus import (
     tokenize,
 )
 from .deid import (
-    beam_deidentify,
-    greedy_deidentify,
     idf_baseline,
     idf_table_aware_baseline,
     lexical_baseline,
     ner_baseline,
+    search,
 )
 from .encoder import (
     CheckpointError,

@@ -41,7 +41,6 @@ from .corpus import (
 )
 from .deid import (
     RedactionResult,
-    _search,
     check_search,
     check_threshold,
     idf_baseline,
@@ -49,6 +48,7 @@ from .deid import (
     lexical_baseline,
     load_tag_file,
     ner_baseline,
+    search,
 )
 from .encoder import CheckpointError
 from .metrics import pareto_sweep, utility_report, write_pareto_csv
@@ -295,7 +295,7 @@ def _redactions(args, corpus, records, method, controls, stopwords, tags_file=No
     if method in ("greedy", "beam"):
         guide = NeuralReidentifier.from_checkpoint(args.model, corpus.store)
         ks, width = [int(c) for c in controls], args.beam_width if method == "beam" else 1
-        return _forked(lambda r: _search(guide, r[1], r[2], ks, width, stopwords, method), records)
+        return _forked(lambda r: search(guide, r[1], r[2], ks, width, stopwords), records)
     table = compute_idf(corpus) if method in ("idf", "idf-table") else None
     tags = load_tag_file(tags_file) if tags_file else None
     return [[_baseline(method, document, corpus.store[index], table, c, tags) for c in controls]
@@ -386,8 +386,8 @@ def cmd_evaluate(args) -> int:
 def cmd_sweep(args) -> int:
     """Privacy/utility curve over a control parameter."""
     _check_limit(args)
-    search = args.method in ("greedy", "beam")
-    if search:
+    by_k = args.method in ("greedy", "beam")
+    if by_k:
         if not args.model:
             raise ValueError(f"--model is required for method {args.method!r}")
         bad = [c for c in args.controls if not (c.is_integer() and c >= 1)]
@@ -395,7 +395,7 @@ def cmd_sweep(args) -> int:
             raise ValueError(f"--controls for method {args.method!r} must be integers K >= 1, got {bad}")
     elif any(math.isnan(c) for c in args.controls):
         raise ValueError(f"--controls for method {args.method!r} must not be NaN")
-    ks = [int(c) for c in args.controls] if search else [1]  # a baseline's controls are thresholds, not Ks
+    ks = [int(c) for c in args.controls] if by_k else [1]  # a baseline's controls are thresholds, not Ks
     check_search(ks, args.beam_width)  # every method checks the width, though only beam runs wider than 1
     _check_members(args)
     corpus = load_corpus(args.corpus)

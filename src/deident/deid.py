@@ -1,10 +1,11 @@
 """Mask-construction methods: rank-based search and unsupervised baselines.
 
-The search repeatedly masks the position whose single-position addition
+`search` repeatedly masks the position whose single-position addition
 minimizes the true profile's probability, stopping once the true profile
-drops out of the top K. Stopwords and pure punctuation are not candidates.
-Greedy and beam run one search loop: the beam search keeps several
-lowest-probability mask states per depth, and greedy is the beam search at
+drops out of the top K, by the guide's rank of its scores: the rank
+`reid.ensemble_evaluate` gives that guide. Stopwords and pure punctuation
+are not candidates. Greedy and beam are one search: it keeps the
+`beam_width` lowest-probability mask states per depth, and greedy is its
 width 1. One search answers a list of Ks, as a sweep over K needs. The
 guide model must provide `store` and `document_scorer` (a per-document
 state that audits mask sets and builds the candidate table), as
@@ -26,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import CorpusError, Document, IdfTable, Profile, _jsonl_rows
-from .encoder import rank_of, softmax
+from .encoder import rank_of
 from .stopwords import DEFAULT_STOPWORDS
 
 ENTITY_TAGS = frozenset({"PER", "ORG", "LOC", "MISC"})
@@ -85,41 +86,6 @@ def candidate_positions(document: Document, stopwords: frozenset[str] = DEFAULT_
     return [j for j, (term, punctuation) in enumerate(words) if not (punctuation or term in stopwords)]
 
 
-def greedy_deidentify(
-    model,
-    document: Document,
-    true_index: int,
-    k: int,
-    stopwords: frozenset[str] = DEFAULT_STOPWORDS,
-) -> RedactionResult:
-    """Mask words one at a time until the true profile ranks below top-K.
-
-    Each step masks the eligible position whose masking minimizes the true
-    profile's probability (ties to the lowest index). The stopping condition
-    is also checked before the first step, so an already-anonymous document
-    gets an empty mask. Runs out of candidates -> success is False. This is
-    the beam search at width 1.
-    """
-    return _search(model, document, true_index, [k], 1, stopwords, "greedy")[0]
-
-
-def beam_deidentify(
-    model,
-    document: Document,
-    true_index: int,
-    k: int,
-    beam_width: int = 4,
-    stopwords: frozenset[str] = DEFAULT_STOPWORDS,
-) -> RedactionResult:
-    """Beam-search variant of greedy_deidentify.
-
-    Keeps the beam_width states with the lowest true-profile probability at
-    each depth; candidate ties break toward the lower position index, which
-    makes width 1 reproduce greedy mask-for-mask.
-    """
-    return _search(model, document, true_index, [k], beam_width, stopwords, "beam")[0]
-
-
 def check_search(ks: Sequence[int], width: int) -> None:
     """Reject a beam width or a K below 1, as every search does before its first audit."""
     if width < 1:
@@ -128,35 +94,51 @@ def check_search(ks: Sequence[int], width: int) -> None:
         raise ValueError("k must be >= 1")
 
 
-def _search(model, document, true_index, ks, width, stopwords, method) -> list[RedactionResult]:
-    """The search behind greedy and beam: one result per K of `ks`, in its order.
+def search(
+    model,
+    document: Document,
+    true_index: int,
+    ks: Sequence[int],
+    beam_width: int = 1,
+    stopwords: frozenset[str] = DEFAULT_STOPWORDS,
+) -> list[RedactionResult]:
+    """Mask words until the true profile ranks below top-K: one result per K of `ks`, in its order.
 
-    A state is the order in which its positions were masked. Depth 0 holds
-    the empty mask, so the precheck is the same audit as every later stop
-    check. Each depth audits its states in order; a K is settled by the first
-    state whose true profile ranks below K, and the search returns once all
-    are. Otherwise every state is expanded by each of its remaining
-    candidates, and the `width` children with the lowest (probability,
-    order) are kept; children with the same mask set keep their best entry.
-    A child scores as its state's audited scores plus its candidate's row of
-    the table of the guide's `document_scorer`, built at the first expansion.
-    The last depth holds the single all-candidates state, which settles the
-    Ks left, failing those it does not pass. No rank exceeds the store size,
-    so a K at or above it fails there whatever the path: one audit of that
-    state settles all such Ks first, with the candidates as the order, and
-    the search runs only for the Ks below. No state depends on K, so each
-    result equals a lone search at its K (a repeated K shares one object).
+    The method is `greedy` at width 1 and `beam` above. A state is the order
+    in which its positions were masked. Depth 0 holds the empty mask, so the
+    precheck is the same audit as every later stop check. An audit ranks the
+    guide's scores of its state with `rank_of`, the rank `ensemble_evaluate`
+    gives the guide. Each depth audits its states in order; a K is settled by
+    the first state whose true profile ranks below K, and the search returns
+    once all are. Otherwise every state is expanded by each of its remaining
+    candidates, and the `beam_width` children with the lowest (true-profile
+    probability, order) are kept, candidate ties going to the lower position;
+    children with the same mask set keep their best entry. A child scores as
+    its state's audited scores plus its candidate's row of the table of the
+    guide's `document_scorer`, built at the first expansion. The last depth
+    holds the single all-candidates state, which settles the Ks left, failing
+    those it does not pass. No rank exceeds the store size, so a K at or
+    above it fails there whatever the path: one audit of that state settles
+    all such Ks first, with the candidates as the order, and the search runs
+    only for the Ks below. No state depends on K, so each result equals a
+    lone search at its K (a repeated K shares one object).
     """
-    check_search(ks, width)
+    check_search(ks, beam_width)
     if not 0 <= true_index < len(model.store):
         raise ValueError(f"profile index {true_index} not in store")
+    method = "beam" if beam_width > 1 else "greedy"
     candidates = candidate_positions(document, stopwords)
     scorer, table = model.document_scorer(document), None
 
+    def true_probs(rows):
+        """The true column of the softmax of each row (last axis) of rows, computed in place in rows."""
+        rows -= rows.max(axis=-1, keepdims=True)
+        np.exp(rows, out=rows)
+        return rows[..., true_index] / rows.sum(axis=-1)
+
     def audit(picked):
         scores = scorer.audit(picked)
-        dist = softmax(scores)
-        return scores, rank_of(dist, true_index), float(dist[true_index])
+        return scores, rank_of(scores, true_index), float(true_probs(scores.copy()))
 
     unsettled = sorted({k for k in ks if k < len(model.store)}, reverse=True)  # the smallest unsettled K last
     settled = {}
@@ -184,16 +166,16 @@ def _search(model, document, true_index, ks, width, stopwords, method) -> list[R
         for picked, scores in audited:
             key = sum(1 << j for j in picked)
             left = [c for c, j in enumerate(candidates) if not key >> j & 1]
-            exp = table[left] + scores
-            exp -= exp.max(axis=1, keepdims=True)
-            probs = np.exp(exp, out=exp)[:, true_index] / exp.sum(axis=1)  # the true column of their softmax
-            # a child outside its state's `width` lowest cannot be among the `width` lowest overall
-            for c in np.argsort(probs, kind="stable")[:width]:
+            rows = table.take(left, axis=0)
+            rows += scores
+            probs = true_probs(rows)
+            # a child outside its state's `beam_width` lowest cannot be among the `beam_width` lowest overall
+            for c in np.argsort(probs, kind="stable")[:beam_width]:
                 j = candidates[left[c]]
                 child_key, child = key | 1 << j, (float(probs[c]), picked + (j,))
                 if child_key not in children or child < children[child_key]:
                     children[child_key] = child
-        states = [picked for _, picked in sorted(children.values())[:width]]
+        states = [picked for _, picked in sorted(children.values())[:beam_width]]
 
 
 def lexical_baseline(document: Document, profile: Profile) -> RedactionResult:

@@ -4,9 +4,11 @@ Two reidentifier families share one duck-typed surface, `scores`: a
 neural ranker built from a trained checkpoint, and a BM25 lexical ranker
 over the store's term ids. The neural ranker scores every single document
 through a `DocumentScorer`: `scores` is the audit of the mask's positions,
-the same call each search state makes, so a certificate re-audits through
-the path that produced it. An ensemble report counts a document as
-reidentified when any member ranks its true profile first.
+the same call each search state makes, and both rank those scores with
+`rank_of`, so a certificate re-audits through the path that produced it
+and `evaluate` reports the rank the search certified. An ensemble report
+counts a document as reidentified when any member ranks its true profile
+first.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ class NeuralReidentifier:
         return DocumentScorer(self, document).audit(picked)
 
     def distribution(self, document: Document, mask=None) -> np.ndarray:
+        """The softmax of `scores`; the benchmark's certificate check reads it. Ranks are taken on `scores`."""
         return softmax(self.scores(document, mask))
 
     def document_scorer(self, document: Document) -> "DocumentScorer":

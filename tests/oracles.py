@@ -29,6 +29,7 @@ import numpy as np
 from deident.corpus import MAX_PROFILE_TOKENS, CorpusError, Document, Profile, Vocabulary, check_mask, tokenize
 from deident.deid import _result, candidate_positions
 from deident.encoder import Bags, DenseBags, ModelParams, profile_bags, rank_of, softmax
+from deident.stopwords import DEFAULT_STOPWORDS
 from deident.training import Gradients, TrainConfig, _step
 
 logger = logging.getLogger(__name__)
@@ -216,13 +217,14 @@ def candidate_scores(model, document: Document, candidates: Sequence[int]) -> np
     return deltas / len(rows) @ model.params.doc_proj.astype(np.float64) @ model.matrix.T
 
 
-def reference_search(model, document, true_index, ks, width, stopwords, method):
-    """`deid._search` with each audit rescored from a copy of the document's rows.
+def reference_search(model, document, true_index, ks, width=1, stopwords=DEFAULT_STOPWORDS):
+    """`deid.search` with each audit rescored from a copy of the document's rows.
 
     Every state's rows are the document's with its picked positions at the
-    mask row, scored by `score_rows`; a child's probability is a column of
-    the full softmax of its scores. The search order, the stop rule and the
-    settling of Ks are the library's.
+    mask row, scored by `score_rows` and ranked on those scores, as
+    `ensemble_evaluate` ranks a guide's; its probability, and a child's, is
+    a column of the full softmax of its scores. The search order, the stop
+    rule and the settling of Ks are the library's.
     """
     if width < 1:
         raise ValueError("beam_width must be >= 1")
@@ -230,6 +232,7 @@ def reference_search(model, document, true_index, ks, width, stopwords, method):
         raise ValueError("k must be >= 1")
     if not 0 <= true_index < len(model.store):
         raise ValueError(f"profile index {true_index} not in store")
+    method = "beam" if width > 1 else "greedy"
     candidates = candidate_positions(document, stopwords)
     vocab, table = model.params.vocab, None
     rows = document_row_indices(vocab, document)
@@ -238,8 +241,7 @@ def reference_search(model, document, true_index, ks, width, stopwords, method):
         state_rows = rows.copy()
         state_rows[list(picked)] = vocab.mask_index
         scores = score_rows(model, state_rows)
-        dist = softmax(scores)
-        return scores, rank_of(dist, true_index), float(dist[true_index])
+        return scores, rank_of(scores, true_index), float(softmax(scores)[true_index])
 
     unsettled = sorted({k for k in ks if k < len(model.store)}, reverse=True)  # the smallest unsettled K last
     settled = {}

@@ -19,10 +19,9 @@ from deident.corpus import (
     tokenize,
 )
 from deident.deid import (
-    beam_deidentify,
     candidate_positions,
-    greedy_deidentify,
     idf_table_aware_baseline,
+    search,
 )
 from deident.encoder import (
     build_profile_matrix,
@@ -192,7 +191,7 @@ def test_criterion_02_greedy_step_optimality():
         empty = np.zeros(len(doc), dtype=np.int8)
         true_index = int(np.argmax(model.distribution(doc, empty)))
         k = int(np.random.default_rng(500 + seed).integers(1, 4))
-        result = greedy_deidentify(model, doc, true_index, k)
+        result = search(model, doc, true_index, [k])[0]
         mask = np.zeros(len(doc), dtype=np.int8)
         for chosen in result.order:
             candidates = [j for j in candidate_positions(doc, DEFAULT_STOPWORDS) if not mask[j]]
@@ -230,7 +229,7 @@ def test_criterion_03_k_anonymity_audit(desk_corpus, desk_guide):
         success_records = []
         for rec in records:
             true_index = desk_corpus.store.index_of(rec.profile_id)
-            result = greedy_deidentify(desk_guide, rec.document, true_index, k)
+            result = search(desk_guide, rec.document, true_index, [k])[0]
             if result.success:
                 emb = encode_document(desk_guide.params, rec.document, result.mask)
                 dist = score_and_normalize(emb, oracle_matrix)
@@ -303,7 +302,7 @@ def test_criterion_05_baseline_direction(desk_corpus, desk_guide, desk_members):
     greedy_point = None
     for k in K_GRID:
         results = [
-            greedy_deidentify(desk_guide, rec.document, desk_corpus.store.index_of(rec.profile_id), k)
+            search(desk_guide, rec.document, desk_corpus.store.index_of(rec.profile_id), [k])[0]
             for rec in records
         ]
         rate, pct = evaluate(results)
@@ -457,8 +456,8 @@ def test_criterion_10_beam_reduction():
     for seed in range(100):
         model, doc, true_index = _random_instance(seed, n_profiles=6, n_words=6)
         k = int(np.random.default_rng(2000 + seed).integers(1, 4))
-        greedy = greedy_deidentify(model, doc, true_index, k)
-        beam1 = beam_deidentify(model, doc, true_index, k, beam_width=1)
+        greedy = search(model, doc, true_index, [k])[0]
+        beam1 = search(model, doc, true_index, [k], beam_width=1)[0]
         if not np.array_equal(greedy.mask, beam1.mask):
             mismatches += 1
 
@@ -470,7 +469,7 @@ def test_criterion_10_beam_reduction():
         # the depth-0 top-ranked profile ranks within K, so beam must mask and
         # the audit re-scores a state with picked positions
         true_index = int(np.argmax(model.distribution(doc)))
-        result = beam_deidentify(model, doc, true_index, k=3, beam_width=4)
+        result = search(model, doc, true_index, [3], beam_width=4)[0]
         depth0_stops += result.steps == 0
         if result.success:
             audited += 1

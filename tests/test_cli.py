@@ -19,7 +19,7 @@ from deident.cli import main
 from deident.corpus import (
     MASK_MODES, CorpusError, Profile, Vocabulary, compute_idf, load_corpus, load_redacted, tokenize,
 )
-from deident.deid import beam_deidentify, greedy_deidentify
+from deident.deid import search
 from deident.encoder import CheckpointError, init_params, save_checkpoint
 from deident.reid import NeuralReidentifier
 from deident.training import MASK_PRIORS, TrainConfig
@@ -1005,10 +1005,30 @@ def test_deidentify_beam_width_two_runs_the_beam_search(tmp_path, cli_corpus, cl
     differs = 0
     for record, row in zip(corpus.records, rows):
         index = corpus.store.index_of(record.profile_id)
-        beam = beam_deidentify(model, record.document, index, 2, beam_width=2).mask.tolist()
+        beam = search(model, record.document, index, [2], beam_width=2)[0].mask.tolist()
         assert row["mask"] == beam
-        differs += beam != greedy_deidentify(model, record.document, index, 2).mask.tolist()
+        differs += beam != search(model, record.document, index, [2])[0].mask.tolist()
     assert differs  # on some document width 2 finds another mask than greedy
+
+
+@pytest.mark.parametrize("width", ["1", "2"])
+def test_evaluate_reports_each_certified_rank_of_the_guide(tmp_path, cli_corpus, cli_checkpoint, capsys, width):
+    # the rank `evaluate` reports for the guide is the `final_rank` its certificate states, and it passes K
+    redacted, sidecar, report = tmp_path / "redacted.jsonl", tmp_path / "sidecar.jsonl", tmp_path / "report.json"
+    assert main([
+        "deidentify", "--corpus", str(cli_corpus), "--model", str(cli_checkpoint), "--k", "2", "--beam-width", width,
+        "--limit", "20", "--out", str(redacted), "--sidecar", str(sidecar),
+    ]) == 0
+    assert main([
+        "evaluate", "--corpus", str(cli_corpus), "--redacted", str(redacted), "--models", str(cli_checkpoint),
+        "--report", str(report),
+    ]) == 0
+    capsys.readouterr()
+    ranks = {doc["id"]: doc["ranks"][cli_checkpoint.stem] for doc in json.loads(report.read_text())["per_doc"]}
+    certified = [json.loads(line) for line in sidecar.read_text().splitlines() if json.loads(line)["success"]]
+    assert certified
+    for row in certified:
+        assert ranks[row["id"]] == row["final_rank"] > row["k"], row["id"]
 
 
 def test_idf_bm25_sweep_linearizes_each_profile_once(tmp_path, cli_corpus, capsys, monkeypatch):
@@ -1087,7 +1107,7 @@ def test_sweep_rejects_a_control_that_is_not_a_k(
     def no_search(*args, **kwargs):
         raise AssertionError("a search ran")
 
-    monkeypatch.setattr(cli, "_search", no_search)
+    monkeypatch.setattr(cli, "search", no_search)
     out = tmp_path / "pareto.csv"
     code = main([
         "sweep", "--corpus", str(cli_corpus), "--method", method, "--controls", "2", control,
@@ -1123,14 +1143,14 @@ def test_a_search_sweep_searches_each_record_once_and_each_row_matches_a_one_con
     tmp_path, cli_corpus, cli_checkpoint, monkeypatch, method
 ):
     log = tmp_path / "calls.jsonl"  # one line per call, from whichever process made it
-    search = cli._search
+    search = cli.search
 
     def counting(*args):
         with open(log, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(args[3:5]) + "\n")  # the Ks and the width
         return search(*args)
 
-    monkeypatch.setattr(cli, "_search", counting)
+    monkeypatch.setattr(cli, "search", counting)
     argv = [
         "sweep", "--corpus", str(cli_corpus), "--method", method, "--model", str(cli_checkpoint),
         "--bm25", "--limit", "6",
@@ -1248,14 +1268,14 @@ def test_search_outputs_are_the_same_at_any_worker_count(tmp_path, cli_corpus, c
 def test_a_search_that_raises_fails_the_command_as_at_one_worker(tmp_path, cli_corpus, cli_checkpoint, capsys,
                                                                  monkeypatch, forks, workers):
     second = load_corpus(cli_corpus).records[1].document  # searched by the child at two workers
-    search = cli._search
+    search = cli.search
 
     def failing(model, document, *args):
         if document == second:
             raise CorpusError("no search for the second record")
         return search(model, document, *args)
 
-    monkeypatch.setattr(cli, "_search", failing)
+    monkeypatch.setattr(cli, "search", failing)
     monkeypatch.setattr(cli, "_cpus", lambda: workers)
     out = tmp_path / "out.jsonl"
     code = main([
@@ -1271,14 +1291,14 @@ def test_a_search_that_raises_fails_the_command_as_at_one_worker(tmp_path, cli_c
 
 def test_a_search_worker_that_dies_fails_the_command_as_one_error_line(tmp_path, cli_corpus, cli_checkpoint, capsys,
                                                                        monkeypatch, forks):
-    parent, search = os.getpid(), cli._search
+    parent, search = os.getpid(), cli.search
 
     def dying(*args):
         if os.getpid() != parent:
             os._exit(3)
         return search(*args)
 
-    monkeypatch.setattr(cli, "_search", dying)
+    monkeypatch.setattr(cli, "search", dying)
     monkeypatch.setattr(cli, "_cpus", lambda: 2)
     out = tmp_path / "pareto.csv"
     code = main([

@@ -9,23 +9,22 @@ from hypothesis import strategies as st
 
 from deident.corpus import CorpusError, Profile, ProfileStore, Vocabulary, compute_idf, load_corpus, tokenize
 from deident.deid import (
-    _search,
-    beam_deidentify,
     candidate_positions,
     check_search,
-    greedy_deidentify,
     idf_baseline,
     idf_table_aware_baseline,
     lexical_baseline,
     load_tag_file,
     ner_baseline,
     rule_tags,
+    search,
 )
 from deident.encoder import (
     ModelParams,
     build_profile_matrix,
     init_params,
     rank_of,
+    softmax,
 )
 from deident.reid import NeuralReidentifier
 from deident.stopwords import DEFAULT_STOPWORDS
@@ -103,7 +102,7 @@ def test_greedy_precheck_returns_empty_mask():
     worst = int(np.argmin(dist))
     rank = rank_of(dist, worst)
     assert rank > 1
-    result = greedy_deidentify(model, doc, worst, rank - 1)
+    result = search(model, doc, worst, [rank - 1])[0]
     assert result.success
     assert result.steps == 0
     assert result.mask.sum() == 0
@@ -115,7 +114,7 @@ def test_greedy_first_step_matches_bruteforce_argmin():
     # the top-ranked profile must mask at least one word to rank below K = |store| - 1; a K
     # at or above the store size fails with one audit and takes no greedy step
     true_index = int(np.argmax(model.distribution(doc)))
-    result = greedy_deidentify(model, doc, true_index, k=len(model.store) - 1)
+    result = search(model, doc, true_index, [len(model.store) - 1])[0]
     assert result.steps >= 1
     assert result.order[0] == oracle_greedy_pick(model, doc, true_index, np.zeros(len(doc), dtype=np.int8))
 
@@ -134,7 +133,7 @@ def test_greedy_exhaustion_reports_failure():
     k = max(ranks)
     assert k < len(model.store)
     guide = CountingGuide(model)
-    result = greedy_deidentify(guide, doc, true_index, k)
+    result = search(guide, doc, true_index, [k])[0]
     assert not result.success
     assert result.order == path and result.steps == len(candidates)
     assert result.mask.sum() == len(candidates)
@@ -148,7 +147,7 @@ def test_greedy_step_optimality_random_instances():
         # and the replay checks audits of states with picked positions
         true_index = int(np.argmax(model.distribution(doc)))
         k = int(np.random.default_rng(seed).integers(1, 4))
-        result = greedy_deidentify(model, doc, true_index, k)
+        result = search(model, doc, true_index, [k])[0]
         assert result.steps >= 1, f"seed {seed}"
         replay_greedy_with_oracle(model, doc, true_index, k, result)
 
@@ -169,8 +168,8 @@ def test_unseen_words_read_as_the_mask_row():
         # the top-ranked profile stays at or above K = |store| - 1 down greedy's whole path
         true_index = int(np.argmax(model.distribution(doc_a)))
         for k in (2, len(model.store) - 1):
-            result_a = greedy_deidentify(model, doc_a, true_index, k)
-            result_b = greedy_deidentify(model, doc_b, true_index, k)
+            result_a = search(model, doc_a, true_index, [k])[0]
+            result_b = search(model, doc_b, true_index, [k])[0]
             assert np.array_equal(result_a.mask, result_b.mask)
             assert result_a.order == result_b.order
         candidates = candidate_positions(doc_a, DEFAULT_STOPWORDS)
@@ -180,7 +179,7 @@ def test_unseen_words_read_as_the_mask_row():
 def test_greedy_masks_only_grow_and_steps_match():
     model, doc, _ = random_instance(3)
     true_index = int(np.argmax(model.distribution(doc)))  # ranks first, so greedy must mask
-    result = greedy_deidentify(model, doc, true_index, k=2)
+    result = search(model, doc, true_index, [2])[0]
     assert result.steps >= 1
     assert result.steps == len(result.order) == int(result.mask.sum())
     seen = set()
@@ -194,7 +193,7 @@ def test_greedy_masks_only_grow_and_steps_match():
 def test_greedy_success_audited_by_rescoring(toy_corpus, toy_model):
     for rec in toy_corpus.records[:12]:
         true_index = toy_corpus.store.index_of(rec.profile_id)
-        result = greedy_deidentify(toy_model, rec.document, true_index, k=2)
+        result = search(toy_model, rec.document, true_index, [2])[0]
         if result.success:
             dist = oracle_distribution(toy_model, rec.document, result.mask)
             assert rank_of(dist, true_index) > 2
@@ -203,8 +202,8 @@ def test_greedy_success_audited_by_rescoring(toy_corpus, toy_model):
 def test_greedy_deterministic(toy_corpus, toy_model):
     rec = toy_corpus.records[4]
     true_index = toy_corpus.store.index_of(rec.profile_id)
-    a = greedy_deidentify(toy_model, rec.document, true_index, k=3)
-    b = greedy_deidentify(toy_model, rec.document, true_index, k=3)
+    a = search(toy_model, rec.document, true_index, [3])[0]
+    b = search(toy_model, rec.document, true_index, [3])[0]
     assert np.array_equal(a.mask, b.mask)
     assert a.order == b.order
     assert a.final_prob == b.final_prob
@@ -213,7 +212,7 @@ def test_greedy_deterministic(toy_corpus, toy_model):
 def test_greedy_include_stopwords_flag(toy_corpus, toy_model):
     rec = toy_corpus.records[2]
     true_index = toy_corpus.store.index_of(rec.profile_id)
-    no_stop = greedy_deidentify(toy_model, rec.document, true_index, k=2, stopwords=frozenset())
+    no_stop = search(toy_model, rec.document, true_index, [2], stopwords=frozenset())[0]
     for j in no_stop.order:
         assert not rec.document.punctuation[j]  # punctuation still excluded
 
@@ -221,20 +220,19 @@ def test_greedy_include_stopwords_flag(toy_corpus, toy_model):
 def test_greedy_rejects_bad_arguments(toy_corpus, toy_model):
     rec = toy_corpus.records[0]
     with pytest.raises(ValueError):
-        greedy_deidentify(toy_model, rec.document, 0, k=0)
+        search(toy_model, rec.document, 0, [0])
     with pytest.raises(ValueError):
-        greedy_deidentify(toy_model, rec.document, len(toy_model.store), k=1)
+        search(toy_model, rec.document, len(toy_model.store), [1])
 
 
 def test_beam_width_one_equals_greedy():
     for seed in range(100):
         model, doc, true_index = random_instance(seed, n_profiles=6, n_words=6)
         k = int(np.random.default_rng(1000 + seed).integers(1, 4))
-        greedy = greedy_deidentify(model, doc, true_index, k)
-        beam = beam_deidentify(model, doc, true_index, k, beam_width=1)
-        assert np.array_equal(greedy.mask, beam.mask), f"seed {seed}"
-        assert greedy.success == beam.success
-        assert greedy.steps == beam.steps
+        greedy, beam = search(model, doc, true_index, [k])[0], search(model, doc, true_index, [k], beam_width=2)[0]
+        assert (greedy.method, beam.method) == ("greedy", "beam")
+        expected = reference_search(model, doc, true_index, [k])[0]
+        assert greedy.to_json() == expected.to_json(), f"seed {seed}"
 
 
 def test_beam_keeps_the_tied_child_of_the_lower_order():
@@ -247,12 +245,39 @@ def test_beam_keeps_the_tied_child_of_the_lower_order():
     store = ProfileStore([Profile(f"p{i}", (("name", value),)) for i, value in enumerate(values)])
     model = NeuralReidentifier(ModelParams(vocab, embeddings, identity, identity), store)
     doc = tokenize("c b a b b a a c")
-    result = beam_deidentify(model, doc, 2, 4, beam_width=3, stopwords=frozenset())
+    result = search(model, doc, 2, [4], beam_width=3, stopwords=frozenset())[0]
     assert result.order == [1, 3, 0, 7] and result.success
     tied = np.zeros(len(doc), dtype=np.int8)
     tied[[1, 3, 4, 2]] = 1  # what keeping tied children by insertion would return
     assert model.distribution(doc, tied)[2] == result.final_prob
-    assert result.to_json() == reference_search(model, doc, 2, [4], 3, frozenset(), "beam")[0].to_json()
+    assert result.to_json() == reference_search(model, doc, 2, [4], 3, frozenset())[0].to_json()
+
+
+class TiedSoftmaxGuide:
+    """A guide whose scores are [-1e-17, 0, -3] whatever is masked: profile 1 ranks first on them, while
+    their softmax rounds profiles 0 and 1 to one probability and so ranks profile 1 second."""
+
+    store = ("p0", "p1", "p2")
+
+    def document_scorer(self, document):
+        return self
+
+    def audit(self, picked):
+        return np.array([-1e-17, 0.0, -3.0])
+
+    def table(self, candidates):
+        return np.zeros((len(candidates), len(self.store)))
+
+
+def test_the_search_ranks_the_guides_scores_not_their_softmax():
+    guide, doc = TiedSoftmaxGuide(), tokenize("alice smith farms")
+    scores = guide.audit(())
+    assert rank_of(scores, 1) == 1 and rank_of(softmax(scores), 1) == 2
+    for width in (1, 2):
+        # no mask moves the scores, so no state passes K = 1 and the search fails at all candidates
+        (result,) = search(guide, doc, 1, [1], width)
+        assert (result.success, result.final_rank) == (False, 1)
+        assert result.order == candidate_positions(doc, DEFAULT_STOPWORDS) == [0, 1, 2]
 
 
 def test_an_empty_k_list_is_refused():
@@ -260,7 +285,7 @@ def test_an_empty_k_list_is_refused():
     with pytest.raises(ValueError, match="^k must be >= 1$"):
         check_search([], 1)
     with pytest.raises(ValueError, match="^k must be >= 1$"):
-        _search(model, doc, true_index, [], 1, DEFAULT_STOPWORDS, "greedy")
+        search(model, doc, true_index, [])
 
 
 def test_beam_satisfies_k_anonymity_audit():
@@ -269,7 +294,7 @@ def test_beam_satisfies_k_anonymity_audit():
         # the depth-0 top-ranked profile ranks within K, so beam must mask and
         # the audit re-scores a state with picked positions
         true_index = int(np.argmax(model.distribution(doc)))
-        result = beam_deidentify(model, doc, true_index, k=3, beam_width=4)
+        result = search(model, doc, true_index, [3], beam_width=4)[0]
         assert result.steps >= 1, f"seed {seed}"
         if result.success:
             dist = oracle_distribution(model, doc, result.mask)
@@ -288,13 +313,14 @@ def test_beam_satisfies_k_anonymity_audit():
 def test_search_results_re_audit_under_the_oracle(seed, n_profiles, n_words, k, width):
     model, doc, true_index = random_instance(seed, n_profiles=n_profiles, n_words=n_words)
     candidates = candidate_positions(doc, DEFAULT_STOPWORDS)
-    greedy = greedy_deidentify(model, doc, true_index, k)
-    beam = beam_deidentify(model, doc, true_index, k, beam_width=width)
+    greedy = search(model, doc, true_index, [k])[0]
+    beam = search(model, doc, true_index, [k], beam_width=width)[0]
     for result in (greedy, beam):
         assert result.steps == len(result.order) == int(result.mask.sum())
         assert len(set(result.order)) == len(result.order)
         assert set(result.order) <= set(candidates)
         assert np.flatnonzero(result.mask).tolist() == sorted(result.order)
+        assert result.final_rank == rank_of(model.scores(doc, result.mask), true_index)
         if result.success:
             assert rank_of(oracle_distribution(model, doc, result.mask), true_index) > k
         else:
@@ -362,11 +388,11 @@ class CountingGuide:
 )
 def test_a_search_builds_its_candidate_table_once_and_only_past_depth_zero(seed, n_words, k, width):
     model, doc, true_index = random_instance(seed, n_words=n_words)
-    for search, extra in ((greedy_deidentify, {}), (beam_deidentify, {"beam_width": width})):
+    for search_width in (1, width):
         guide = CountingGuide(model)
-        result = search(guide, doc, true_index, k, **extra)
+        result = search(guide, doc, true_index, [k], search_width)[0]
         assert guide.builds == (result.steps > 0)
-        same = search(model, doc, true_index, k, **extra)
+        same = search(model, doc, true_index, [k], search_width)[0]
         assert result.order == same.order and result.final_prob == same.final_prob
 
 
@@ -382,16 +408,16 @@ def test_one_search_over_many_ks_equals_a_lone_search_at_each(seed, n_words, wid
     # Ks from the 10 profiles up fail at the all-candidates state
     ks = ks + ks[:1]
     model, doc, true_index = random_instance(seed, n_words=n_words)
-    lone_searches = {
-        "greedy": (1, lambda guide, k: greedy_deidentify(guide, doc, true_index, k)),
-        "beam": (width, lambda guide, k: beam_deidentify(guide, doc, true_index, k, beam_width=width)),
-    }
-    for method, (search_width, lone) in lone_searches.items():
+    for search_width in (1, width):
         guide = CountingGuide(model)
-        results = _search(guide, doc, true_index, ks, search_width, DEFAULT_STOPWORDS, method)
+        results = search(guide, doc, true_index, ks, search_width)
         assert len(results) == len(ks)
+
+        def lone(guide, k):
+            return search(guide, doc, true_index, [k], search_width)[0]
+
         for k, result in zip(ks, results):
-            assert result.to_json() == lone(model, k).to_json(), (method, k)
+            assert result.to_json() == lone(model, k).to_json(), (search_width, k)
         # the search stops once the largest K below the store size is settled, as a lone
         # search at it does; the Ks at or above it share one audit of their own
         below = [k for k in ks if k < len(model.store)]
@@ -416,9 +442,8 @@ def test_the_search_equals_the_row_copy_reference_search(seed, n_profiles, n_wor
     model, doc, true_index = random_instance(seed, n_profiles=n_profiles, n_words=n_words)
     if top:
         true_index = int(np.argmax(model.distribution(doc)))
-    method = "greedy" if width == 1 else "beam"
-    results = _search(model, doc, true_index, ks, width, DEFAULT_STOPWORDS, method)
-    expected = reference_search(model, doc, true_index, ks, width, DEFAULT_STOPWORDS, method)
+    results = search(model, doc, true_index, ks, width)
+    expected = reference_search(model, doc, true_index, ks, width)
     assert [r.to_json() for r in results] == [r.to_json() for r in expected]
 
 
@@ -456,9 +481,9 @@ def test_an_audit_scores_its_mask_bit_for_bit(seed, n_words, unseen, bits):
 def test_a_k_at_or_above_the_store_size_fails_with_one_audit(seed):
     model, doc, true_index = random_instance(seed, n_profiles=40)
     candidates = candidate_positions(doc, DEFAULT_STOPWORDS)
-    for search, extra in ((greedy_deidentify, {}), (beam_deidentify, {"beam_width": 3})):
+    for width in (1, 3):
         guide = CountingGuide(model)
-        result = search(guide, doc, true_index, 64, **extra)
+        result = search(guide, doc, true_index, [64], width)[0]
         assert (guide.audits, guide.builds) == (1, 0)
         assert not result.success and result.k == 64
         assert result.order == candidates and result.steps == len(candidates)
@@ -474,16 +499,16 @@ def test_beam_depth_one_when_single_mask_suffices(toy_corpus, toy_model):
         true_index = toy_corpus.store.index_of(rec.profile_id)
         doc = rec.document
         start = rank_of(toy_model.distribution(doc, np.zeros(len(doc), dtype=np.int8)), true_index)
-        path = greedy_deidentify(toy_model, doc, true_index, k=len(toy_corpus.store) - 1).order
+        path = search(toy_model, doc, true_index, [len(toy_corpus.store) - 1])[0].order
         if not path:  # already ranked last: no K below the store size needs a mask
             continue
         first = path[0]
         k = rank_of(toy_model.distribution(doc, _with(np.zeros(len(doc), dtype=np.int8), first)), true_index) - 1
         if k < start:
             continue
-        greedy = greedy_deidentify(toy_model, doc, true_index, k=k)
+        greedy = search(toy_model, doc, true_index, [k])[0]
         assert greedy.success and greedy.steps == 1
-        beam = beam_deidentify(toy_model, doc, true_index, k=k, beam_width=2)
+        beam = search(toy_model, doc, true_index, [k], beam_width=2)[0]
         assert beam.success
         assert beam.steps == 1
         checked += 1

@@ -16,7 +16,7 @@ from synthdata import make_corpus_rows
 
 ROOT = Path(__file__).resolve().parent.parent
 # the package names the README's Library example and the benchmark driver call
-USED_NAMES = {"load_corpus", "train", "TrainConfig", "NeuralReidentifier", "greedy_deidentify", "apply_mask", "rank_of"}
+USED_NAMES = {"load_corpus", "train", "TrainConfig", "NeuralReidentifier", "search", "apply_mask", "rank_of"}
 
 
 def test_readme_and_benchmark_names_resolve():
